@@ -44,8 +44,16 @@ class BoundaryLabel(str, Enum):
     SLIT = "slit"
 
 
-def _ekey(a, b):
-    return (a, b) if a < b else (b, a)
+def _edge_keys(a, b, n):
+    """One int64 key per undirected edge, ordered like the sorted id pair."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _run_starts(*cols):
+    """Flags the first row of each run of equal rows in sorted columns."""
+    first = np.ones(len(cols[0]), dtype=bool)
+    first[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    return first
 
 
 @dataclass
@@ -61,7 +69,7 @@ class AdaptSummary:
 
 
 class Mesh:
-    """Immutable conforming triangulation with a refinement forest.
+    """Immutable conforming triangulation refined by newest-vertex bisection.
 
     Parameters
     ----------
@@ -81,17 +89,15 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, levels, boundary_labels,
-                 generation=0, max_levels=4, parents=None,
-                 source_generation=-1, vertex_prov=None, adapt_summary=None,
-                 pair_tags=None, tag_counter=0, validate=True):
+                 generation=0, max_levels=4, source_generation=-1,
+                 vertex_prov=None, adapt_summary=None, pair_tags=None,
+                 tag_counter=0, validate=True):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.levels = np.ascontiguousarray(levels, dtype=np.int64)
         self.boundary_labels = dict(boundary_labels)
         self.generation = int(generation)
         self.max_levels = int(max_levels)
-        self.parents = (np.full(len(self.triangles), -1, dtype=np.int64)
-                        if parents is None else np.asarray(parents, dtype=np.int64))
         # two triangles born of the same bisection share a pair tag; -1 when
         # the sibling relation is unknown (initial triangles, merged parents)
         self.pair_tags = (np.full(len(self.triangles), -1, dtype=np.int64)
@@ -115,19 +121,24 @@ class Mesh:
 
     def _build_edges(self):
         t = self.triangles
-        # local edge i is opposite local vertex i
-        pairs = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
-        pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-        self.edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+        # local edge i is opposite local vertex i; one int64 key per edge
+        # sorts like the (min, max) vertex pair
+        n = int(t.max()) + 1 if t.size else 1
+        keys = _edge_keys(t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel(), n)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = _run_starts(sorted_keys)
+        starts = np.flatnonzero(first)
+        uniq = sorted_keys[starts]
+        self.edges = np.column_stack([uniq // n, uniq % n])
+        inv = np.empty(len(keys), dtype=np.int64)
+        inv[order] = np.cumsum(first) - 1
         self.tri_edges = inv.reshape(-1, 3)
-        ne = len(self.edges)
-        counts = np.bincount(inv, minlength=ne)
+        counts = np.diff(np.append(starts, len(keys)))
         if counts.max(initial=0) > 2:
             raise ValueError("non-manifold edge: more than 2 incident triangles")
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        order = np.argsort(inv, kind="stable")
+        self.edge_tris = np.full((len(uniq), 2), -1, dtype=np.int64)
         tri_of_slot = order // 3
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
         self.edge_tris[:, 0] = tri_of_slot[starts]
         shared = counts == 2
         self.edge_tris[shared, 1] = tri_of_slot[starts[shared] + 1]
@@ -144,10 +155,6 @@ class Mesh:
     @property
     def n_edges(self):
         return len(self.edges)
-
-    def refinement_edges(self):
-        """Edge index of each triangle's refinement edge (opposite the peak)."""
-        return self.tri_edges[:, 0]
 
     def boundary_vertices(self, *labels):
         """Sorted vertex ids incident to boundary edges with any given label."""
@@ -174,9 +181,12 @@ class Mesh:
         if bad.size:
             raise ValueError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
         # conformity: labels must cover exactly the boundary edges
-        labelled = {tuple(e) for e in map(tuple, self.edges[self.boundary_edge_mask])}
-        keys = set(self.boundary_labels)
-        if labelled != keys:
+        bnd = self.edges[self.boundary_edge_mask]
+        lab = np.array(list(self.boundary_labels), dtype=np.int64).reshape(-1, 2)
+        lab = lab[np.lexsort((lab[:, 1], lab[:, 0]))]
+        if not np.array_equal(bnd, lab):
+            labelled = set(map(tuple, bnd.tolist()))
+            keys = set(self.boundary_labels)
             missing = labelled - keys
             extra = keys - labelled
             raise ValueError(f"boundary label mismatch: missing={sorted(missing)[:4]} "
@@ -262,18 +272,16 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
 
-    tris = []
-    for j in range(n0):
-        for i in range(n0):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((ll, lr, ur))
-                tris.append((ll, ur, ul))
-            else:
-                tris.append((lr, ur, ul))
-                tris.append((lr, ul, ll))
-    tris = np.array(tris, dtype=np.int64)
+    # two triangles per cell, cells row by row
+    j, i = np.divmod(np.arange(n0 * n0, dtype=np.int64), n0)
+    ll, lr = vid(i, j), vid(i + 1, j)
+    ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
+    even = ((i + j) % 2 == 0)[:, None]
+    tris = np.stack([np.where(even, np.column_stack([ll, lr, ur]),
+                              np.column_stack([lr, ur, ul])),
+                     np.where(even, np.column_stack([ll, ur, ul]),
+                              np.column_stack([lr, ul, ll]))],
+                    axis=1).reshape(-1, 3)
 
     slit_y = None
     if slit is not None:
@@ -358,7 +366,7 @@ def _label_boundary(mesh, lx, ly, slit_y):
             lab = BoundaryLabel.SLIT
         else:
             raise ValueError(f"cannot label boundary edge {(a, b)} at {mid}")
-        labels[_ekey(int(a), int(b))] = lab
+        labels[(int(a), int(b))] = lab
     return labels
 
 
@@ -373,12 +381,11 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
     fatal), as are coarsening requests that do not form complete sibling
     pairs or whose removal would leave a hanging node.  The result is a new
     conforming :class:`Mesh` one generation later, carrying the vertex
-    provenance needed by nodal transfer.
+    provenance needed by nodal transfer.  The id sets may be any iterables
+    of triangle ids, generators included.
     """
-    refine_ids = np.unique(np.asarray(list(refine_ids), dtype=np.int64)) \
-        if len(list(refine_ids)) else np.empty(0, dtype=np.int64)
-    coarsen_ids = np.unique(np.asarray(list(coarsen_ids), dtype=np.int64)) \
-        if len(list(coarsen_ids)) else np.empty(0, dtype=np.int64)
+    refine_ids = _id_array(refine_ids)
+    coarsen_ids = _id_array(coarsen_ids)
     nt = mesh.n_triangles
     for ids, what in ((refine_ids, "refine"), (coarsen_ids, "coarsen")):
         if ids.size and (ids.min() < 0 or ids.max() >= nt):
@@ -390,20 +397,21 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
                            requested_coarsen=len(coarsen_ids))
 
     marked = _closure(mesh, refine_ids, summary)
-
-    inter = _coarsen(mesh, coarsen_ids, marked, summary)
-    (verts, tris, levels, parents, tags, labels, prov, marked_keys) = inter
-
-    out = _refine(verts, tris, levels, parents, tags, labels, prov,
-                  marked_keys, mesh.tag_counter)
-    verts, tris, levels, parents, tags, counter, labels, prov = out
+    coarse = _coarsen(mesh, coarsen_ids, marked, summary)
+    verts, tris, levels, tags, counter, labels, prov = _refine(
+        *coarse, mesh.tag_counter)
 
     return Mesh(verts, tris, levels, labels,
                 generation=mesh.generation + 1, max_levels=mesh.max_levels,
-                parents=parents, source_generation=mesh.generation,
-                vertex_prov=np.asarray(prov, dtype=np.int64).reshape(-1, 2),
-                pair_tags=tags, tag_counter=counter,
-                adapt_summary=summary)
+                source_generation=mesh.generation, vertex_prov=prov,
+                pair_tags=tags, tag_counter=counter, adapt_summary=summary)
+
+
+def _id_array(ids):
+    """Sorted unique int64 triangle ids from any iterable, read once."""
+    if not isinstance(ids, np.ndarray):
+        ids = list(ids)
+    return np.unique(np.asarray(ids, dtype=np.int64))
 
 
 def _closure(mesh, refine_ids, summary):
@@ -455,19 +463,55 @@ def _closure(mesh, refine_ids, summary):
     return marked
 
 
-def _vertex_incidence(triangles, nv):
-    flat = triangles.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=nv)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    return order // 3, starts
+def _label_arrays(labels):
+    """Boundary label dict as arrays (first ids, second ids, labels)."""
+    keys = np.array(list(labels), dtype=np.int64).reshape(-1, 2)
+    return keys[:, 0], keys[:, 1], np.fromiter(labels.values(), dtype=object,
+                                               count=len(labels))
+
+
+def _find_keys(table, keys):
+    """Position of each key in ``table`` (any order), -1 where absent."""
+    if not len(table):
+        return np.full(len(keys), -1, dtype=np.int64)
+    order = np.argsort(table)
+    pos = np.searchsorted(table, keys, sorter=order)
+    hit = order[np.minimum(pos, len(table) - 1)]
+    return np.where(table[hit] == keys, hit, -1)
+
+
+def _can_merge(v, t, lev, i, j):
+    """Can right child ``i`` and left child ``j`` merge into one parent?
+
+    Both share their peak ``m``; the parent ``(t[i,2], t[j,2], t[i,1])``
+    must have positive area and ``m`` must be the midpoint of its
+    refinement edge, all at the same level.
+    """
+    v0, v1, v2 = t[i, 2], t[j, 2], t[i, 1]
+    mid = 0.5 * (v[v1] + v[v2])
+    tol = 1e-12 * (1.0 + np.abs(mid).max(axis=1))
+    ok = lev[i] == lev[j]
+    ok &= (np.abs(v[t[i, 0]] - mid) <= tol[:, None]).all(axis=1)
+    d1 = v[v1] - v[v0]
+    d2 = v[v2] - v[v0]
+    ok &= d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0
+    return ok
 
 
 def _coarsen(mesh, coarsen_ids, marked, summary):
-    """Merge eligible sibling pairs; returns intermediate mesh pieces."""
+    """Merge eligible sibling pairs; returns intermediate mesh pieces.
+
+    A peak is removed only if every triangle around it is an eligible child
+    with that peak and all of them pair up.  Pairs are found in two passes
+    per peak: siblings that share a pair tag, then, in ascending triangle
+    order, each leftover right child with its counterclockwise neighbour.
+    Merged parents are appended by ascending peak, tagged pairs first (by
+    tag), then structural ones (by right child).
+    """
     v = mesh.vertices
     t = mesh.triangles
     lev = mesh.levels
+    tags = mesh.pair_tags
     nt, nv = mesh.n_triangles, mesh.n_vertices
 
     elig = np.zeros(nt, dtype=bool)
@@ -475,176 +519,165 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     elig &= lev >= 1
     elig &= ~marked[mesh.tri_edges].any(axis=1)
 
-    merges = []           # (left_tri, right_tri) -> parent (a, b, c)
-    drop_tri = np.zeros(nt, dtype=bool)
-    drop_vert = np.zeros(nv, dtype=bool)
+    # removable peaks: every incident triangle is eligible and has it as peak
+    free = np.zeros(nv, dtype=bool)
+    free[t[elig, 0]] = True
+    free[t[~elig, 0]] = False
+    free[t[:, 1:].ravel()] = False
+    star = np.flatnonzero(free[t[:, 0]])
+    star = star[np.argsort(t[star, 0], kind="stable")]   # by peak, then id
+    peak = t[star, 0]
+    first = _run_starts(peak)
+    group = np.cumsum(first) - 1
+    rank = np.arange(len(star)) - np.flatnonzero(first)[group]
+    claimed = np.zeros(nt, dtype=bool)
 
-    if elig.any():
-        tags = mesh.pair_tags
-        inc_tris, starts = _vertex_incidence(t, nv)
-        peaks = np.unique(t[elig, 0])
+    # first pass: a tag shared by exactly two triangles around one peak
+    tagged = star[tags[star] >= 0]
+    tagged = tagged[np.lexsort((tagged, tags[tagged], t[tagged, 0]))]
+    starts = np.flatnonzero(_run_starts(t[tagged, 0], tags[tagged]))
+    lead = starts[np.diff(np.append(starts, len(tagged))) == 2]
+    i, j = tagged[lead], tagged[lead + 1]
+    ok_ij = _can_merge(v, t, lev, i, j)
+    ok_ji = _can_merge(v, t, lev, j, i)
+    hit = ok_ij | ok_ji
+    right1 = np.where(ok_ij, i, j)[hit]
+    left1 = np.where(ok_ij, j, i)[hit]
+    claimed[right1] = claimed[left1] = True
 
-        def try_pair(i, j, claimed, pairs):
-            """Validate (i as right child, j as left child) around peak m."""
-            if j is None or j == i or j in claimed:
-                return False
-            v0, v1, v2 = t[i, 2], t[j, 2], t[i, 1]
-            if lev[i] != lev[j]:
-                return False
-            m = t[i, 0]
-            midpoint = 0.5 * (v[v1] + v[v2])
-            if not np.allclose(v[m], midpoint, rtol=0.0,
-                               atol=1e-12 * (1.0 + np.abs(midpoint).max())):
-                return False
-            d1 = v[v1] - v[v0]
-            d2 = v[v2] - v[v0]
-            if d1[0] * d2[1] - d1[1] * d2[0] <= 0.0:
-                return False
-            claimed.update((int(i), int(j)))
-            pairs.append((int(i), int(j), (int(v0), int(v1), int(v2))))
-            return True
+    # second pass: the left sibling of a right child (m, b, c) is the
+    # triangle (m, c, .) around the same peak
+    succ = _find_keys(peak * nv + t[star, 1], peak * nv + t[star, 2])
+    succ = np.where(succ >= 0, star[succ], -1)
+    has = succ >= 0
+    pair_ok = np.zeros(len(star), dtype=bool)
+    pair_ok[has] = _can_merge(v, t, lev, star[has], succ[has])
+    right2, left2 = [], []
+    for r in range(rank.max(initial=-1) + 1):
+        at = np.flatnonzero(rank == r)
+        i, j = star[at], succ[at]
+        go = pair_ok[at] & ~claimed[i]
+        go[go] &= ~claimed[j[go]]
+        claimed[i[go]] = claimed[j[go]] = True
+        right2.append(i[go])
+        left2.append(j[go])
+    right = np.concatenate([right1] + right2)
+    left = np.concatenate([left1] + left2)
+    second = np.arange(len(right)) >= len(right1)
+    sort_key = np.where(second, right, tags[right])
 
-        for m in peaks:
-            inc = np.sort(inc_tris[starts[m]:starts[m + 1]])
-            # every triangle touching m must be an eligible child with peak m
-            if not (elig[inc].all() and (t[inc, 0] == m).all()):
-                continue
-            by_second = {t[i, 1]: i for i in inc}
-            by_tag = {}
-            for i in inc:
-                if tags[i] >= 0:
-                    by_tag.setdefault(tags[i], []).append(i)
-            pairs = []
-            claimed = set()
-            # first pass: exact siblings recorded at bisection time
-            for tag, members in sorted(by_tag.items()):
-                if len(members) == 2:
-                    i, j = members
-                    if not try_pair(i, j, claimed, pairs):
-                        try_pair(j, i, claimed, pairs)
-            # second pass: structural matching for untagged leftovers
-            for i in inc:
-                if i in claimed:
-                    continue
-                try_pair(i, by_second.get(t[i, 2]), claimed, pairs)
-            if len(claimed) == len(inc):
-                for i, j, parent in pairs:
-                    merges.append((i, j, parent, int(lev[i]) - 1))
-                    drop_tri[i] = drop_tri[j] = True
-                drop_vert[m] = True
+    # a peak goes only when every triangle around it was claimed
+    size = np.bincount(group)
+    done = np.bincount(group[claimed[star]], minlength=len(size))
+    gone = peak[first][done == size]
+    keep_pair = np.isin(t[right, 0], gone)
+    right, left = right[keep_pair], left[keep_pair]
+    order = np.lexsort((sort_key[keep_pair], second[keep_pair], t[right, 0]))
+    right, left = right[order], left[order]
 
-    summary.coarsened_pairs = len(merges)
-    summary.skipped_coarsen = int(elig.sum() - 2 * len(merges))
+    summary.coarsened_pairs = len(right)
+    summary.skipped_coarsen = int(elig.sum() - 2 * len(right))
 
-    labels = dict(mesh.boundary_labels)
-    for i, j, (v0, v1, v2), _ in merges:
-        m = int(t[i, 0])
-        k1, k2 = _ekey(m, v1), _ekey(m, v2)
-        if k1 in labels or k2 in labels:
-            lab1 = labels.pop(k1, None)
-            lab2 = labels.pop(k2, None)
-            if lab1 != lab2 or lab1 is None:
-                raise ValueError("inconsistent labels on sibling boundary edges")
-            labels[_ekey(v1, v2)] = lab1
+    # sibling boundary edges (m, p1) and (m, p2) merge into (p1, p2)
+    m, p0, p1, p2 = t[right, 0], t[right, 2], t[left, 2], t[right, 1]
+    la, lb, lab = _label_arrays(mesh.boundary_labels)
+    table = la * nv + lb
+    k1 = _find_keys(table, _edge_keys(m, p1, nv))
+    k2 = _find_keys(table, _edge_keys(m, p2, nv))
+    merge = (k1 >= 0) | (k2 >= 0)
+    if (k1[merge] < 0).any() or (k2[merge] < 0).any() or \
+            (lab[k1[merge]] != lab[k2[merge]]).any():
+        raise ValueError("inconsistent labels on sibling boundary edges")
+    drop = np.zeros(len(table), dtype=bool)
+    drop[k1[merge]] = drop[k2[merge]] = True
+    la = np.concatenate([la[~drop], np.minimum(p1, p2)[merge]])
+    lb = np.concatenate([lb[~drop], np.maximum(p1, p2)[merge]])
+    lab = np.concatenate([lab[~drop], lab[k1[merge]]])
 
-    keep_vert = ~drop_vert
+    keep_vert = np.ones(nv, dtype=bool)
+    keep_vert[gone] = False
     old2new = np.cumsum(keep_vert) - 1
-    verts = v[keep_vert]
-
-    keep_rows = np.where(~drop_tri)[0]
-    tris = [old2new[t[keep_rows]]]
-    levels = [lev[keep_rows]]
-    parents = [keep_rows]
-    tags = [mesh.pair_tags[keep_rows]]
-    if merges:
-        ptris = np.array([mg[2] for mg in merges], dtype=np.int64)
-        tris.append(old2new[ptris])
-        levels.append(np.array([mg[3] for mg in merges], dtype=np.int64))
-        parents.append(np.array([mg[0] for mg in merges], dtype=np.int64))
-        tags.append(np.full(len(merges), -1, dtype=np.int64))
-    tris = np.vstack(tris)
-    levels = np.concatenate(levels)
-    parents = np.concatenate(parents)
-    tags = np.concatenate(tags)
-
-    labels = {_ekey(int(old2new[a]), int(old2new[b])): lab
-              for (a, b), lab in labels.items()}
-    old_ids = np.where(keep_vert)[0]
-    prov = [(int(o), -1) for o in old_ids]
-
-    marked_keys = set()
-    for e in np.where(marked)[0]:
-        a, b = mesh.edges[e]
-        marked_keys.add(_ekey(int(old2new[a]), int(old2new[b])))
-    return verts, tris, levels, parents, tags, labels, prov, marked_keys
+    keep_tri = np.ones(nt, dtype=bool)
+    keep_tri[right] = keep_tri[left] = False
+    tris = old2new[np.vstack([t[keep_tri], np.column_stack([p0, p1, p2])])]
+    levels = np.concatenate([lev[keep_tri], lev[right] - 1])
+    new_tags = np.concatenate([tags[keep_tri], np.full(len(right), -1)])
+    labels = (old2new[la], old2new[lb], lab)
+    n = int(keep_vert.sum())
+    e = mesh.edges[marked]
+    marked_keys = old2new[e[:, 0]] * n + old2new[e[:, 1]]
+    prov = np.column_stack([np.flatnonzero(keep_vert), np.full(n, -1)])
+    return v[keep_vert], tris, levels, new_tags, labels, prov, marked_keys
 
 
-def _refine(verts, tris, levels, parents, tags, labels, prov, marked_keys,
+def _refine(verts, tris, levels, tags, labels, prov, marked_keys,
             tag_counter):
-    """Bisect every triangle whose refinement edge is marked."""
-    vlist = [verts]
-    n_base = len(verts)
-    extra = []
-    midcache = {}
+    """Bisect every triangle whose refinement edge is marked.
 
-    def midpoint(a, b):
-        # marked edges live on the pre-refinement mesh, so a, b < n_base
-        k = _ekey(a, b)
-        mid = midcache.get(k)
-        if mid is not None:
-            return mid
-        mid = n_base + len(extra)
-        extra.append(0.5 * (vlist[0][a] + vlist[0][b]))
-        prov.append((a, b))
-        midcache[k] = mid
-        lab = labels.pop(k, None)
-        if lab is not None:
-            labels[_ekey(a, mid)] = lab
-            labels[_ekey(mid, b)] = lab
-        return mid
+    A bisected triangle ``(v0, v1, v2)`` splits at the midpoint ``m`` of
+    ``(v1, v2)``; a child whose refinement edge is marked too splits once
+    more.  Midpoints are numbered by first use in row order, within a row
+    ``(v1, v2)``, then ``(v0, v1)``, then ``(v2, v0)``.  Each bisection takes
+    the next pair tag in the same order.
+    """
+    n = len(verts)
 
-    ref_marked = np.fromiter(
-        (_ekey(int(a), int(b)) in marked_keys for _, a, b in tris),
-        dtype=bool, count=len(tris)) if marked_keys else np.zeros(len(tris), bool)
+    def is_marked(a, b):
+        return _find_keys(marked_keys, _edge_keys(a, b, n)) >= 0
 
-    keep = np.where(~ref_marked)[0]
-    out_tris = [tris[keep]]
-    out_levels = [levels[keep]]
-    out_parents = [parents[keep]]
-    out_tags = [tags[keep]]
+    ref = is_marked(tris[:, 1], tris[:, 2])
+    v0, v1, v2 = tris[ref].T
+    lv = levels[ref]
+    b1 = is_marked(v0, v1)
+    b2 = is_marked(v2, v0)
 
-    add_t, add_l, add_p, add_g = [], [], [], []
-    counter = tag_counter
-    for idx in np.where(ref_marked)[0]:
-        v0, v1, v2 = map(int, tris[idx])
-        lv = int(levels[idx])
-        src = int(parents[idx])
-        m = midpoint(v1, v2)
-        tag = counter
-        counter += 1
-        for child in ((m, v0, v1), (m, v2, v0)):
-            ca, cb = child[1], child[2]
-            if _ekey(ca, cb) in marked_keys:
-                m2 = midpoint(ca, cb)
-                add_t.append((m2, child[0], ca))
-                add_t.append((m2, cb, child[0]))
-                add_l.extend((lv + 2, lv + 2))
-                add_p.extend((src, src))
-                add_g.extend((counter, counter))
-                counter += 1
-            else:
-                add_t.append(child)
-                add_l.append(lv + 1)
-                add_p.append(src)
-                add_g.append(tag)
+    # midpoints of each bisected row: (v1, v2), (v0, v1), (v2, v0)
+    use = np.column_stack([np.ones_like(b1), b1, b2])
+    ea = np.column_stack([v1, v0, v2])[use]
+    eb = np.column_stack([v2, v1, v0])[use]
+    _, first, inv = np.unique(_edge_keys(ea, eb, n), return_index=True,
+                              return_inverse=True)
+    born = np.argsort(first)
+    rank = np.empty_like(born)
+    rank[born] = np.arange(len(born))
+    mids = np.full(use.shape, -1, dtype=np.int64)
+    mids[use] = n + rank[inv]
+    m, m1, m2 = mids.T
+    ma, mb = ea[first[born]], eb[first[born]]
 
-    if add_t:
-        out_tris.append(np.array(add_t, dtype=np.int64))
-        out_levels.append(np.array(add_l, dtype=np.int64))
-        out_parents.append(np.array(add_p, dtype=np.int64))
-        out_tags.append(np.array(add_g, dtype=np.int64))
-    if extra:
-        vlist.append(np.array(extra))
-    return (np.vstack(vlist), np.vstack(out_tris), np.concatenate(out_levels),
-            np.concatenate(out_parents), np.concatenate(out_tags), counter,
-            labels, prov)
+    # children: (m, v0, v1) or its halves, then (m, v2, v0) or its halves
+    kids = np.stack([np.where(b1[:, None], np.column_stack([m1, m, v0]),
+                              np.column_stack([m, v0, v1])),
+                     np.column_stack([m1, v1, m]),
+                     np.where(b2[:, None], np.column_stack([m2, m, v2]),
+                              np.column_stack([m, v2, v0])),
+                     np.column_stack([m2, v0, m])], axis=1)
+    real = np.column_stack([np.ones_like(b1), b1, np.ones_like(b2), b2])
+    n1, n2 = b1.astype(np.int64), b2.astype(np.int64)
+    step = 1 + n1 + n2
+    base = tag_counter + np.cumsum(step) - step
+    two = np.full_like(lv, 2)
+    kid_levels = lv[:, None] + np.column_stack([1 + n1, two, 1 + n2, two])
+    kid_tags = base[:, None] + np.column_stack([n1, np.ones_like(lv),
+                                                n2 * (1 + n1), 1 + n1])
+    counter = tag_counter + int(step.sum())
+
+    # a labelled edge hands its label to both halves, (a, m) then (b, m)
+    la, lb, lab = labels
+    hit = _find_keys(la * n + lb, _edge_keys(ma, mb, n))
+    split = hit >= 0
+    kept = np.ones(len(la), dtype=bool)
+    kept[hit[split]] = False
+    new_ids = n + np.arange(len(ma))[split]
+    la = np.concatenate([la[kept], np.column_stack([ma[split], mb[split]]).ravel()])
+    lb = np.concatenate([lb[kept], np.repeat(new_ids, 2)])
+    lab = np.concatenate([lab[kept], np.repeat(lab[hit[split]], 2)])
+    keys = zip(np.minimum(la, lb).tolist(), np.maximum(la, lb).tolist())
+
+    return (np.vstack([verts, 0.5 * (verts[ma] + verts[mb])]),
+            np.vstack([tris[~ref], kids[real]]),
+            np.concatenate([levels[~ref], kid_levels[real]]),
+            np.concatenate([tags[~ref], kid_tags[real]]),
+            counter,
+            dict(zip(keys, lab)),
+            np.vstack([prov, np.column_stack([ma, mb])]))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracture_afem.fem import FeFunction, transfer
 from fracture_afem.mesh import (BoundaryLabel, adapt, build_initial_mesh,
                                 geometry)
 
@@ -267,7 +270,6 @@ def test_coarsen_never_merges_initial_triangles():
 def test_fuzzed_adapt_chain_stays_conforming():
     # long random refine/coarsen chains: every generation must validate,
     # keep positive areas, respect the level cap, and keep the slit open
-    from fracture_afem.fem import FeFunction, transfer
     rng = np.random.default_rng(2024)
     m = build_initial_mesh(DOMAIN3, SLIT, 4, max_levels=3)
     u = FeFunction(rng.uniform(0.0, 1.0, m.n_vertices), m.generation)
@@ -329,3 +331,168 @@ def test_geometry_normal_closure():
     emid = 0.5 * (m.vertices[m.triangles[:, [1, 2, 0]]]
                   + m.vertices[m.triangles[:, [2, 0, 1]]])
     assert (((emid - cent[:, None, :]) * g.normals).sum(axis=2) > 0).all()
+
+
+# ----------------------------------------------------------------------
+# adapt: exact output of a fixed chain
+# ----------------------------------------------------------------------
+
+def test_adapt_accepts_generator_ids():
+    m = build_initial_mesh(DOMAIN3, SLIT, 8)
+    from_list = adapt(m, [0, 1, 2])
+    from_gen = adapt(m, (i for i in [0, 1, 2]))
+    assert from_gen.adapt_summary.requested_refine == 3
+    assert from_gen.n_triangles == from_list.n_triangles == 132
+    assert np.array_equal(from_gen.triangles, from_list.triangles)
+    back = adapt(from_list, [], (i for i in range(from_list.n_triangles)))
+    assert back.adapt_summary.requested_coarsen == from_list.n_triangles
+    assert back.n_triangles == m.n_triangles
+
+
+CHAIN_FIELDS = ("vertices", "triangles", "levels", "pair_tags",
+                "vertex_prov", "edges", "tri_edges", "edge_tris")
+
+
+def _digest(data):
+    import hashlib
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+def chain_digests():
+    """SHA-256 prefixes of every mesh array along a seeded adapt chain.
+
+    The chain starts on the n0 = 8 slit mesh with a cap of three levels and
+    mixes random refinement with coarsening of every triangle around a
+    random half of the vertices.  It exercises double bisection, the level
+    cap, both coarsening passes and label splits and merges on the boundary.
+    """
+    rng = np.random.default_rng(1)
+    m = build_initial_mesh(DOMAIN3, SLIT, 8, max_levels=3)
+    out = {f: [] for f in CHAIN_FIELDS + ("labels", "tag_counter")}
+    for gen in range(12):
+        nt = m.n_triangles
+        size = rng.integers(1, nt // (3 if gen < 4 else 8) + 2)
+        refine = rng.choice(nt, size=int(size), replace=False)
+        picked = rng.random(m.n_vertices) < (0.0 if gen < 3 else 0.5)
+        coarsen = np.setdiff1d(np.where(picked[m.triangles[:, 0]])[0], refine)
+        m = adapt(m, refine, coarsen)
+        for f in CHAIN_FIELDS:
+            a = np.ascontiguousarray(getattr(m, f))
+            out[f].append(_digest(f"{a.dtype.str}{a.shape}".encode()
+                                  + a.tobytes()))
+        labels = sorted((a, b, lab.value)
+                        for (a, b), lab in m.boundary_labels.items())
+        out["labels"].append(_digest(repr(labels).encode()))
+        out["tag_counter"].append(m.tag_counter)
+    return out
+
+
+# Recorded from the loop-based implementation of adapt that the array code
+# replaced; any change here changes the numbering seen by every run.
+CHAIN_GOLDEN = {
+    'vertices': ('3a2586fb8bce', '95b2285fc73f', 'aeb9317c07ad',
+        '402ae4dff331', 'e10c9dbba7a2', '3d34bbebfee9', 'ba3e2f7d56ee',
+        'b9640607f1b2', 'b61f7498e1da', '67eca46de6c4', 'b07d9c87a956',
+        '1d403948a25b'),
+    'triangles': ('b8d022fa7c7f', 'f61f71ec4504', '5439cb3cc4a2',
+        '8fb1526ef6b6', 'eafdb0d35836', 'e67156376202', 'a3f42bd54b76',
+        '86c964a14ff1', '2839917bf2b4', 'e21cbef17515', '5ae23fccd5f3',
+        '6fe737edf000'),
+    'levels': ('06cabd52956d', '109c55118667', '3e0592f1195f',
+        '9b6534a013c0', '2fec4c0f84f2', '4f5a35ae3364', 'ba8513fa1c2a',
+        'ba99ff6b7f5b', 'efe3479a021d', 'b39c84767e43', 'e153745ea315',
+        '4a0c37d8c8fd'),
+    'pair_tags': ('395a6dd6f3bd', 'f26ac6f95882', 'c1891089f5fd',
+        '93290137ac75', '5e8c08d821a6', 'f2e328376387', '5f999a65e76e',
+        '5203764342fb', '96393ebb27d1', 'ded4bcac2bea', 'd59a0d169bfe',
+        '134a1d04f00b'),
+    'vertex_prov': ('f311aa6a9d2e', '2ee8ac59bffc', '1d52b8efbb9f',
+        '3a77c51e53d1', 'a386b6aa06b0', 'f97d4225778c', 'd4ecfb2e7003',
+        '895d4e77eb2d', '2bf0fc37f589', '4802978eeeeb', '5e6ce2897b26',
+        '5d3fbbe7b125'),
+    'edges': ('51e1d92c5d0b', '3f07aa9c2693', '81b46254232f', '496cfbffa5c3',
+        'ae8281efddd1', '9f9665918f67', 'fd304254fc5b', '6f0c7135ec76',
+        '22859165fc3a', '2b79a7ea54e2', '053e191d1de8', '5e578a9ed04e'),
+    'tri_edges': ('64198d6515b2', '8da93dca9326', 'd673ce203249',
+        'f53e65e5d2c7', 'f1243cedf01c', '02804f48d315', '4fc6952cb1c2',
+        '1c8f106e7de2', '6edc8bc0787e', '7f783740819a', '2b24ca9fd9d7',
+        'c786d9412f80'),
+    'edge_tris': ('fcc502df45d0', '61057bf25bec', 'ef2058a39ab2',
+        '30b960f04821', 'd33b8ace9b1b', '958105f06e24', '11cf95a38756',
+        '20ff7d59c4c0', '55bae20d25c6', '13e7098240c3', 'd8fd177202a6',
+        '3d92d340b69a'),
+    'labels': ('065e1bdabb91', '414b59fdff01', 'fed9b1d7399c',
+        '59c63d789d0e', '080072a21df0', 'a5ef4bdcfb2b', 'd1c6bc15e30b',
+        '03a7742001cb', '869fe9d48af5', '38f1d1389dc5', '8ff3c30ed790',
+        'c3623ecdf245'),
+    'tag_counter': (40, 148, 255, 431, 441, 481, 547, 574, 626, 646, 652,
+        656),
+}
+
+
+def test_adapt_chain_is_byte_identical():
+    got = chain_digests()
+    for field, want in CHAIN_GOLDEN.items():
+        for gen, (g, w) in enumerate(zip(got[field], want)):
+            assert g == w, f"{field} differs at generation {gen}"
+
+
+# ----------------------------------------------------------------------
+# adapt: properties
+# ----------------------------------------------------------------------
+
+@st.composite
+def initial_meshes(draw):
+    n0 = draw(st.integers(1, 6))
+    slit = SLIT if n0 % 2 == 0 and draw(st.booleans()) else None
+    return build_initial_mesh(DOMAIN3, slit, n0,
+                              max_levels=draw(st.integers(1, 4)))
+
+
+def draw_ids(draw, n):
+    return sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 40))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial_meshes(), st.data())
+def test_adapt_sequence_keeps_mesh_conforming(mesh, data):
+    for _ in range(data.draw(st.integers(1, 5))):
+        refine = draw_ids(data.draw, mesh.n_triangles)
+        # coarsen whole stars around some peaks, or every other triangle
+        if data.draw(st.booleans()):
+            peaks = draw_ids(data.draw, mesh.n_vertices)
+            coarsen = np.flatnonzero(np.isin(mesh.triangles[:, 0], peaks))
+        else:
+            coarsen = np.arange(mesh.n_triangles)
+        mesh = adapt(mesh, refine, np.setdiff1d(coarsen, refine))
+        check_conforming(mesh)
+        assert (mesh.signed_areas() > 0).all()
+        assert mesh.levels.max() <= mesh.max_levels
+        assert np.isclose(mesh.signed_areas().sum(), 9.0, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial_meshes(), st.data(),
+       st.tuples(*[st.integers(-5, 5)] * 3))
+def test_refinement_transfers_linear_field_exactly(mesh, data, coef):
+    def linear(m):
+        x, y = m.vertices.T
+        return coef[0] + coef[1] * x + coef[2] * y
+
+    u = FeFunction(linear(mesh), mesh.generation)
+    for _ in range(data.draw(st.integers(1, 3))):
+        fine = adapt(mesh, draw_ids(data.draw, mesh.n_triangles))
+        u = transfer(u, mesh, fine)
+        mesh = fine
+        assert np.allclose(u.values, linear(mesh), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial_meshes())
+def test_coarsening_uniform_refinement_returns_original(mesh):
+    fine = adapt(mesh, range(mesh.n_triangles))
+    back = adapt(fine, [], range(fine.n_triangles))
+    assert back.adapt_summary.coarsened_pairs == mesh.n_triangles
+    for field in ("vertices", "triangles", "levels", "pair_tags", "edges"):
+        assert np.array_equal(getattr(back, field), getattr(mesh, field))
+    assert back.boundary_labels == mesh.boundary_labels
