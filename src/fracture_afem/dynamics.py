@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fem import (FeFunction, assemble_mass, assemble_stiffness,
-                  apply_dirichlet)
+from .fem import FeFunction, apply_dirichlet, assemble_stiffness, unit_mass
+from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
 
 __all__ = [
@@ -143,14 +144,6 @@ def degradation(v, params):
     return FeFunction(vals, v.generation)
 
 
-def _unit_mass(mesh):
-    M = mesh._cache.get("unit_mass")
-    if M is None:
-        M = assemble_mass(mesh, 1.0)
-        mesh._cache["unit_mass"] = M
-    return M
-
-
 def step_displacement(state, k, g_values, f=None, params=None, v=None,
                       tol=1e-12, max_iter=None, debug_checks=False, rng=None,
                       return_details=False):
@@ -168,9 +161,12 @@ def step_displacement(state, k, g_values, f=None, params=None, v=None,
     v_eff.check_bound(mesh)
     mp = params
 
-    M = _unit_mass(mesh)
+    M = unit_mass(mesh)
     A = assemble_stiffness(mesh, degradation(v_eff, mp))
-    S = (mp.varrho / k ** 2) * M + (mp.mu + mp.eta / k) * A
+    # M and A share the mesh's pattern, so S is a sum of their data arrays
+    S = sp.csr_matrix(((mp.varrho / k ** 2) * M.data
+                       + (mp.mu + mp.eta / k) * A.data, A.indices, A.indptr),
+                      shape=A.shape)
 
     u_old = state.u_curr.values
     du_old = state.du.values

@@ -89,10 +89,13 @@ def estimate(u, v, mesh, params, jump_mode="magnitude"):
         jump2[bnd] = ((gv[tb] * nrm).sum(axis=1)) ** 2
 
     w = params.rho_pf ** 2 * he ** 2 * jump2
-    r2 = elem.copy()
-    np.add.at(r2, et[interior, 0], 0.5 * w[interior])
-    np.add.at(r2, et[interior, 1], 0.5 * w[interior])
-    np.add.at(r2, et[bnd, 0], w[bnd])
+    # one bincount adds the element term, then the interior halves, then
+    # the boundary edges, in that order for every triangle
+    half = 0.5 * w[interior]
+    r2 = np.bincount(
+        np.concatenate([np.arange(mesh.n_triangles), ti, tj, et[bnd, 0]]),
+        weights=np.concatenate([elem, half, half, w[bnd]]),
+        minlength=mesh.n_triangles)
     return EstimatorField(r2=r2, r_h=float(np.sqrt(r2.sum())),
                           generation=mesh.generation)
 

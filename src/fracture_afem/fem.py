@@ -21,6 +21,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "apply_dirichlet",
+    "unit_mass",
     "transfer",
     "element_gradients",
 ]
@@ -95,7 +96,14 @@ _MASS_PATTERN = np.array([[2.0, 1.0, 1.0],
 
 
 def element_data(mesh):
-    """Per-element areas and shape-function gradients, cached on the mesh."""
+    """Per-element areas and shape-function gradients, and the CSR pattern
+    of the P1 matrices, cached on the mesh.
+
+    The pattern holds the diagonal and both directions of every mesh edge,
+    with sorted column indices.  ``slot`` maps the ``9 nt`` element entries
+    (row-major within each triangle) to their positions in ``indices``, so
+    assembly is one ``bincount`` onto a fixed pattern.
+    """
     cached = mesh._cache.get("elem")
     if cached is not None:
         return cached
@@ -105,19 +113,72 @@ def element_data(mesh):
     area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
     # rows of grads are the constant gradients of the three hat functions
     grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
-    cached = {"area": area, "grads": grads, "rows": rows, "cols": cols}
+    cached = {"area": area, "grads": grads, **_pattern(mesh)}
     mesh._cache["elem"] = cached
     return cached
 
 
-def _scatter(mesh, local):
-    ed = element_data(mesh)
+def _pattern(mesh):
+    """CSR pattern and element slot map, built from the sorted edge list.
+
+    Row ``i`` holds its lower neighbours, then ``i``, then its upper
+    neighbours.  ``mesh.edges`` is sorted by (min, max), so the upper
+    neighbours of a vertex are consecutive edges, and a stable sort by the
+    larger endpoint lists the lower ones in column order.
+    """
     n = mesh.n_vertices
-    A = sp.coo_matrix((local.reshape(-1), (ed["rows"], ed["cols"])),
-                      shape=(n, n))
-    return A.tocsr()
+    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
+    n_up = np.bincount(lo, minlength=n)
+    n_low = np.bincount(hi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_low + 1 + n_up, out=indptr[1:])
+    diag = indptr[:-1] + n_low
+    rank = np.arange(len(lo))
+    up = diag[lo] + 1 + rank - (np.cumsum(n_up) - n_up)[lo]
+    by_hi = np.argsort(hi, kind="stable")
+    h = hi[by_hi]
+    low = np.empty_like(up)
+    low[by_hi] = indptr[h] + rank - (np.cumsum(n_low) - n_low)[h]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag] = np.arange(n)
+    indices[up] = hi
+    indices[low] = lo
+    t = mesh.triangles
+    slot = np.empty((len(t), 3, 3), dtype=np.int32)
+    for i in range(3):
+        slot[:, i, i] = diag[t[:, i]]
+        for j in range(3):
+            if i != j:
+                # local edge k of a triangle is opposite local vertex k
+                k = mesh.tri_edges[:, 3 - i - j]
+                slot[:, i, j] = np.where(t[:, i] < t[:, j], up[k], low[k])
+    return {"indptr": indptr.astype(np.int32), "indices": indices,
+            "slot": slot.reshape(-1)}
+
+
+def _scatter(mesh, local):
+    """Sum the (nt, 3, 3) element entries onto the mesh's pattern.
+
+    The matrix gets its own copy of the index arrays, so scipy methods that
+    work in place on it leave the cached pattern intact.
+    """
+    ed = element_data(mesh)
+    indptr, indices = ed["indptr"], ed["indices"]
+    data = np.bincount(ed["slot"], weights=local.reshape(-1),
+                       minlength=len(indices))
+    n = len(indptr) - 1
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
+def unit_mass(mesh):
+    """Unit-density mass matrix, assembled once per mesh and shared by its
+    callers; its data is read-only."""
+    M = mesh._cache.get("unit_mass")
+    if M is None:
+        M = assemble_mass(mesh, 1.0)
+        M.data.flags.writeable = False
+        mesh._cache["unit_mass"] = M
+    return M
 
 
 def assemble_mass(mesh, density=1.0):
@@ -173,7 +234,8 @@ def apply_dirichlet(A, b, ds):
     Returns a new pair ``(A', b')`` with constrained rows and columns zeroed,
     unit diagonal on constrained dofs, and the right-hand side adjusted so
     that the free block solves the original problem with the prescribed
-    values substituted.
+    values substituted.  ``A'`` keeps the sparsity pattern of ``A`` (the
+    eliminated entries stay as explicit zeros); ``A`` is not modified.
     """
     n = b.shape[0]
     if len(ds.dofs) == 0:
@@ -186,11 +248,24 @@ def apply_dirichlet(A, b, ds):
     free[ds.dofs] = 0.0
     b2 = free * (b - A @ g)
     b2[ds.dofs] = ds.values
-    P = sp.diags(free)
-    pin = np.zeros(n)
-    pin[ds.dofs] = 1.0
-    A2 = (P @ A @ P + sp.diags(pin)).tocsr()
-    return A2, b2
+    A = A.tocsr()
+    pinned = free == 0.0
+    counts = np.diff(A.indptr)
+    in_row = np.repeat(pinned, counts)
+    data = A.data.copy()
+    data[in_row | pinned[A.indices]] = 0.0
+    # entries of pinned rows, in row order; keep those on the diagonal
+    slots = np.flatnonzero(in_row)
+    rows = np.repeat(np.flatnonzero(pinned), counts[pinned])
+    diag = slots[A.indices[slots] == rows]
+    if len(diag) == len(ds.dofs):
+        data[diag] = 1.0
+        return sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
+                             shape=A.shape), b2
+    # some pinned row stores no diagonal entry, or stores it twice
+    A2 = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape) \
+        + sp.diags(pinned.astype(np.float64))
+    return A2.tocsr(), b2
 
 
 def transfer(src, src_mesh, dst_mesh):

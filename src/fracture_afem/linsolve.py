@@ -17,8 +17,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, record_iterates=None,
-              context=""):
+def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context=""):
     """Solve ``A x = b`` for symmetric positive definite ``A``.
 
     The residual test is relative: iteration stops once
@@ -47,13 +46,12 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, record_iterates=None,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x
     history = [np.sqrt(r @ r) / norm_b]
-    if record_iterates is not None:
-        record_iterates.append(x.copy())
     if history[0] <= tol:
         return x, SolveReport(0, history[0], True, history)
 
     z = r / diag
     p = z.copy()
+    tmp = np.empty(n)
     rz = r @ z
     it = 0
     converged = False
@@ -65,17 +63,16 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, record_iterates=None,
             raise ValueError(
                 f"negative curvature at iteration {it} ({context or 'solve_spd'})")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
         res = np.sqrt(r @ r) / norm_b
         history.append(res)
-        if record_iterates is not None:
-            record_iterates.append(x.copy())
         if res <= tol:
             converged = True
             break
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, SolveReport(it, history[-1], converged, history)

@@ -13,7 +13,7 @@ followed by the threshold rules (values below Xi_v drop to 0, values above
 With an empty crack set and a vanishing reaction term the system is a pure
 Neumann problem with an incompatible source, i.e. singular; in that regime
 the unconstrained solution lies above 1 everywhere, so the clamped outcome
-is identically 1 and is returned directly without a solve.
+is identically 1 and is returned directly, before anything is assembled.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (FeFunction, DirichletSet, assemble_stiffness, assemble_mass,
-                  weighted_mass, apply_dirichlet, element_gradients,
-                  transfer_pinned)
+from .fem import (FeFunction, DirichletSet, assemble_stiffness, weighted_mass,
+                  apply_dirichlet, element_gradients, transfer_pinned,
+                  unit_mass)
+from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
 
 __all__ = [
@@ -68,14 +69,31 @@ class CrackSet:
         return CrackSet(np.where(pinned)[0], dst_mesh.generation, self.xi_cr)
 
 
+def _reaction(u, params, mesh):
+    """Element reaction weight mu (1 - kappa) |grad u|^2 of the damage
+    equation."""
+    gu = element_gradients(u, mesh)
+    return params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
+
+
+def _system(reaction, params, mesh):
+    """(A, b) of the damage equation.  The unit stiffness data and the
+    source ``M 1`` depend on the mesh only and are kept in its cache."""
+    const = mesh._cache.get("phasefield")
+    if const is None:
+        const = (assemble_stiffness(mesh, 1.0).data,
+                 unit_mass(mesh) @ np.ones(mesh.n_vertices))
+        mesh._cache["phasefield"] = const
+    k_data, m_one = const
+    A = weighted_mass(mesh, reaction)
+    A.data += params.rho_pf * k_data        # same pattern as the unit stiffness
+    return A, params.nu_pf * m_one
+
+
 def phasefield_system(u, params, mesh):
     """Assemble (A, b) of the damage equation for the current displacement."""
-    gu = element_gradients(u, mesh)
-    reaction = params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
-    A = params.rho_pf * assemble_stiffness(mesh, 1.0) \
-        + weighted_mass(mesh, reaction)
-    ones = np.ones(mesh.n_vertices)
-    b = params.nu_pf * (assemble_mass(mesh, 1.0) @ ones)
+    reaction = _reaction(u, params, mesh)
+    A, b = _system(reaction, params, mesh)
     return A, b, reaction
 
 
@@ -92,8 +110,7 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     if crack.generation != mesh.generation:
         raise ValueError("crack set bound to a different generation")
 
-    A, b, reaction = phasefield_system(u, params, mesh)
-
+    reaction = _reaction(u, params, mesh)
     if crack.ids.size == 0 and reaction.max(initial=0.0) \
             <= SHORTCUT_FACTOR * params.nu_pf:
         v = FeFunction.constant(mesh, 1.0)
@@ -101,6 +118,7 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
             return v, {"report": None, "stationarity": None, "shortcut": True}
         return v
 
+    A, b = _system(reaction, params, mesh)
     ds = DirichletSet(crack.ids, np.zeros(len(crack.ids)))
     Ac, bc = apply_dirichlet(A, b, ds)
     x = x0.values if isinstance(x0, FeFunction) else x0

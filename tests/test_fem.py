@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
                                assemble_load, assemble_mass,
-                               assemble_stiffness, element_gradients,
-                               transfer)
+                               assemble_stiffness, element_data,
+                               element_gradients, transfer, weighted_mass)
 from fracture_afem.mesh import adapt, build_initial_mesh, geometry
 
 
@@ -30,6 +32,104 @@ def gradient_oracle(mesh, values):
                         values[tri[2]] - values[tri[0]]])
         out[t] = np.linalg.solve(A, rhs)
     return out
+
+
+def coo_reference(mesh, local):
+    """Sum the (nt, 3, 3) element entries through COO -> CSR."""
+    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
+    n = mesh.n_vertices
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
+                         shape=(n, n)).tocsr()
+
+
+def assert_close_to_reference(A, R, mesh):
+    """Equal up to the order of summation: an entry sums at most one term
+    per incident triangle, and only diagonal entries (whose terms share a
+    sign) can have more than two."""
+    assert A.has_sorted_indices
+    terms = np.bincount(mesh.triangles.ravel()).max()
+    diff = abs(A - R).toarray()
+    row_scale = abs(R).max(axis=1).toarray()
+    assert (diff <= (terms - 1) * np.finfo(float).eps * row_scale).all()
+
+
+@st.composite
+def adapted_meshes(draw):
+    """An n0 <= 5 grid, with or without slit, after a short random chain of
+    refinements and coarsenings."""
+    n0 = draw(st.integers(1, 5))
+    slit = (0.0, 1.5, 1.5) if n0 % 2 == 0 and draw(st.booleans()) else None
+    mesh = build_initial_mesh((3.0, 3.0), slit, n0,
+                              max_levels=draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(0, 4))):
+        n = mesh.n_triangles
+        refine = sorted(draw(st.sets(st.integers(0, n - 1),
+                                     max_size=min(n, 30))))
+        coarsen = np.setdiff1d(np.arange(n), refine) \
+            if draw(st.booleans()) else []
+        mesh = adapt(mesh, refine, coarsen)
+    return mesh
+
+
+# ----------------------------------------------------------------------
+# fixed-pattern assembly
+# ----------------------------------------------------------------------
+
+MASS_PATTERN = np.array([[2.0, 1.0, 1.0],
+                         [1.0, 2.0, 1.0],
+                         [1.0, 1.0, 2.0]]) / 12.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(adapted_meshes(), st.data())
+def test_pattern_assembly_matches_coo_reference(mesh, data):
+    nt = mesh.n_triangles
+    weights = st.lists(st.floats(0.0, 10.0), min_size=nt, max_size=nt)
+    c = np.array(data.draw(weights))
+    w = np.array(data.draw(weights))
+    ed = element_data(mesh)
+    area, G = ed["area"], ed["grads"]
+
+    M = assemble_mass(mesh, 2.5)
+    assert_close_to_reference(
+        M, coo_reference(mesh, 2.5 * area[:, None, None] * MASS_PATTERN),
+        mesh)
+    A = assemble_stiffness(mesh, c)
+    assert_close_to_reference(A, coo_reference(
+        mesh, np.einsum('nik,njk->nij', G, G) * (c * area)[:, None, None]),
+        mesh)
+    W = weighted_mass(mesh, w)
+    assert_close_to_reference(
+        W, coo_reference(mesh, (w * area)[:, None, None] * MASS_PATTERN),
+        mesh)
+    # one pattern for every matrix of the mesh: diagonal plus both
+    # directions of each edge
+    for B in (A, W):
+        assert np.array_equal(B.indptr, M.indptr)
+        assert np.array_equal(B.indices, M.indices)
+    assert M.nnz == mesh.n_vertices + 2 * mesh.n_edges
+
+
+def test_returned_matrices_do_not_alias_the_pattern():
+    mesh = adapt(unit_square(3), [0, 4, 9])
+    first = assemble_stiffness(mesh, 1.0)
+    ref = first.toarray()
+    first.data[:] = 0.0
+    first.eliminate_zeros()
+    assert first.nnz == 0
+    M = assemble_mass(mesh, 1.0)
+    M.indices[:] = 0
+    M.indptr[:] = 0
+    again = assemble_stiffness(mesh, 1.0)
+    assert np.array_equal(again.toarray(), ref)
+    ds = DirichletSet(np.array([0, 3]), np.zeros(2))
+    A2, _ = apply_dirichlet(again, np.zeros(mesh.n_vertices), ds)
+    A2.data[:] = 7.0
+    A2.sort_indices()
+    A2.eliminate_zeros()
+    assert np.array_equal(again.toarray(), ref)
+    assert np.array_equal(assemble_stiffness(mesh, 1.0).toarray(), ref)
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +306,50 @@ def test_dirichlet_conflicting_duplicates_rejected():
     # exact repeats are tolerated
     ds = DirichletSet(np.array([3, 3]), np.array([1.0, 1.0]))
     assert len(ds.dofs) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(adapted_meshes(), st.data())
+def test_dirichlet_matches_dense_elimination(mesh, data):
+    n = mesh.n_vertices
+    dofs = np.array(sorted(data.draw(
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+    vals = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=len(dofs),
+                                       max_size=len(dofs))))
+    rng = np.random.default_rng(len(dofs))
+    A = assemble_stiffness(mesh, rng.uniform(0.1, 2.0, mesh.n_triangles)) \
+        + assemble_mass(mesh, 1.0)
+    A.data[rng.random(A.nnz) < 0.1] = 0.0      # explicit zeros stay put
+    before = A.copy()
+    b = rng.standard_normal(n)
+    A2, b2 = apply_dirichlet(A, b, DirichletSet(dofs, vals))
+
+    pin = np.zeros(n)
+    pin[dofs] = 1.0
+    P = np.diag(1.0 - pin)
+    Ad = A.toarray()
+    assert np.array_equal(A2.toarray(), P @ Ad @ P + np.diag(pin))
+    g = pin * 0.0
+    g[dofs] = vals
+    b_ref = (1.0 - pin) * (b - Ad @ g)
+    b_ref[dofs] = vals
+    assert np.allclose(b2, b_ref, rtol=1e-14, atol=1e-14 * np.abs(b).max())
+    # the input is untouched and the pattern is kept
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(before, name))
+    assert np.array_equal(A2.indices, A.indices)
+
+
+def test_dirichlet_without_stored_diagonal():
+    A = sp.csr_matrix(np.array([[0.0, -1.0, 0.0],
+                                [-1.0, 2.0, -1.0],
+                                [0.0, -1.0, 1.0]]))
+    assert A.nnz == 6                           # row 0 stores no diagonal
+    A2, b2 = apply_dirichlet(A, np.ones(3), DirichletSet([0], [2.0]))
+    assert np.array_equal(A2.toarray(), [[1.0, 0.0, 0.0],
+                                         [0.0, 2.0, -1.0],
+                                         [0.0, -1.0, 1.0]])
+    assert np.array_equal(b2, [2.0, 3.0, 1.0])
 
 
 def test_dirichlet_symmetric_and_spd_on_free_block():

@@ -47,12 +47,16 @@ def test_converged_flag_implies_tolerance():
 
 
 def test_error_anorm_monotone():
+    # the k-th CG iterate is the result of a run stopped after k iterations
     A, b = random_spd(40, 13)
-    iterates = []
-    x, rep = solve_spd(A, b, tol=1e-13, record_iterates=iterates)
+    _, rep = solve_spd(A, b, tol=1e-13)
+    iterates = [np.zeros(len(b))] + [
+        solve_spd(A, b, tol=1e-13, max_iter=k)[0]
+        for k in range(1, rep.iterations + 1)]
     x_ref = np.linalg.solve(A.toarray(), b)
     Ad = A.toarray()
     errs = [np.sqrt((xi - x_ref) @ Ad @ (xi - x_ref)) for xi in iterates]
+    assert len(errs) > 2
     for e0, e1 in zip(errs, errs[1:]):
         assert e1 <= e0 * (1 + 1e-12)
 

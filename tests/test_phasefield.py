@@ -128,6 +128,38 @@ def test_shortcut_matches_solve_plus_clamp():
     assert np.allclose(v.values, 1.0)
 
 
+def test_shortcut_assembles_nothing(monkeypatch):
+    import fracture_afem.fem as fem
+    import fracture_afem.phasefield as pf
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the intact shortcut assembled a matrix")
+
+    for name in ("assemble_stiffness", "weighted_mass", "unit_mass"):
+        monkeypatch.setattr(pf, name, no_assembly)
+    monkeypatch.setattr(fem, "_scatter", no_assembly)
+    mesh = build_initial_mesh((1.0, 1.0), None, 3)
+    u = FeFunction.from_callable(mesh, lambda x, y: 0.1 * x)
+    v, rep = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh,
+                              return_report=True)
+    assert rep["shortcut"] and np.array_equal(v.values, np.ones(16))
+
+
+def test_repeated_systems_reuse_mesh_constants():
+    # the cached unit stiffness and source leave the second system equal to
+    # a fresh assembly on an identical mesh
+    mesh = build_initial_mesh((1.0, 1.0), None, 3)
+    twin = build_initial_mesh((1.0, 1.0), None, 3)
+    u1 = FeFunction.from_callable(mesh, lambda x, y: x * y)
+    u2 = FeFunction.from_callable(mesh, lambda x, y: 2.0 * x - y * y)
+    phasefield_system(u1, MP, mesh)
+    A, b, _ = phasefield_system(u2, MP, mesh)
+    A_ref, b_ref, _ = phasefield_system(
+        FeFunction(u2.values, twin.generation), MP, twin)
+    assert np.array_equal(A.toarray(), A_ref.toarray())
+    assert np.array_equal(b, b_ref)
+
+
 def test_energy_decrease_within_sweep():
     # the solved v minimizes the quadratic energy over the constrained set
     mesh = build_initial_mesh((1.0, 1.0), None, 3)
