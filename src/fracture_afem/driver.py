@@ -147,8 +147,6 @@ class RunConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     marking: MarkingConfig = field(default_factory=MarkingConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 0
-    threads: int = 1
     debug_checks: bool = False
     provenance: dict = field(default_factory=dict)
 
@@ -426,6 +424,14 @@ def _energy_total(report):
     return report.kinetic + report.strain + report.surface
 
 
+def _initial_state(cfg):
+    """The rest state on the initial mesh; the state is the only holder of
+    its mesh, so the mesh goes with the last state that uses it."""
+    mesh = cfg.build_mesh()
+    return init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
+                      cfg.time.k)
+
+
 def run(cfg, on_step=None):
     """Execute the adaptive staggered evolution defined by ``cfg``.
 
@@ -438,13 +444,14 @@ def run(cfg, on_step=None):
 
     t_start = _time.perf_counter()
     cfg.validate()
-    mesh = cfg.build_mesh()
     k = cfg.time.k
-    state = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh), k)
-    est = estimate(state.u_curr, state.v, mesh, cfg.material,
+    state = _initial_state(cfg)
+    est = estimate(state.u_curr, state.v, state.mesh, cfg.material,
                    jump_mode=cfg.marking.jump_mode)
     reports = [energies(state, cfg.material, est, time=k, step=1)]
-    result = RunResult(reports=reports, state=state, mesh=mesh, summary={})
+    # state and mesh are filled in at the end, so that no mesh generation
+    # outlives the steps that use it
+    result = RunResult(reports=reports, state=None, mesh=None, summary={})
     result.v_min.append(float(state.v.values.min()))
     result.v_max.append(float(state.v.values.max()))
     result.pinned_counts.append(0)
@@ -471,14 +478,13 @@ def run(cfg, on_step=None):
             adapted = None if diag.shortcut \
                 else adapt_step(prev, state, est, cfg)
             if adapted is not None:
-                new_prev, new_mesh = adapted
+                prev, _ = adapted
                 prev_energy = _energy_total(
-                    energies(new_prev, cfg.material, time=t_n - k, step=n - 1))
+                    energies(prev, cfg.material, time=t_n - k, step=n - 1))
                 phase = "re-solve after adaptation"
-                state, diag = staggered_step(new_prev, t_n, cfg)
+                state, diag = staggered_step(prev, t_n, cfg)
                 est = estimate(state.u_curr, state.v, state.mesh,
                                cfg.material, jump_mode=cfg.marking.jump_mode)
-                mesh = new_mesh
         except Exception as exc:
             raise RuntimeError(
                 f"run aborted at step {n} during {phase} ({exc})") from exc

@@ -44,13 +44,28 @@ class EstimatorField:
             raise ValueError("indicator values must be finite and nonnegative")
 
 
+def _geometry(mesh):
+    """Triangle diameters and the outward unit normals of the boundary
+    edges (in edge order), computed once per mesh and kept in its cache."""
+    cached = mesh._cache.get("estimator")
+    if cached is None:
+        geo = geometry(mesh)
+        bnd = np.flatnonzero(mesh.edge_tris[:, 1] < 0)
+        tb = mesh.edge_tris[bnd, 0]
+        # outward normal of the single incident triangle on that edge
+        loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
+        cached = (geo.h, geo.normals[tb, loc])
+        mesh._cache["estimator"] = cached
+    return cached
+
+
 def estimate(u, v, mesh, params, jump_mode="magnitude"):
     """Evaluate the residual indicator for the pair (u, v)."""
     u.check_bound(mesh)
     v.check_bound(mesh)
     if jump_mode not in ("magnitude", "normal"):
         raise ValueError(f"unknown jump_mode {jump_mode!r}")
-    geo = geometry(mesh)
+    h, bnd_normals = _geometry(mesh)
     gu = element_gradients(u, mesh)
     gv = element_gradients(v, mesh)
     a_tau = params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
@@ -60,7 +75,7 @@ def estimate(u, v, mesh, params, jump_mode="magnitude"):
     vv = v.values[mesh.triangles]                     # (nt, 3)
     vmid = 0.5 * (vv[:, [1, 2, 0]] + vv[:, [2, 0, 1]])
     sq = (a_tau[:, None] * vmid - nu) ** 2
-    elem = geo.h ** 2 * (geo.area / 3.0) * sq.sum(axis=1)
+    elem = h ** 2 * (mesh.signed_areas() / 3.0) * sq.sum(axis=1)
 
     # edge jumps
     et = mesh.edge_tris
@@ -83,10 +98,7 @@ def estimate(u, v, mesh, params, jump_mode="magnitude"):
     bnd = np.where(~interior)[0]
     if bnd.size:
         tb = et[bnd, 0]
-        # outward normal of the single incident triangle on that edge
-        loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
-        nrm = geo.normals[tb, loc]
-        jump2[bnd] = ((gv[tb] * nrm).sum(axis=1)) ** 2
+        jump2[bnd] = ((gv[tb] * bnd_normals).sum(axis=1)) ** 2
 
     w = params.rho_pf ** 2 * he ** 2 * jump2
     # one bincount adds the element term, then the interior halves, then

@@ -10,7 +10,6 @@ default.  Snapshots are legacy-ASCII unstructured-grid files with fixed
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -279,7 +278,6 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output", default=None)
     p_run.add_argument("--steps", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
 
     p_check = sub.add_parser("check-config", help="parse and echo a config")
     p_check.add_argument("--config", required=True)
@@ -308,15 +306,6 @@ def cli(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    threads = os.environ.get("FRACTURE_AFEM_THREADS")
-    if threads is not None:
-        try:
-            cfg.threads = max(1, int(threads))
-        except ValueError:
-            print(f"config error: FRACTURE_AFEM_THREADS={threads!r} "
-                  "is not an integer", file=sys.stderr)
-            return 2
-
     if args.command == "check-config":
         for section in _SCHEMA:
             obj = {"mesh": cfg.mesh, "material": cfg.material,
@@ -336,8 +325,6 @@ def cli(argv=None):
         cfg.time = type(cfg.time)(n_steps=args.steps,
                                   t_final=cfg.time.t_final)
         cfg.provenance["time.n_steps"] = "command-line override"
-    if args.seed is not None:
-        cfg.seed = args.seed
 
     try:
         result = run_driver(cfg)

@@ -17,13 +17,14 @@ between local vertices 1 and 2.  Bisecting ``(v0, v1, v2)`` at the midpoint
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "BoundaryLabel",
+    "InitialGrid",
     "Mesh",
     "MeshGeometry",
     "AdaptSummary",
@@ -68,6 +69,18 @@ class AdaptSummary:
     skipped_coarsen: int = 0
 
 
+@dataclass(eq=False)
+class InitialGrid:
+    """The arguments of :func:`build_initial_mesh` an adapt chain started
+    from, shared by every generation of the chain.  ``_cache`` holds data
+    derived from the grid alone (the multigrid hierarchy)."""
+
+    domain: tuple
+    slit: tuple | None
+    n0: int
+    _cache: dict = field(default_factory=dict, repr=False)
+
+
 class Mesh:
     """Immutable conforming triangulation refined by newest-vertex bisection.
 
@@ -86,18 +99,21 @@ class Mesh:
         Monotone id, incremented by every adapt call.
     max_levels : int
         Cap on ``levels``; refinement beyond it is silently skipped.
+    grid : InitialGrid or None
+        The initial grid of the adapt chain; None for a hand-built mesh.
     """
 
     def __init__(self, vertices, triangles, levels, boundary_labels,
                  generation=0, max_levels=4, source_generation=-1,
                  vertex_prov=None, adapt_summary=None, pair_tags=None,
-                 tag_counter=0, validate=True):
+                 tag_counter=0, grid=None, validate=True):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.levels = np.ascontiguousarray(levels, dtype=np.int64)
         self.boundary_labels = dict(boundary_labels)
         self.generation = int(generation)
         self.max_levels = int(max_levels)
+        self.grid = grid
         # two triangles born of the same bisection share a pair tag; -1 when
         # the sibling relation is unknown (initial triangles, merged parents)
         self.pair_tags = (np.full(len(self.triangles), -1, dtype=np.int64)
@@ -285,7 +301,7 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
 
     slit_y = None
     if slit is not None:
-        sx0, sx1, sy = map(float, slit)
+        sx0, sx1, sy = slit = tuple(map(float, slit))
         if not (sx0 < sx1):
             raise ValueError("slit must have positive length")
         jy = sy / dy
@@ -330,7 +346,7 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
                 validate=False)
     labels = _label_boundary(mesh, lx, ly, slit_y)
     return Mesh(verts, tris, levels, labels, generation=0,
-                max_levels=max_levels)
+                max_levels=max_levels, grid=InitialGrid((lx, ly), slit, n0))
 
 
 def _orient_peak_longest_edge(verts, tris):
@@ -404,7 +420,8 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
     return Mesh(verts, tris, levels, labels,
                 generation=mesh.generation + 1, max_levels=mesh.max_levels,
                 source_generation=mesh.generation, vertex_prov=prov,
-                pair_tags=tags, tag_counter=counter, adapt_summary=summary)
+                pair_tags=tags, tag_counter=counter, adapt_summary=summary,
+                grid=mesh.grid)
 
 
 def _id_array(ids):

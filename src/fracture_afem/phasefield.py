@@ -27,6 +27,7 @@ from .fem import (FeFunction, DirichletSet, assemble_stiffness, weighted_mass,
                   unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
+from .multigrid import vcycle
 
 __all__ = [
     "CrackSet",
@@ -101,7 +102,8 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
                      max_iter=None, return_report=False):
     """Solve the damage critical-point system with crack dofs pinned to 0.
 
-    Returns the raw (unclamped) solution; pair with
+    The conjugate gradients are preconditioned by one multigrid V-cycle
+    (:mod:`.multigrid`).  Returns the raw (unclamped) solution; pair with
     :func:`clamp_and_threshold`.  With ``return_report=True`` also returns a
     dict with the solver report, the stationarity residual relative to the
     right-hand side norm, and whether the intact shortcut fired.
@@ -126,7 +128,8 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
         x = x.copy()
         x[crack.ids] = 0.0
     sol, report = solve_spd(Ac, bc, tol=tol, max_iter=max_iter, x0=x,
-                            context="phase-field solve")
+                            context="phase-field solve",
+                            precond=vcycle(Ac, mesh, crack.ids))
     if not report.converged:
         raise RuntimeError(
             f"phase-field solve failed to converge "

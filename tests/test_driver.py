@@ -1,5 +1,7 @@
 """Staggered stepping, energy reports, and the adaptive loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,27 @@ def test_run_acceptance_observables_collected(tmp_path):
     assert res.pinned_violations == 0
     assert all(0.0 <= lo <= hi <= 1.0
                for lo, hi in zip(res.v_min, res.v_max))
+
+
+def test_initial_mesh_is_released_after_first_adaptation(tmp_path):
+    cfg = quiet_cfg(tmp_path, n0=8, n_steps=10, t_final=2.0)
+    built = []
+    build_mesh = cfg.build_mesh
+
+    def recording_build_mesh():
+        mesh = build_mesh()
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    cfg.build_mesh = recording_build_mesh
+    alive = []
+
+    def on_step(state, est, report, diag):
+        if state.mesh.generation > 0 and not alive:
+            alive.append(built[0]() is not None)
+
+    run(cfg, on_step=on_step)
+    assert alive == [False]
 
 
 def test_desk_run_damage_onset_and_vmin_monotone(desk16):

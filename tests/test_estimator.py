@@ -291,3 +291,30 @@ def test_ratio_bounded_for_fine_trials_across_levels():
         maxima.append(worst)
     assert maxima[1] <= 1.2 * maxima[0] + 1e-12
     assert maxima[2] <= 1.2 * maxima[1] + 1e-12
+
+
+def test_estimate_computes_geometry_once_per_mesh(monkeypatch):
+    import fracture_afem.estimator as est_mod
+
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh.generation)
+        return geometry(mesh)
+
+    monkeypatch.setattr(est_mod, "geometry", counted)
+    mesh = adapt(build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4),
+                 [0, 5, 9])
+    twin = adapt(build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4),
+                 [0, 5, 9])
+    x, y = mesh.vertices.T
+    u1 = FeFunction(np.sin(x) * y, mesh.generation)
+    u2 = FeFunction(x * x - y, mesh.generation)
+    v = FeFunction(np.clip(0.3 + 0.2 * x, 0.0, 1.0), mesh.generation)
+    estimate(u1, v, mesh, MP)
+    second = estimate(u2, v, mesh, MP, jump_mode="normal")
+    assert calls == [mesh.generation]
+    # the cached geometry gives the indicators of a fresh computation
+    fresh = estimate(u2, v, twin, MP, jump_mode="normal")
+    assert len(calls) == 2
+    assert np.array_equal(second.r2, fresh.r2)

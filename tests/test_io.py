@@ -251,10 +251,11 @@ def test_cli_check_config(tmp_path, capsys):
     assert "(assumption)" not in out.split("mu = 2.0")[1].split("\n")[0]
 
 
-def test_cli_rejects_bad_thread_env(tmp_path, monkeypatch):
+def test_cli_rejects_removed_seed_flag(tmp_path):
+    # nothing in a run is random, so there is no seed to set
     p = tmp_path / "c.cfg"
-    p.write_text("")
-    monkeypatch.setenv("FRACTURE_AFEM_THREADS", "many")
-    assert fio.cli(["check-config", "--config", str(p)]) == 2
-    monkeypatch.setenv("FRACTURE_AFEM_THREADS", "2")
-    assert fio.cli(["check-config", "--config", str(p)]) == 0
+    p.write_text("[time]\nn_steps = 2\n")
+    out = tmp_path / "o"
+    assert fio.cli(["run", "--config", str(p), "--output", str(out),
+                    "--seed", "1"]) == 2
+    assert not out.exists()

@@ -1,0 +1,235 @@
+"""Multigrid preconditioner: grid hierarchy, prolongations, V-cycle."""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracture_afem import multigrid as mg
+from fracture_afem.dynamics import MaterialParams
+from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
+                               assemble_stiffness)
+from fracture_afem.linsolve import solve_spd
+from fracture_afem.mesh import Mesh, adapt, build_initial_mesh
+from fracture_afem.phasefield import phasefield_system
+
+DOMAIN3 = (3.0, 3.0)
+EDGE_SLIT = (0.0, 1.5, 1.5)       # from the left boundary to an interior tip
+INNER_SLIT = (0.75, 2.25, 1.5)    # two interior tips
+MP = MaterialParams(mu=1.0, varrho=1.0, eta=0.5, kappa=1e-10, epsilon=0.2)
+
+
+def on_upper_face(mesh, slit):
+    """Vertices above the slit line, or on it and used by a triangle above."""
+    y = mesh.vertices[:, 1]
+    used_above = np.zeros(mesh.n_vertices, dtype=bool)
+    above = mesh.vertices[mesh.triangles, 1].mean(axis=1) > slit[2]
+    used_above[mesh.triangles[above].ravel()] = True
+    return (y > slit[2]) | ((y == slit[2]) & used_above)
+
+
+def face_field(pts, upper, slit):
+    """A linear field plus, on the upper face only, a jump that vanishes at
+    the slit tips.  Its kinks lie on grid lines, so it is P1 on every grid
+    level of the slit meshes below."""
+    x, y = pts.T
+    reach = np.full(len(x), np.inf)
+    if slit[0] > 0.0:
+        reach = np.minimum(reach, x - slit[0])
+    if slit[1] < DOMAIN3[0]:
+        reach = np.minimum(reach, slit[1] - x)
+    return 1.0 + 2.0 * x - 3.0 * y + np.where(upper, np.maximum(reach, 0.0),
+                                              0.0)
+
+
+def grid_field(grid, n):
+    pts, upper = mg._grid_points(grid, n)
+    return face_field(pts, upper | (pts[:, 1] > grid.slit[2]), grid.slit)
+
+
+@st.composite
+def adapted_slit_meshes(draw):
+    """A slit grid after a random chain of refinements and coarsenings."""
+    n0, slit = draw(st.sampled_from([(2, EDGE_SLIT), (4, EDGE_SLIT),
+                                     (4, INNER_SLIT), (8, EDGE_SLIT),
+                                     (8, INNER_SLIT)]))
+    mesh = build_initial_mesh(DOMAIN3, slit, n0,
+                              max_levels=draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(1, 5))):
+        n = mesh.n_triangles
+        refine = sorted(draw(st.sets(st.integers(0, n - 1),
+                                     max_size=min(n, 40))))
+        coarsen = np.setdiff1d(np.arange(n), refine) \
+            if draw(st.booleans()) else []
+        mesh = adapt(mesh, refine, coarsen)
+    return mesh
+
+
+@settings(max_examples=40, deadline=None)
+@given(adapted_slit_meshes())
+def test_mesh_prolongation_interpolates_each_face(mesh):
+    P, R = mg.mesh_prolongation(mesh)
+    grid = mesh.grid
+    assert P.shape == (mesh.n_vertices, mg._n_dofs(grid, grid.n0))
+    assert (P.data >= 0.0).all() and (P.data <= 1.0).all()
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+    assert (R != P.T).nnz == 0
+    want = face_field(mesh.vertices, on_upper_face(mesh, grid.slit),
+                      grid.slit)
+    got = P @ grid_field(grid, grid.n0)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_grid_levels_stop_at_small_grid_or_off_grid_slit():
+    def sizes(slit, n0):
+        return mg._grid_levels(build_initial_mesh(DOMAIN3, slit, n0).grid)
+
+    assert sizes(EDGE_SLIT, 64) == [64, 32, 16, 8]
+    assert [mg._n_dofs(build_initial_mesh(DOMAIN3, EDGE_SLIT, 16).grid, n)
+            for n in (16, 8)] == [297, 85]
+    assert sizes(None, 4) == [4]
+    assert sizes(INNER_SLIT, 16) == [16, 8]
+    # the tip at 0.75 is on the 12-grid but not on the 6-grid
+    assert sizes(INNER_SLIT, 24) == [24, 12]
+    assert sizes(EDGE_SLIT, 18) == [18]
+
+
+def test_grid_prolongations_are_exact_between_levels():
+    grid = build_initial_mesh(DOMAIN3, EDGE_SLIT, 32).grid
+    sizes = mg._grid_levels(grid)
+    levels = mg.grid_prolongations(grid)
+    assert len(levels) == len(sizes) - 1
+    for (P, R), fine, coarse in zip(levels, sizes, sizes[1:]):
+        assert P.shape == (mg._n_dofs(grid, fine), mg._n_dofs(grid, coarse))
+        assert (R != P.T).nnz == 0
+        assert np.allclose(P @ grid_field(grid, coarse),
+                           grid_field(grid, fine), rtol=0.0, atol=1e-12)
+    assert mg.grid_prolongations(grid) is levels
+
+
+def test_hierarchy_is_built_at_the_first_solve_only():
+    mesh = build_initial_mesh(DOMAIN3, EDGE_SLIT, 16)
+    assert mesh.grid._cache == {}
+    fine = adapt(mesh, range(10))
+    assert fine.grid is mesh.grid
+    A, _, _ = phasefield_system(strained(fine), MP, fine)
+    mg.vcycle(A, fine)
+    assert set(mesh.grid._cache) == {"mg"} and "mg" in fine._cache
+
+
+def strained(mesh, amplitude=3.0):
+    x, y = mesh.vertices.T
+    return FeFunction(amplitude * np.sin(2.0 * x) * np.cos(y),
+                      mesh.generation)
+
+
+def pinned_system(mesh, pins, amplitude=3.0):
+    A, b, _ = phasefield_system(strained(mesh, amplitude), MP, mesh)
+    return apply_dirichlet(A, b, DirichletSet(pins, np.zeros(len(pins))))
+
+
+def adapted_slit_mesh():
+    mesh = build_initial_mesh(DOMAIN3, EDGE_SLIT, 16)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        n = mesh.n_triangles
+        refine = rng.choice(n, n // 4, replace=False)
+        coarsen = np.setdiff1d(rng.choice(n, n // 3, replace=False), refine)
+        mesh = adapt(mesh, refine, coarsen)
+    return mesh
+
+
+def test_vcycle_is_symmetric_and_positive_with_pins():
+    mesh = adapted_slit_mesh()
+    x, y = mesh.vertices.T
+    # crack pins along the slit, and a block that pins the whole support of
+    # some coarse dofs
+    pins = np.flatnonzero(((np.abs(y - 1.5) < 0.3) & (x < 2.0))
+                          | ((x > 2.2) & (y < 0.8)))
+    Ac, _ = pinned_system(mesh, pins)
+    B = mg.vcycle(Ac, mesh, pins)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        p, q = rng.standard_normal((2, mesh.n_vertices))
+        Bp, Bq = B(p), B(q)
+        scale = np.linalg.norm(p) * np.linalg.norm(Bq)
+        assert abs(p @ Bq - q @ Bp) <= 1e-13 * scale
+        assert p @ Bp > 0.0
+        assert np.isfinite(Bp).all()
+        free = np.ones(mesh.n_vertices, dtype=bool)
+        free[pins] = False
+        r = np.where(free, p, 0.0)
+        assert (B(r)[pins] == 0.0).all()
+
+
+def test_vcycle_cuts_iterations_on_adapted_slit_mesh():
+    mesh = adapted_slit_mesh()
+    pins = np.flatnonzero(np.abs(mesh.vertices[:, 1] - 1.5) < 0.2)
+    # a weak reaction leaves the stiffness in charge, where Jacobi is slow
+    Ac, bc = pinned_system(mesh, pins, amplitude=0.3)
+    x_mg, rep_mg = solve_spd(Ac, bc, precond=mg.vcycle(Ac, mesh, pins))
+    x_j, rep_j = solve_spd(Ac, bc)
+    assert rep_mg.converged and rep_j.converged
+    assert 5 * rep_mg.iterations < rep_j.iterations
+    assert np.allclose(x_mg, x_j, rtol=0.0, atol=1e-10 * np.abs(x_j).max())
+
+
+def test_large_coarsest_grid_is_smoothed_not_inverted():
+    # an odd n0 cannot be halved, so the coarsest level is the whole grid
+    mesh = adapt(build_initial_mesh(DOMAIN3, None, 21), range(0, 800, 7))
+    assert mg._grid_levels(mesh.grid) == [21]
+    assert mg._n_dofs(mesh.grid, 21) > mg.DENSE_MAX
+    Ac, bc = pinned_system(mesh, np.arange(5))
+    B = mg.vcycle(Ac, mesh, np.arange(5))
+    assert B.coarse_inv is None
+    p, q = np.random.default_rng(7).standard_normal((2, mesh.n_vertices))
+    assert abs(p @ B(q) - q @ B(p)) <= 1e-13 * np.linalg.norm(p) \
+        * np.linalg.norm(B(q))
+    x, rep = solve_spd(Ac, bc, precond=B)
+    assert rep.converged
+
+
+def test_mesh_without_grid_gets_one_jacobi_sweep():
+    ref = build_initial_mesh((1.0, 1.0), None, 3)
+    mesh = Mesh(ref.vertices, ref.triangles, ref.levels, ref.boundary_labels)
+    assert mesh.grid is None
+    A = (assemble_stiffness(mesh, 1.0)
+         + sp.identity(mesh.n_vertices, format="csr"))
+    r = np.random.default_rng(5).standard_normal(mesh.n_vertices)
+    assert np.array_equal(mg.vcycle(A, mesh)(r),
+                          mg.OMEGA / A.diagonal() * r)
+
+
+def test_dense_inverse_matches_lapack():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((40, 40))
+    a = m @ m.T + 40.0 * np.eye(40)
+    assert np.allclose(mg._spd_inverse(a), np.linalg.inv(a), rtol=1e-12,
+                       atol=1e-15)
+
+
+def test_dense_inverse_skips_directions_the_matrix_does_not_see():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((6, 4))
+    a = np.zeros((7, 7))
+    a[:6, :6] = m @ m.T             # rank 4, and an empty last row
+    x = mg._spd_inverse(a)
+    assert np.isfinite(x).all() and np.array_equal(x[6], np.zeros(7))
+    assert np.allclose(x, x.T, rtol=0.0, atol=1e-12 * abs(x).max())
+    assert np.linalg.eigvalsh(x).min() >= -1e-10 * abs(x).max()
+    assert np.allclose(a @ x @ a, a, rtol=0.0, atol=1e-10 * abs(a).max())
+
+
+def test_vcycle_stays_positive_with_singular_coarse_matrix():
+    # two equal prolongation columns, as when pins leave two coarse hats
+    # the same free support
+    n = 12
+    A = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    t = np.linspace(0.0, 1.0, n)
+    P = sp.csr_matrix(np.column_stack([t, t, 1.0 - t]))
+    B = mg.VCycle(A, [(P, P.T.tocsr())])
+    p, q = np.random.default_rng(9).standard_normal((2, n))
+    assert np.isfinite(B(p)).all()
+    assert abs(p @ B(q) - q @ B(p)) <= 1e-13 * np.linalg.norm(p) \
+        * np.linalg.norm(B(q))
+    assert p @ B(p) > 0.0

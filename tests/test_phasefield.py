@@ -88,6 +88,23 @@ def test_oracle_agreement_with_crack_and_rough_field():
     assert v.values[0] == 0.0 and v.values[1] == 0.0
 
 
+def test_multigrid_solve_matches_oracle_on_adapted_slit_mesh():
+    mesh = build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 16)
+    mesh = adapt(mesh, range(0, mesh.n_triangles, 3))
+    mesh = adapt(mesh, range(0, mesh.n_triangles, 4),
+                 range(1, mesh.n_triangles, 4))
+    rng = np.random.default_rng(13)
+    u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
+    x, y = mesh.vertices.T
+    pins = np.flatnonzero((np.abs(y - 1.5) < 0.4) & (x > 1.2) & (x < 2.0))
+    crack = CrackSet(pins, mesh.generation, 1e-2)
+    v, rep = solve_phasefield(u, MP, crack, mesh, return_report=True)
+    ref = dense_phasefield_oracle(mesh, u.values, MP, pins)
+    assert rep["report"].iterations < 40
+    assert np.allclose(v.values, ref, rtol=1e-8, atol=1e-10)
+    assert (v.values[pins] == 0.0).all()
+
+
 def test_balanced_gradient_yields_exactly_one():
     mesh = build_initial_mesh((1.0, 1.0), None, 3)
     slope = np.sqrt(MP.nu_pf / (MP.mu * (1.0 - MP.kappa)))
@@ -97,7 +114,9 @@ def test_balanced_gradient_yields_exactly_one():
 
 
 def test_solver_failure_propagates():
-    mesh = build_initial_mesh((1.0, 1.0), None, 4)
+    # the coarsest multigrid level of an n0 = 4 grid is the whole mesh, so
+    # one iteration solves it; an n0 = 16 grid has coarse levels
+    mesh = build_initial_mesh((1.0, 1.0), None, 16)
     u = FeFunction.from_callable(mesh, lambda x, y: 3.0 * x * (1 - x) * y)
     with pytest.raises(RuntimeError, match="phase-field"):
         solve_phasefield(u, MP, CrackSet.empty(mesh), mesh, max_iter=1)
