@@ -8,8 +8,7 @@ from .fem import (DirichletSet, FeFunction, apply_dirichlet, assemble_load,
                   transfer)
 from .linsolve import SolveReport, solve_spd
 from .dynamics import (DynamicState, LoadingParams, MaterialParams,
-                       boundary_displacement, boundary_ramp, init_state,
-                       step_displacement)
+                       boundary_ramp, init_state, step_displacement)
 from .phasefield import (CrackSet, clamp_and_threshold, solve_phasefield,
                          update_crack_set)
 from .estimator import (EstimatorField, dorfler_mark, estimate, fraction_mark,
@@ -22,9 +21,8 @@ __all__ = [
     "DirichletSet", "FeFunction", "apply_dirichlet", "assemble_load",
     "assemble_mass", "assemble_stiffness", "element_gradients", "transfer",
     "SolveReport", "solve_spd",
-    "DynamicState", "LoadingParams", "MaterialParams",
-    "boundary_displacement", "boundary_ramp", "init_state",
-    "step_displacement",
+    "DynamicState", "LoadingParams", "MaterialParams", "boundary_ramp",
+    "init_state", "step_displacement",
     "CrackSet", "clamp_and_threshold", "solve_phasefield", "update_crack_set",
     "EstimatorField", "dorfler_mark", "estimate", "fraction_mark",
     "reliability_ratio",

@@ -11,7 +11,7 @@ re-solved on the new mesh before advancing.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class MeshConfig:
     slit_x_start: float = 0.0
     slit_x_end: float = 1.5
     slit_y: float = 1.5
+
+    def __post_init__(self):
+        # the derived material constants divide by n0 before any mesh exists
+        if self.n0 < 1 or self.max_levels < 0:
+            raise ValueError("need n0 >= 1 and max_levels >= 0")
+        if self.lx <= 0 or self.ly <= 0:
+            raise ValueError("domain lengths lx, ly must be positive")
 
     @property
     def h_initial(self):
@@ -138,6 +145,32 @@ class OutputConfig:
     snapshot_every: int = 0         # 0 disables snapshots
 
 
+# Origin of the edge-crack experiment defaults, echoed by ``check-config``;
+# ``load_config`` marks the keys a file sets as "config-file".
+_PROVENANCE = {
+    "mesh.n0": "published-experiment default",
+    "mesh.max_levels": "published-experiment default",
+    "material.mu": "assumption",
+    "material.varrho": "published-experiment default (10 sqrt(h_f))",
+    "material.eta": "published-experiment default (1/(10 sqrt(h_f)))",
+    "material.kappa": "published-experiment default",
+    "material.lambda_c": "published-experiment default",
+    "material.c_w": "published-experiment default",
+    "material.epsilon": "published-experiment default (5 h_f)",
+    "loading.eps_v": "published-experiment default",
+    "loading.t_s": "assumption",
+    "loading.t_g": "assumption",
+    "time.n_steps": "published-experiment default",
+    "time.t_final": "assumption",
+    "tolerances.xi_v": "published-experiment default",
+    "tolerances.xi_cr": "published-experiment default",
+    "tolerances.xi_vn": "published-experiment default",
+    "tolerances.xi_rf": "published-experiment default",
+    "marking.refine_fraction": "published-experiment default",
+    "marking.coarsen_fraction": "published-experiment default",
+}
+
+
 @dataclass
 class RunConfig:
     mesh: MeshConfig = field(default_factory=MeshConfig)
@@ -147,63 +180,51 @@ class RunConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     marking: MarkingConfig = field(default_factory=MarkingConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    debug_checks: bool = False
     provenance: dict = field(default_factory=dict)
 
     @classmethod
-    def with_defaults(cls, n0=64, max_levels=4, n_steps=1600, t_final=5.0,
-                      **overrides):
-        """Edge-crack experiment defaults.
+    def sections(cls):
+        """Section name -> dataclass of every config section, in order.
+        No key appears in two sections."""
+        return {f.name: f.default_factory for f in fields(cls)
+                if f.name != "provenance"}
+
+    @classmethod
+    def with_defaults(cls, **keys):
+        """Edge-crack experiment defaults, with any config key set by name.
 
         The regularization length couples to the finest mesh size
-        ``h_f = h_min``: ``epsilon = 5 h_f``, mass density ``10 sqrt(h_f)``
-        and viscosity ``1 / (10 sqrt(h_f))``.  The shear modulus, ramp
-        switch time and final time are assumptions (the experiment leaves
-        them open) and can be overridden.
+        ``h_f = h_min`` of the mesh section built here from ``lx``, ``ly``,
+        ``n0`` and ``max_levels``: ``epsilon = 5 h_f``, mass density
+        ``10 sqrt(h_f)`` and viscosity ``1 / (10 sqrt(h_f))``; the ramp ends
+        at ``t_g = t_final``.  A key given by name replaces its default or
+        derived value; an unknown key raises ``TypeError``.  The shear
+        modulus, ramp switch time and final time are assumptions (the
+        experiment leaves them open).
         """
-        mesh = MeshConfig(n0=n0, max_levels=max_levels)
+        unknown = set(keys).difference(*(
+            {f.name for f in fields(typ)} for typ in cls.sections().values()))
+        if unknown:
+            raise TypeError(f"unknown config keys: {sorted(unknown)}")
+
+        def build(typ, **derived):
+            own = {f.name: keys[f.name] for f in fields(typ) if f.name in keys}
+            return typ(**{**derived, **own})
+
+        mesh = build(MeshConfig)
+        time = build(TimeConfig)
         h_f = mesh.h_min
-        material = MaterialParams(
-            mu=overrides.pop("mu", 1.0),
-            varrho=overrides.pop("varrho", 10.0 * np.sqrt(h_f)),
-            eta=overrides.pop("eta", 1.0 / (10.0 * np.sqrt(h_f))),
-            kappa=overrides.pop("kappa", 1e-10),
-            lambda_c=overrides.pop("lambda_c", 1.0),
-            c_w=overrides.pop("c_w", 8.0 / 3.0),
-            epsilon=overrides.pop("epsilon", 5.0 * h_f),
-        )
-        loading = LoadingParams(
-            eps_v=overrides.pop("eps_v", 0.9),
-            t_s=overrides.pop("t_s", 0.5),
-            t_g=overrides.pop("t_g", t_final),
-            slit_y=mesh.slit_y,
-        )
-        prov = {
-            "mesh.n0": "published-experiment default",
-            "mesh.max_levels": "published-experiment default",
-            "material.mu": "assumption",
-            "material.varrho": "published-experiment default (10 sqrt(h_f))",
-            "material.eta": "published-experiment default (1/(10 sqrt(h_f)))",
-            "material.kappa": "published-experiment default",
-            "material.lambda_c": "published-experiment default",
-            "material.c_w": "published-experiment default",
-            "material.epsilon": "published-experiment default (5 h_f)",
-            "loading.eps_v": "published-experiment default",
-            "loading.t_s": "assumption",
-            "loading.t_g": "assumption",
-            "time.n_steps": "published-experiment default",
-            "time.t_final": "assumption",
-            "tolerances.xi_v": "published-experiment default",
-            "tolerances.xi_cr": "published-experiment default",
-            "tolerances.xi_vn": "published-experiment default",
-            "tolerances.xi_rf": "published-experiment default",
-            "marking.refine_fraction": "published-experiment default",
-            "marking.coarsen_fraction": "published-experiment default",
-        }
-        cfg = cls(mesh=mesh, material=material, loading=loading,
-                  time=TimeConfig(n_steps=n_steps, t_final=t_final),
-                  provenance=prov, **overrides)
-        return cfg
+        return cls(
+            mesh=mesh,
+            material=build(MaterialParams, varrho=10.0 * np.sqrt(h_f),
+                           eta=1.0 / (10.0 * np.sqrt(h_f)),
+                           epsilon=5.0 * h_f),
+            loading=build(LoadingParams, t_g=time.t_final),
+            time=time,
+            tolerances=build(Tolerances),
+            marking=build(MarkingConfig),
+            output=build(OutputConfig),
+            provenance=dict(_PROVENANCE))
 
     def validate(self):
         if not self.loading.t_s < self.loading.t_g <= self.time.t_final:
@@ -297,8 +318,6 @@ class StepDiagnostics:
     new_pins: int = 0
     reactions: np.ndarray = None
     dirichlet: DirichletSet = None
-    raw_v: FeFunction = None        # final damage iterate before clamping;
-                                    # the indicator is stated for this field
     shortcut: bool = False          # final damage solve hit the intact guard
     warnings: list = field(default_factory=list)
 
@@ -315,12 +334,10 @@ def staggered_step(state, t_n, cfg, f=None):
     v_iter = state.v
     stat_worst = None
     u_new = None
-    details = None
     for j in range(1, tol.max_inner + 1):
-        u_new, details = step_displacement(
+        u_new, reactions = step_displacement(
             state, k, ds, f=f, params=cfg.material, v=v_iter,
-            tol=tol.solver_tol, max_iter=tol.solver_max_iter,
-            debug_checks=cfg.debug_checks, return_details=True)
+            tol=tol.solver_tol, max_iter=tol.solver_max_iter)
         v_raw, vrep = solve_phasefield(
             u_new, cfg.material, state.crack, mesh, x0=v_iter.values,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter,
@@ -341,8 +358,7 @@ def staggered_step(state, t_n, cfg, f=None):
     diag.inner_iterations = j
     diag.stationarity = np.nan if stat_worst is None else stat_worst
     diag.clamp_changes = clamp_changes
-    diag.reactions = details["reactions"]
-    diag.raw_v = v_raw
+    diag.reactions = reactions
     diag.shortcut = vrep["shortcut"]
 
     crack_new = update_crack_set(v_iter, mesh, tol.xi_cr, state.crack)
@@ -420,10 +436,6 @@ class RunResult:
     warnings: list = field(default_factory=list)
 
 
-def _energy_total(report):
-    return report.kinetic + report.strain + report.surface
-
-
 def _initial_state(cfg):
     """The rest state on the initial mesh; the state is the only holder of
     its mesh, so the mesh goes with the last state that uses it."""
@@ -460,7 +472,7 @@ def run(cfg, on_step=None):
     if cfg.output.snapshot_every > 0:
         fio.write_snapshot(fio.make_snapshot(state, est, cfg, 1, k), out_dir)
 
-    prev_energy = _energy_total(reports[0])
+    prev_energy = reports[0].total
     for n in range(2, cfg.time.n_steps + 1):
         t_n = n * k
         prev = state
@@ -479,8 +491,8 @@ def run(cfg, on_step=None):
                 else adapt_step(prev, state, est, cfg)
             if adapted is not None:
                 prev, _ = adapted
-                prev_energy = _energy_total(
-                    energies(prev, cfg.material, time=t_n - k, step=n - 1))
+                prev_energy = energies(prev, cfg.material, time=t_n - k,
+                                       step=n - 1).total
                 phase = "re-solve after adaptation"
                 state, diag = staggered_step(prev, t_n, cfg)
                 est = estimate(state.u_curr, state.v, state.mesh,
@@ -499,7 +511,7 @@ def run(cfg, on_step=None):
         signs = np.sign(ds.values) if g_now != 0 else np.zeros(len(ds.values))
         dg = (g_now - g_prev) * signs
         work = float(diag.reactions[ds.dofs] @ dg) if len(ds.dofs) else 0.0
-        slack = _energy_total(report) - prev_energy - work
+        slack = report.total - prev_energy - work
         result.ledger_slack.append(slack)
         if diag.clamp_changes or diag.new_pins:
             result.ledger_event_steps.append(n)
@@ -530,7 +542,7 @@ def run(cfg, on_step=None):
                                out_dir)
         if on_step is not None:
             on_step(state, est, report, diag)
-        prev_energy = _energy_total(report)
+        prev_energy = report.total
 
     fio.write_energy_trace(reports, out_dir / "energies.csv")
     result.state = state

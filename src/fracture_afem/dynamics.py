@@ -29,7 +29,6 @@ __all__ = [
     "degradation",
     "step_displacement",
     "boundary_ramp",
-    "boundary_displacement",
 ]
 
 
@@ -75,7 +74,6 @@ class LoadingParams:
     eps_v: float = 0.9
     t_s: float = 0.5
     t_g: float = 5.0
-    slit_y: float = 1.5
 
     def __post_init__(self):
         if self.t_s <= 0 or self.t_g < self.t_s:
@@ -89,13 +87,6 @@ def boundary_ramp(t, loading):
     if t <= loading.t_s:
         return loading.eps_v * t * t / (2.0 * loading.t_s)
     return loading.eps_v * t - loading.eps_v * loading.t_s / 2.0
-
-
-def boundary_displacement(t, x, loading):
-    """Signed boundary value at point ``x``: positive above the slit line,
-    negative below."""
-    g0 = boundary_ramp(t, loading)
-    return g0 * np.sign(x[1] - loading.slit_y)
 
 
 @dataclass
@@ -145,13 +136,14 @@ def degradation(v, params):
 
 
 def step_displacement(state, k, g_values, f=None, params=None, v=None,
-                      tol=1e-12, max_iter=None, debug_checks=False, rng=None,
-                      return_details=False):
+                      tol=1e-12, max_iter=None, debug_checks=False):
     """Advance the displacement one implicit step of size ``k``.
 
     ``v`` overrides the damage field used for the degradation coefficient
     (the staggered loop passes its latest iterate); by default the state's
-    own field is used.  After the step the caller owns the update
+    own field is used.  Returns ``(u_new, reactions)``: the reactions are
+    the residual ``S u_new - rhs`` of the system before the Dirichlet rows
+    are imposed.  After the step the caller owns the update
     ``du = (u_new - u_old) / k``.
     """
     if k <= 0:
@@ -180,8 +172,7 @@ def step_displacement(state, k, g_values, f=None, params=None, v=None,
         asym = abs(S - S.T)
         if asym.data.size and asym.data.max() > 1e-10 * abs(S).data.max():
             raise AssertionError("wave system matrix is not symmetric")
-        gen = rng or np.random.default_rng(0)
-        w = gen.standard_normal(S.shape[0])
+        w = np.random.default_rng(0).standard_normal(S.shape[0])
         if w @ (S @ w) <= 0:
             raise AssertionError("wave system matrix is not positive definite")
 
@@ -192,9 +183,4 @@ def step_displacement(state, k, g_values, f=None, params=None, v=None,
         raise RuntimeError(
             f"wave solve failed to converge at step n={state.n + 1} "
             f"(residual {report.relative_residual:.3e})")
-    u_new = FeFunction(x, mesh.generation)
-    if not return_details:
-        return u_new
-    reactions = S @ x - rhs
-    return u_new, {"report": report, "reactions": reactions,
-                   "system": S, "rhs": rhs}
+    return FeFunction(x, mesh.generation), S @ x - rhs

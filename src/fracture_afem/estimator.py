@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import element_data, element_gradients
+from .fem import _MASS_PATTERN, element_data, element_gradients
 from .mesh import geometry
+from .phasefield import reaction_weight
 
 __all__ = [
     "EstimatorField",
@@ -66,9 +67,8 @@ def estimate(u, v, mesh, params, jump_mode="magnitude"):
     if jump_mode not in ("magnitude", "normal"):
         raise ValueError(f"unknown jump_mode {jump_mode!r}")
     h, bnd_normals = _geometry(mesh)
-    gu = element_gradients(u, mesh)
     gv = element_gradients(v, mesh)
-    a_tau = params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
+    a_tau = reaction_weight(u, params, mesh)
     nu = params.nu_pf
 
     # element residual: integrand quadratic in v, exact by edge midpoints
@@ -158,19 +158,14 @@ def j_prime(u, v, mesh, params, phi):
         f.check_bound(mesh)
     ed = element_data(mesh)
     area = ed["area"]
-    gu = element_gradients(u, mesh)
     gv = element_gradients(v, mesh)
     gp = element_gradients(phi, mesh)
     grad_term = params.rho_pf * (area * (gv * gp).sum(axis=1)).sum()
     pv = phi.values[mesh.triangles]
     src_term = params.nu_pf * (area * pv.mean(axis=1)).sum()
     vv = v.values[mesh.triangles]
-    mass = (np.einsum('ni,ij,nj->n', vv,
-                      np.array([[2.0, 1.0, 1.0],
-                                [1.0, 2.0, 1.0],
-                                [1.0, 1.0, 2.0]]) / 12.0, pv)) * area
-    react = params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
-    reaction_term = (react * mass).sum()
+    mass = np.einsum('ni,ij,nj->n', vv, _MASS_PATTERN, pv) * area
+    reaction_term = (reaction_weight(u, params, mesh) * mass).sum()
     return grad_term - src_term + reaction_term
 
 

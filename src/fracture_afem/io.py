@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .driver import RunConfig, run as run_driver
+from .dynamics import degradation
 from .fem import element_gradients
 
 __all__ = [
@@ -37,22 +38,10 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "mesh": {"n0": int, "max_levels": int, "lx": float, "ly": float,
-             "slit": bool, "slit_x_start": float, "slit_x_end": float,
-             "slit_y": float},
-    "material": {"mu": float, "varrho": float, "eta": float, "kappa": float,
-                 "lambda_c": float, "c_w": float, "epsilon": float},
-    "loading": {"eps_v": float, "t_s": float, "t_g": float},
-    "time": {"n_steps": int, "t_final": float},
-    "tolerances": {"xi_v": float, "xi_cr": float, "xi_vn": float,
-                   "xi_rf": float, "solver_tol": float,
-                   "solver_max_iter": int, "max_inner": int},
-    "marking": {"strategy": str, "theta": float, "refine_fraction": float,
-                "coarsen_fraction": float, "cell_threshold": float,
-                "jump_mode": str},
-    "output": {"directory": str, "snapshot_every": int},
-}
+# section -> key -> type, read off the section dataclasses: each key's type
+# is that of its default
+_SCHEMA = {section: {f.name: type(f.default) for f in fields(typ)}
+           for section, typ in RunConfig.sections().items()}
 
 
 def _parse_value(raw, typ, lineno):
@@ -103,52 +92,28 @@ def _read_entries(path):
 def load_config(path):
     """Parse a config file into a fully populated :class:`RunConfig`.
 
-    Omitted keys take the edge-crack experiment defaults (dependent
-    quantities such as the regularization length are re-derived from the
-    mesh resolution actually configured); every default's provenance is
-    recorded on the config.
+    The keys found go to :meth:`RunConfig.with_defaults`, so omitted keys
+    take the edge-crack experiment defaults and the derived quantities
+    (regularization length, density, viscosity, ramp end) follow the mesh
+    and time configured; every value's provenance is recorded on the config.
     """
     entries = _read_entries(path)
-
-    def take(section, key, fallback):
-        return entries.get((section, key), fallback)
-
-    base_mesh = RunConfig.with_defaults().mesh
-    n0 = take("mesh", "n0", base_mesh.n0)
-    max_levels = take("mesh", "max_levels", base_mesh.max_levels)
-    n_steps = take("time", "n_steps", 1600)
-    t_final = take("time", "t_final", 5.0)
     try:
-        cfg = RunConfig.with_defaults(n0=n0, max_levels=max_levels,
-                                      n_steps=n_steps, t_final=t_final)
-        sections = {"mesh": cfg.mesh, "material": cfg.material,
-                    "loading": cfg.loading, "time": cfg.time,
-                    "tolerances": cfg.tolerances, "marking": cfg.marking,
-                    "output": cfg.output}
-        for (section, key), value in sorted(entries.items()):
-            setattr(sections[section], key, value)
-            cfg.provenance[f"{section}.{key}"] = "config-file"
-        # re-run dataclass validation after the overrides
-        for obj in sections.values():
-            if hasattr(obj, "__post_init__"):
-                obj.__post_init__()
-    except ConfigError:
-        raise
+        cfg = RunConfig.with_defaults(
+            **{key: value for (_, key), value in entries.items()})
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    for section, key in entries:
+        cfg.provenance[f"{section}.{key}"] = "config-file"
     return cfg
 
 
 def write_config(cfg, path):
     """Serialize every configurable key; ``load_config`` restores it exactly."""
-    sections = {"mesh": cfg.mesh, "material": cfg.material,
-                "loading": cfg.loading, "time": cfg.time,
-                "tolerances": cfg.tolerances, "marking": cfg.marking,
-                "output": cfg.output}
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        obj = sections[section]
+        obj = getattr(cfg, section)
         for key in keys:
             lines.append(f"{key} = {getattr(obj, key)}")
         lines.append("")
@@ -177,18 +142,15 @@ def make_snapshot(state, est, cfg, step, time):
     magnitudes averaged onto vertices (area weighted).
     """
     mesh = state.mesh
-    from .mesh import geometry
-    geo = geometry(mesh)
+    area = mesh.signed_areas()
     gu = element_gradients(state.u_curr, mesh)
     gu2 = (gu ** 2).sum(axis=1)
     num = np.zeros(mesh.n_vertices)
     den = np.zeros(mesh.n_vertices)
-    np.add.at(num, mesh.triangles.ravel(),
-              np.repeat(gu2 * geo.area, 3))
-    np.add.at(den, mesh.triangles.ravel(), np.repeat(geo.area, 3))
+    np.add.at(num, mesh.triangles.ravel(), np.repeat(gu2 * area, 3))
+    np.add.at(den, mesh.triangles.ravel(), np.repeat(area, 3))
     gu2_nodal = num / np.maximum(den, 1e-300)
-    kap = cfg.material.kappa
-    stress = ((1.0 - kap) * state.v.values ** 2 + kap) * gu2_nodal
+    stress = degradation(state.v, cfg.material).values * gu2_nodal
     return Snapshot(step=step, time=time, mesh=mesh,
                     point_fields={"u": state.u_curr.values,
                                   "du": state.du.values,
@@ -307,13 +269,10 @@ def cli(argv=None):
         return 2
 
     if args.command == "check-config":
-        for section in _SCHEMA:
-            obj = {"mesh": cfg.mesh, "material": cfg.material,
-                   "loading": cfg.loading, "time": cfg.time,
-                   "tolerances": cfg.tolerances, "marking": cfg.marking,
-                   "output": cfg.output}[section]
+        for section, keys in _SCHEMA.items():
+            obj = getattr(cfg, section)
             print(f"[{section}]")
-            for key in _SCHEMA[section]:
+            for key in keys:
                 origin = cfg.provenance.get(f"{section}.{key}", "default")
                 print(f"  {key} = {getattr(obj, key)}   ({origin})")
         return 0

@@ -35,6 +35,7 @@ __all__ = [
     "clamp_and_threshold",
     "update_crack_set",
     "phasefield_system",
+    "reaction_weight",
 ]
 
 # If the largest element reaction coefficient is below this fraction of the
@@ -50,14 +51,13 @@ class CrackSet:
 
     ids: np.ndarray
     generation: int
-    xi_cr: float
 
     def __post_init__(self):
         self.ids = np.unique(np.asarray(self.ids, dtype=np.int64))
 
     @classmethod
-    def empty(cls, mesh, xi_cr=1e-2):
-        return cls(np.empty(0, dtype=np.int64), mesh.generation, xi_cr)
+    def empty(cls, mesh):
+        return cls(np.empty(0, dtype=np.int64), mesh.generation)
 
     def mask(self, n):
         m = np.zeros(n, dtype=bool)
@@ -67,10 +67,10 @@ class CrackSet:
     def transfer(self, src_mesh, dst_mesh):
         pinned = transfer_pinned(self.mask(src_mesh.n_vertices),
                                  src_mesh, dst_mesh)
-        return CrackSet(np.where(pinned)[0], dst_mesh.generation, self.xi_cr)
+        return CrackSet(np.where(pinned)[0], dst_mesh.generation)
 
 
-def _reaction(u, params, mesh):
+def reaction_weight(u, params, mesh):
     """Element reaction weight mu (1 - kappa) |grad u|^2 of the damage
     equation."""
     gu = element_gradients(u, mesh)
@@ -93,7 +93,7 @@ def _system(reaction, params, mesh):
 
 def phasefield_system(u, params, mesh):
     """Assemble (A, b) of the damage equation for the current displacement."""
-    reaction = _reaction(u, params, mesh)
+    reaction = reaction_weight(u, params, mesh)
     A, b = _system(reaction, params, mesh)
     return A, b, reaction
 
@@ -112,7 +112,7 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     if crack.generation != mesh.generation:
         raise ValueError("crack set bound to a different generation")
 
-    reaction = _reaction(u, params, mesh)
+    reaction = reaction_weight(u, params, mesh)
     if crack.ids.size == 0 and reaction.max(initial=0.0) \
             <= SHORTCUT_FACTOR * params.nu_pf:
         v = FeFunction.constant(mesh, 1.0)
@@ -163,4 +163,4 @@ def update_crack_set(v, mesh, xi_cr, old):
     low = v.values[e] <= xi_cr
     hit = low.all(axis=1)
     ids = np.union1d(old.ids, np.unique(e[hit]))
-    return CrackSet(ids, mesh.generation, xi_cr)
+    return CrackSet(ids, mesh.generation)

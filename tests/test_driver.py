@@ -79,10 +79,10 @@ def test_dirichlet_signs_respect_slit_faces(tmp_path):
     up = ds.values > 0
     lo = ds.values < 0
     assert up.any() and lo.any()
-    assert (coords[up, 1] >= cfg.loading.slit_y).all()
-    assert (coords[lo, 1] <= cfg.loading.slit_y).all()
+    assert (coords[up, 1] >= cfg.mesh.slit_y).all()
+    assert (coords[lo, 1] <= cfg.mesh.slit_y).all()
     # the duplicated corner vertex appears on both faces with opposite signs
-    corner = np.isclose(coords[:, 1], cfg.loading.slit_y)
+    corner = np.isclose(coords[:, 1], cfg.mesh.slit_y)
     assert corner.sum() == 2
     assert np.isclose(ds.values[corner].sum(), 0.0)
 
@@ -177,7 +177,7 @@ def test_transfer_state_preserves_bounds_and_pins(tmp_path):
     st.v.values[:] = rng.uniform(0, 1, mesh.n_vertices)
     a, b = mesh.edges[0]
     st.v.values[[a, b]] = 0.0
-    crack = CrackSet(np.array([a, b]), mesh.generation, 1e-2)
+    crack = CrackSet(np.array([a, b]), mesh.generation)
     st = DynamicState(n=2, u_prev=st.u_prev, u_curr=st.u_curr, du=st.du,
                       v=st.v, crack=crack, mesh=mesh)
     fine = adapt(mesh, range(mesh.n_triangles))

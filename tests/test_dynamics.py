@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from fracture_afem.driver import build_dirichlet
 from fracture_afem.dynamics import (DynamicState, LoadingParams,
-                                    MaterialParams, boundary_displacement,
-                                    boundary_ramp, init_state,
+                                    MaterialParams, boundary_ramp, init_state,
                                     step_displacement)
 from fracture_afem.fem import (DirichletSet, FeFunction, assemble_mass,
                                assemble_stiffness)
@@ -64,7 +64,7 @@ def test_zero_data_fixed_point():
     bnd = boundary_dofs(mesh)
     ds = DirichletSet(bnd, np.zeros(len(bnd)))
     for _ in range(5):
-        u = step_displacement(st, 0.05, ds, params=mp, debug_checks=True)
+        u, _ = step_displacement(st, 0.05, ds, params=mp, debug_checks=True)
         assert np.abs(u.values).max() < 1e-12
         st = advance(st, u, 0.05)
 
@@ -108,7 +108,7 @@ def test_discrete_energy_monotone_100_steps():
 
     e_prev = energy(st)
     for _ in range(100):
-        u = step_displacement(st, 0.05, ds, params=mp)
+        u, _ = step_displacement(st, 0.05, ds, params=mp)
         st = advance(st, u, 0.05)
         e = energy(st)
         assert e <= e_prev * (1.0 + 1e-10) + 1e-14
@@ -122,7 +122,7 @@ def test_system_is_spd_under_damage():
     st.v.values[:] = 0.0          # fully broken field still yields SPD system
     bnd = boundary_dofs(mesh)
     ds = DirichletSet(bnd, np.zeros(len(bnd)))
-    u = step_displacement(st, 0.05, ds, params=mp, debug_checks=True)
+    u, _ = step_displacement(st, 0.05, ds, params=mp, debug_checks=True)
     assert np.isfinite(u.values).all()
 
 
@@ -130,11 +130,15 @@ def test_system_is_spd_under_damage():
 # boundary loading
 # ----------------------------------------------------------------------
 
+def slit_mesh():
+    return build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4)
+
+
 def test_ramp_zero_at_start():
     lp = LoadingParams(eps_v=0.9, t_s=0.5, t_g=5.0)
     assert boundary_ramp(0.0, lp) == 0.0
-    assert boundary_displacement(0.0, (0.0, 2.0), lp) == 0.0
-    assert boundary_displacement(0.0, (0.0, 1.0), lp) == 0.0
+    ds = build_dirichlet(slit_mesh(), 0.0, lp)
+    assert len(ds.dofs) and (ds.values == 0.0).all()
 
 
 def test_ramp_continuous_at_switch():
@@ -151,9 +155,15 @@ def test_ramp_linear_branch_value():
 
 
 def test_ramp_signs_and_window():
-    lp = LoadingParams(eps_v=0.9, t_s=0.5, t_g=2.0, slit_y=1.5)
-    assert boundary_displacement(1.0, (0.0, 2.5), lp) > 0
-    assert boundary_displacement(1.0, (0.0, 0.5), lp) < 0
+    # the sign follows the boundary labels: +g0 above the slit, -g0 below
+    lp = LoadingParams(eps_v=0.9, t_s=0.5, t_g=2.0)
+    mesh = slit_mesh()
+    ds = build_dirichlet(mesh, 1.0, lp)
+    y = mesh.vertices[ds.dofs, 1]
+    g0 = boundary_ramp(1.0, lp)
+    assert g0 > 0
+    assert (ds.values[y > 1.5] == g0).all() and (y > 1.5).any()
+    assert (ds.values[y < 1.5] == -g0).all() and (y < 1.5).any()
     with pytest.raises(ValueError):
         boundary_ramp(2.5, lp)
 
@@ -198,7 +208,7 @@ def mms_error(n0, n_steps, t_final, mp):
             + (mp.mu * lap * cbar - mp.eta * lap * sbar) * ssin.values
         f = FeFunction(fvals, mesh.generation)
         ds = DirichletSet(bnd, np.cos(t_n) * g_shape)
-        u = step_displacement(st, k, ds, f=f, params=mp)
+        u, _ = step_displacement(st, k, ds, f=f, params=mp)
         st = advance(st, u, k)
         diff = u.values - exact(t_n).values
         err = max(err, np.sqrt(diff @ (M @ diff)))

@@ -1,7 +1,12 @@
 """Config parsing, writers, and the command line."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture_afem import io as fio
 from fracture_afem.driver import EnergyReport, RunConfig, run
@@ -47,9 +52,8 @@ GOLDEN_SNAPSHOT = (
 
 
 def tiny_snapshot():
-    cfg = RunConfig.with_defaults(n0=1, n_steps=1, t_final=1.0)
-    cfg.mesh.slit = False
-    cfg.mesh.lx = cfg.mesh.ly = 1.0
+    cfg = RunConfig.with_defaults(n0=1, n_steps=1, t_final=1.0, slit=False,
+                                  lx=1.0, ly=1.0)
     mesh = cfg.build_mesh()
     st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh), 1.0)
     est = estimate(st.u_curr, st.v, mesh, cfg.material)
@@ -85,6 +89,67 @@ def test_epsilon_rederived_from_configured_mesh(tmp_path):
     p.write_text("[mesh]\nn0 = 16\n")
     cfg = fio.load_config(p)
     assert np.isclose(cfg.material.epsilon, 5.0 * cfg.mesh.h_min)
+
+
+def test_derived_values_follow_configured_domain(tmp_path, capsys):
+    # a 6 x 6 domain doubles h_min, so epsilon = 5 h_min doubles with it
+    p = tmp_path / "d.cfg"
+    p.write_text("[mesh]\nlx = 6\nly = 6\nslit_x_end = 3\nslit_y = 3\n")
+    cfg = fio.load_config(p)
+    h_f = cfg.mesh.h_min
+    assert h_f == 2.0 * RunConfig.with_defaults().mesh.h_min
+    assert cfg.material.epsilon == 5.0 * h_f
+    assert cfg.material.varrho == 10.0 * np.sqrt(h_f)
+    assert cfg.material.eta == 1.0 / (10.0 * np.sqrt(h_f))
+    assert fio.cli(["check-config", "--config", str(p)]) == 0
+    assert (f"epsilon = {5.0 * h_f}   (published-experiment default (5 h_f))"
+            in capsys.readouterr().out)
+
+
+_MESH_TIME_KEYS = {
+    "lx": st.floats(0.25, 20.0), "ly": st.floats(0.25, 20.0),
+    "n0": st.integers(1, 256), "max_levels": st.integers(0, 10),
+    "t_final": st.floats(0.5, 50.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_MESH_TIME_KEYS))
+def test_load_config_equals_with_defaults(keys):
+    text = "[mesh]\n" + "".join(f"{k} = {v!r}\n" for k, v in keys.items()
+                                if k != "t_final")
+    if "t_final" in keys:
+        text += f"[time]\nt_final = {keys['t_final']!r}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text(text)
+        cfg = fio.load_config(path)
+    ref = RunConfig.with_defaults(**keys)
+    for section in RunConfig.sections():
+        assert getattr(cfg, section) == getattr(ref, section)
+    h_f = cfg.mesh.h_min
+    assert cfg.material.epsilon == 5.0 * h_f
+    assert cfg.material.varrho == 10.0 * np.sqrt(h_f)
+    assert cfg.material.eta == 1.0 / (10.0 * np.sqrt(h_f))
+    assert cfg.loading.t_g == cfg.time.t_final
+    for key in keys:
+        section = "time" if key == "t_final" else "mesh"
+        assert cfg.provenance[f"{section}.{key}"] == "config-file"
+
+
+def test_with_defaults_rejects_unknown_key():
+    with pytest.raises(TypeError, match="colour"):
+        RunConfig.with_defaults(n0=8, colour="blue")
+    with pytest.raises(TypeError, match="debug_checks"):
+        RunConfig.with_defaults(debug_checks=True)
+
+
+@pytest.mark.parametrize("line", ["n0 = 0", "max_levels = -1", "lx = -3"])
+def test_bad_mesh_section_is_a_config_error(tmp_path, line, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"[mesh]\n{line}\n")
+    assert fio.cli(["check-config", "--config", str(p)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_negative_step_count_rejected(tmp_path):
@@ -161,9 +226,8 @@ def test_snapshot_rewrite_identical(tmp_path):
 
 def test_stress_proxy_of_uniform_gradient():
     # |grad u| = 1 everywhere and intact damage give a unit energy density
-    cfg = RunConfig.with_defaults(n0=2, n_steps=1, t_final=1.0)
-    cfg.mesh.slit = False
-    cfg.mesh.lx = cfg.mesh.ly = 1.0
+    cfg = RunConfig.with_defaults(n0=2, n_steps=1, t_final=1.0, slit=False,
+                                  lx=1.0, ly=1.0)
     mesh = cfg.build_mesh()
     st = init_state(mesh, FeFunction.from_callable(mesh, lambda x, y: x),
                     FeFunction.zeros(mesh), 1.0)

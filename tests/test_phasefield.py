@@ -81,7 +81,7 @@ def test_oracle_agreement_with_crack_and_rough_field():
     rng = np.random.default_rng(9)
     u = FeFunction(2.0 * rng.standard_normal(mesh.n_vertices),
                    mesh.generation)
-    crack = CrackSet(np.array([0, 1]), mesh.generation, 1e-2)
+    crack = CrackSet(np.array([0, 1]), mesh.generation)
     v = solve_phasefield(u, MP, crack, mesh)
     ref = dense_phasefield_oracle(mesh, u.values, MP, [0, 1])
     assert np.allclose(v.values, ref, rtol=1e-8, atol=1e-10)
@@ -97,7 +97,7 @@ def test_multigrid_solve_matches_oracle_on_adapted_slit_mesh():
     u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
     x, y = mesh.vertices.T
     pins = np.flatnonzero((np.abs(y - 1.5) < 0.4) & (x > 1.2) & (x < 2.0))
-    crack = CrackSet(pins, mesh.generation, 1e-2)
+    crack = CrackSet(pins, mesh.generation)
     v, rep = solve_phasefield(u, MP, crack, mesh, return_report=True)
     ref = dense_phasefield_oracle(mesh, u.values, MP, pins)
     assert rep["report"].iterations < 40
@@ -228,7 +228,7 @@ def test_clamp_output_in_unit_interval():
 
 def test_crack_unchanged_for_intact_field():
     mesh = build_initial_mesh((1.0, 1.0), None, 2)
-    old = CrackSet(np.array([3]), mesh.generation, 1e-2)
+    old = CrackSet(np.array([3]), mesh.generation)
     new = update_crack_set(FeFunction.constant(mesh, 1.0), mesh, 1e-2, old)
     assert np.array_equal(new.ids, old.ids)
 
