@@ -18,8 +18,7 @@ mesh = build_initial_mesh((3.0, 3.0), None, 16)
 mp = MaterialParams(mu=1.0, varrho=1.0, eta=0.5, kappa=1e-10, epsilon=0.3)
 
 u = FeFunction.from_callable(mesh, lambda x, y: 2.2 * np.tanh(12 * (y - 1.5)))
-v_raw, rep = solve_phasefield(u, mp, CrackSet.empty(mesh), mesh,
-                              return_report=True)
+v_raw, rep = solve_phasefield(u, mp, CrackSet.empty(mesh), mesh)
 print(f"damage solve: {rep['report'].iterations} CG iterations, "
       f"stationarity residual {rep['stationarity']:.2e} of rhs")
 v = clamp_and_threshold(v_raw, 1e-2)

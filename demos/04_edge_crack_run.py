@@ -20,7 +20,7 @@ print(f"time step {cfg.time.k:.4f}, loading ramp eps_v={cfg.loading.eps_v}")
 print("running (a minute or so) ...\n")
 
 marks = {32, 64, 96, 128, 160}
-def narrate(state, est, report, diag):
+def narrate(state, est, report, record):
     if report.step in marks:
         print(f"  step {report.step:>3} t={report.time:.2f}: "
               f"kin {report.kinetic:.3f}  strain {report.strain:.3f}  "
@@ -29,7 +29,7 @@ def narrate(state, est, report, diag):
 
 res = run(cfg, on_step=narrate)
 
-rep = res.reports
+rep = [rec.report for rec in res.records]
 strain = np.array([r.strain for r in rep])
 peak = int(strain.argmax())
 print(f"\nstrain energy peaks at step {peak + 1} (t = {rep[peak].time:.2f}) "
@@ -37,7 +37,7 @@ print(f"\nstrain energy peaks at step {peak + 1} (t = {rep[peak].time:.2f}) "
 print(f"  surface energy {rep[peak].surface:.3f} at the peak -> "
       f"{rep[-1].surface:.3f} at the end")
 print(f"final mesh: {res.summary['final_cells']} cells "
-      f"({res.mesh.levels.max()} levels), "
+      f"({res.state.mesh.levels.max()} levels), "
       f"{res.summary['pinned_dofs']} crack dofs")
 if res.first_pin:
     step0, coords = res.first_pin

@@ -22,7 +22,7 @@ from .estimator import dorfler_mark, estimate, fraction_mark
 from .fem import (DirichletSet, FeFunction, assemble_stiffness,
                   element_gradients, transfer, unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
-from .mesh import BoundaryLabel, adapt, build_initial_mesh
+from .mesh import AdaptSummary, BoundaryLabel, adapt, build_initial_mesh
 from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
 from .phasefield import clamp_and_threshold, solve_phasefield, update_crack_set
 
@@ -34,7 +34,7 @@ __all__ = [
     "OutputConfig",
     "RunConfig",
     "EnergyReport",
-    "StepDiagnostics",
+    "StepRecord",
     "RunResult",
     "energies",
     "build_dirichlet",
@@ -48,7 +48,7 @@ __all__ = [
 # Configuration
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MeshConfig:
     n0: int = 64
     max_levels: int = 4
@@ -77,7 +77,7 @@ class MeshConfig:
         return self.h_initial / 2.0 ** (self.max_levels / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeConfig:
     n_steps: int = 1600
     t_final: float = 5.0
@@ -128,13 +128,10 @@ class MarkingConfig:
     refine_fraction: float = 0.20
     coarsen_fraction: float = 0.05
     cell_threshold: float = 1e-3
-    jump_mode: str = "magnitude"    # "magnitude" | "normal"
 
     def __post_init__(self):
         if self.strategy not in ("fraction", "dorfler", "threshold"):
             raise ValueError(f"unknown marking strategy {self.strategy!r}")
-        if self.jump_mode not in ("magnitude", "normal"):
-            raise ValueError(f"unknown jump mode {self.jump_mode!r}")
         if self.cell_threshold <= 0:
             raise ValueError("cell_threshold must be positive")
 
@@ -198,14 +195,20 @@ class RunConfig:
         ``n0`` and ``max_levels``: ``epsilon = 5 h_f``, mass density
         ``10 sqrt(h_f)`` and viscosity ``1 / (10 sqrt(h_f))``; the ramp ends
         at ``t_g = t_final``.  A key given by name replaces its default or
-        derived value; an unknown key raises ``TypeError``.  The shear
-        modulus, ramp switch time and final time are assumptions (the
-        experiment leaves them open).
+        derived value and is labelled "set by name" in ``provenance``; an
+        unknown key raises ``TypeError``.  The mesh and time sections, which
+        the derived values follow, are frozen.  The shear modulus, ramp
+        switch time and final time are assumptions (the experiment leaves
+        them open).
         """
         unknown = set(keys).difference(*(
             {f.name for f in fields(typ)} for typ in cls.sections().values()))
         if unknown:
             raise TypeError(f"unknown config keys: {sorted(unknown)}")
+        provenance = dict(_PROVENANCE)
+        for section, typ in cls.sections().items():
+            provenance.update({f"{section}.{f.name}": "set by name"
+                               for f in fields(typ) if f.name in keys})
 
         def build(typ, **derived):
             own = {f.name: keys[f.name] for f in fields(typ) if f.name in keys}
@@ -224,7 +227,7 @@ class RunConfig:
             tolerances=build(Tolerances),
             marking=build(MarkingConfig),
             output=build(OutputConfig),
-            provenance=dict(_PROVENANCE))
+            provenance=provenance)
 
     def validate(self):
         if not self.loading.t_s < self.loading.t_g <= self.time.t_final:
@@ -309,65 +312,82 @@ def build_dirichlet(mesh, t, loading):
 
 
 @dataclass
-class StepDiagnostics:
+class StepRecord:
+    """What one time step did, kept for the whole run: scalars and the
+    adaptation summary only, never a mesh, a state or a per-dof array."""
+
+    # filled by staggered_step
     inner_iterations: int = 0
     converged: bool = True
     stationarity: float = np.nan    # worst over inner damage solves; nan if
                                     # every solve took the intact shortcut
     clamp_changes: int = 0          # nodes moved by the final clamp
     new_pins: int = 0
-    reactions: np.ndarray = None
-    dirichlet: DirichletSet = None
     shortcut: bool = False          # final damage solve hit the intact guard
+    pf_iterations: int = 0          # damage-solve CG iterations, all solves
+    boundary_work: float = 0.0      # reactions times the boundary increment
     warnings: list = field(default_factory=list)
+    # filled by run
+    report: EnergyReport = None
+    v_min: float = np.nan
+    v_max: float = np.nan
+    pinned: int = 0
+    pinned_violation: bool = False  # a pinned dof is away from 0
+    ledger_slack: float = np.nan    # E_n - E_{n-1} - boundary work
+    adapt: AdaptSummary = None      # None if the step kept its mesh
 
 
-def staggered_step(state, t_n, cfg, f=None):
+def staggered_step(state, t_n, cfg):
     """One full staggered solve at time ``t_n`` from the state at the
-    previous index.  Returns the new state and diagnostics."""
+    previous index.  Returns the new state and its :class:`StepRecord`."""
     mesh = state.mesh
     tol = cfg.tolerances
     k = cfg.time.k
     ds = build_dirichlet(mesh, t_n, cfg.loading)
-    diag = StepDiagnostics(dirichlet=ds)
+    rec = StepRecord()
 
     v_iter = state.v
     stat_worst = None
-    u_new = None
     for j in range(1, tol.max_inner + 1):
         u_new, reactions = step_displacement(
-            state, k, ds, f=f, params=cfg.material, v=v_iter,
+            state, k, ds, params=cfg.material, v=v_iter,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter)
         v_raw, vrep = solve_phasefield(
             u_new, cfg.material, state.crack, mesh, x0=v_iter.values,
-            tol=tol.solver_tol, max_iter=tol.solver_max_iter,
-            return_report=True)
+            tol=tol.solver_tol, max_iter=tol.solver_max_iter)
         v_new = clamp_and_threshold(v_raw, tol.xi_v)
         if vrep["stationarity"] is not None:
             stat_worst = max(stat_worst or 0.0, vrep["stationarity"])
+            rec.pf_iterations += vrep["report"].iterations
         diff = np.abs(v_new.values - v_iter.values).max()
-        clamp_changes = int((v_new.values != v_raw.values).sum())
+        rec.clamp_changes = int((v_new.values != v_raw.values).sum())
         v_iter = v_new
         if diff < tol.xi_vn:
             break
     else:
-        diag.converged = False
-        diag.warnings.append(
+        rec.converged = False
+        rec.warnings.append(
             f"staggered iteration hit max_inner={tol.max_inner} "
             f"at t={t_n:.6g} (last diff {diff:.3e})")
-    diag.inner_iterations = j
-    diag.stationarity = np.nan if stat_worst is None else stat_worst
-    diag.clamp_changes = clamp_changes
-    diag.reactions = reactions
-    diag.shortcut = vrep["shortcut"]
+    rec.inner_iterations = j
+    rec.stationarity = np.nan if stat_worst is None else stat_worst
+    rec.shortcut = vrep["shortcut"]
+
+    # work of the reaction forces over this step's boundary increment
+    g_now = boundary_ramp(min(t_n, cfg.loading.t_g), cfg.loading)
+    g_prev = boundary_ramp(min(t_n - k, cfg.loading.t_g), cfg.loading)
+    signs = np.sign(ds.values) if g_now != 0 else np.zeros(len(ds.values))
+    dg = (g_now - g_prev) * signs
+    rec.boundary_work = float(reactions[ds.dofs] @ dg) if len(ds.dofs) \
+        else 0.0
 
     crack_new = update_crack_set(v_iter, mesh, tol.xi_cr, state.crack)
-    diag.new_pins = len(crack_new.ids) - len(state.crack.ids)
+    rec.new_pins = len(crack_new.ids) - len(state.crack.ids)
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
     new_state = DynamicState(n=state.n + 1, u_prev=state.u_curr,
                              u_curr=u_new, du=du, v=v_iter,
                              crack=crack_new, mesh=mesh)
-    return new_state, diag
+    return new_state, rec
 
 
 def transfer_state(state, src_mesh, dst_mesh, crack_from=None):
@@ -418,22 +438,20 @@ def adapt_step(prev_state, post_state, est, cfg):
 
 @dataclass
 class RunResult:
-    reports: list
+    records: list                    # one StepRecord per step, step 1 first
     state: DynamicState
-    mesh: "Mesh"
     summary: dict
-    v_min: list = field(default_factory=list)
-    v_max: list = field(default_factory=list)
-    stationarity: list = field(default_factory=list)
-    inner_iterations: list = field(default_factory=list)
-    pinned_counts: list = field(default_factory=list)
-    pinned_violations: int = 0
-    clamp_changes: list = field(default_factory=list)
-    new_pins: list = field(default_factory=list)
-    ledger_slack: list = field(default_factory=list)
-    ledger_event_steps: list = field(default_factory=list)
     first_pin: tuple = None          # (step index, coordinates array)
-    warnings: list = field(default_factory=list)
+
+    # Read-only views over ``records``, kept because the benchmark harness
+    # reads these five names; new code reads ``records``.
+    reports = property(lambda self: [rec.report for rec in self.records])
+    v_min = property(lambda self: [rec.v_min for rec in self.records])
+    v_max = property(lambda self: [rec.v_max for rec in self.records])
+    stationarity = property(
+        lambda self: [rec.stationarity for rec in self.records[1:]])
+    pinned_violations = property(
+        lambda self: sum(rec.pinned_violation for rec in self.records))
 
 
 def _initial_state(cfg):
@@ -444,13 +462,25 @@ def _initial_state(cfg):
                       cfg.time.k)
 
 
+def _finish_record(rec, state, report):
+    """Fill the fields of ``rec`` that ``run`` owns."""
+    rec.report = report
+    rec.v_min = float(state.v.values.min())
+    rec.v_max = float(state.v.values.max())
+    rec.pinned = len(state.crack.ids)
+    rec.pinned_violation = bool(
+        state.crack.ids.size and (state.v.values[state.crack.ids] != 0).any())
+    return rec
+
+
 def run(cfg, on_step=None):
     """Execute the adaptive staggered evolution defined by ``cfg``.
 
-    Writes one energy CSV row per step and snapshots per cadence into the
-    output directory; returns the collected reports plus diagnostics.
-    ``on_step(state, est, report, diag)`` is invoked after every completed
-    step.
+    Appends each step's energy row to ``energies.csv`` in the output
+    directory as soon as the step finishes (an old file is replaced), and
+    writes snapshots per cadence; returns one :class:`StepRecord` per step.
+    ``on_step(state, est, report, record)`` is invoked after every completed
+    step but the first.
     """
     from . import io as fio
 
@@ -458,21 +488,19 @@ def run(cfg, on_step=None):
     cfg.validate()
     k = cfg.time.k
     state = _initial_state(cfg)
-    est = estimate(state.u_curr, state.v, state.mesh, cfg.material,
-                   jump_mode=cfg.marking.jump_mode)
-    reports = [energies(state, cfg.material, est, time=k, step=1)]
-    # state and mesh are filled in at the end, so that no mesh generation
-    # outlives the steps that use it
-    result = RunResult(reports=reports, state=None, mesh=None, summary={})
-    result.v_min.append(float(state.v.values.min()))
-    result.v_max.append(float(state.v.values.max()))
-    result.pinned_counts.append(0)
+    est = estimate(state.u_curr, state.v, state.mesh, cfg.material)
+    report = energies(state, cfg.material, est, time=k, step=1)
+    records = [_finish_record(StepRecord(), state, report)]
 
     out_dir = fio.prepare_output(cfg.output.directory)
+    trace = out_dir / "energies.csv"
+    trace.unlink(missing_ok=True)
+    fio.write_energy_trace([report], trace)
     if cfg.output.snapshot_every > 0:
         fio.write_snapshot(fio.make_snapshot(state, est, cfg, 1, k), out_dir)
 
-    prev_energy = reports[0].total
+    first_pin = None
+    prev_energy = report.total
     for n in range(2, cfg.time.n_steps + 1):
         t_n = n * k
         prev = state
@@ -482,77 +510,54 @@ def run(cfg, on_step=None):
             # active everywhere, no discrete critical point exists, and the
             # unconstrained residual the indicator measures carries no
             # information; adaptation waits for the reaction to activate.
-            state, diag = staggered_step(prev, t_n, cfg)
+            state, rec = staggered_step(prev, t_n, cfg)
             phase = "estimation"
-            est = estimate(state.u_curr, state.v, state.mesh,
-                           cfg.material, jump_mode=cfg.marking.jump_mode)
+            est = estimate(state.u_curr, state.v, state.mesh, cfg.material)
             phase = "adaptation"
-            adapted = None if diag.shortcut \
+            adapted = None if rec.shortcut \
                 else adapt_step(prev, state, est, cfg)
             if adapted is not None:
-                prev, _ = adapted
+                prev, new_mesh = adapted
                 prev_energy = energies(prev, cfg.material, time=t_n - k,
                                        step=n - 1).total
                 phase = "re-solve after adaptation"
-                state, diag = staggered_step(prev, t_n, cfg)
+                state, rec = staggered_step(prev, t_n, cfg)
+                rec.adapt = new_mesh.adapt_summary
                 est = estimate(state.u_curr, state.v, state.mesh,
-                               cfg.material, jump_mode=cfg.marking.jump_mode)
+                               cfg.material)
         except Exception as exc:
             raise RuntimeError(
                 f"run aborted at step {n} during {phase} ({exc})") from exc
 
         report = energies(state, cfg.material, est, time=t_n, step=n)
-        reports.append(report)
-
+        _finish_record(rec, state, report)
         # discrete dissipation ledger: E_n <= E_{n-1} + boundary work
-        g_now = boundary_ramp(min(t_n, cfg.loading.t_g), cfg.loading)
-        g_prev = boundary_ramp(min(t_n - k, cfg.loading.t_g), cfg.loading)
-        ds = diag.dirichlet
-        signs = np.sign(ds.values) if g_now != 0 else np.zeros(len(ds.values))
-        dg = (g_now - g_prev) * signs
-        work = float(diag.reactions[ds.dofs] @ dg) if len(ds.dofs) else 0.0
-        slack = report.total - prev_energy - work
-        result.ledger_slack.append(slack)
-        if diag.clamp_changes or diag.new_pins:
-            result.ledger_event_steps.append(n)
+        rec.ledger_slack = report.total - prev_energy - rec.boundary_work
+        dsurf = report.surface - records[-1].report.surface
+        if dsurf < -1e-10 * max(1.0, abs(report.surface)) \
+                and rec.clamp_changes == 0:
+            rec.warnings.append(
+                f"surface energy decreased by {dsurf:.3e} at step {n} "
+                "without clamping")
+        records.append(rec)
+        if first_pin is None and state.crack.ids.size:
+            first_pin = (n, state.mesh.vertices[state.crack.ids].copy())
 
-        # bookkeeping
-        result.v_min.append(float(state.v.values.min()))
-        result.v_max.append(float(state.v.values.max()))
-        result.stationarity.append(diag.stationarity)
-        result.inner_iterations.append(diag.inner_iterations)
-        result.pinned_counts.append(len(state.crack.ids))
-        result.clamp_changes.append(diag.clamp_changes)
-        result.new_pins.append(diag.new_pins)
-        result.warnings.extend(diag.warnings)
-        if state.crack.ids.size and (state.v.values[state.crack.ids] != 0).any():
-            result.pinned_violations += 1
-        if result.first_pin is None and state.crack.ids.size:
-            result.first_pin = (n, state.mesh.vertices[state.crack.ids].copy())
-        if len(reports) >= 2:
-            dsurf = report.surface - reports[-2].surface
-            if dsurf < -1e-10 * max(1.0, abs(report.surface)) \
-                    and diag.clamp_changes == 0:
-                result.warnings.append(
-                    f"surface energy decreased by {dsurf:.3e} at step {n} "
-                    "without clamping")
-
+        fio.write_energy_trace([report], trace)
         if cfg.output.snapshot_every > 0 and n % cfg.output.snapshot_every == 0:
             fio.write_snapshot(fio.make_snapshot(state, est, cfg, n, t_n),
                                out_dir)
         if on_step is not None:
-            on_step(state, est, report, diag)
+            on_step(state, est, report, rec)
         prev_energy = report.total
 
-    fio.write_energy_trace(reports, out_dir / "energies.csv")
-    result.state = state
-    result.mesh = state.mesh
-    result.summary = {
+    summary = {
         "n_steps": cfg.time.n_steps,
         "final_cells": state.mesh.n_triangles,
         "final_dofs": state.mesh.n_vertices,
         "pinned_dofs": len(state.crack.ids),
         "wall_time_s": _time.perf_counter() - t_start,
-        "warnings": len(result.warnings),
+        "warnings": sum(len(rec.warnings) for rec in records),
     }
-    return result
+    return RunResult(records=records, state=state, summary=summary,
+                     first_pin=first_pin)

@@ -8,8 +8,7 @@ Per triangle the squared indicator is
 where the edge jump is the difference of gradient magnitudes of v across an
 interior edge and the normal derivative on boundary (and slit) edges.  Each
 interior edge contribution is split evenly between its two triangles, so the
-global sum counts every edge once.  A normal-flux jump variant is available
-behind ``jump_mode`` for comparison.
+global sum counts every edge once.
 """
 
 from __future__ import annotations
@@ -60,12 +59,10 @@ def _geometry(mesh):
     return cached
 
 
-def estimate(u, v, mesh, params, jump_mode="magnitude"):
+def estimate(u, v, mesh, params):
     """Evaluate the residual indicator for the pair (u, v)."""
     u.check_bound(mesh)
     v.check_bound(mesh)
-    if jump_mode not in ("magnitude", "normal"):
-        raise ValueError(f"unknown jump_mode {jump_mode!r}")
     h, bnd_normals = _geometry(mesh)
     gv = element_gradients(v, mesh)
     a_tau = reaction_weight(u, params, mesh)
@@ -85,15 +82,8 @@ def estimate(u, v, mesh, params, jump_mode="magnitude"):
     jump2 = np.zeros(mesh.n_edges)
     ti = et[interior, 0]
     tj = et[interior, 1]
-    if jump_mode == "magnitude":
-        gmag = np.linalg.norm(gv, axis=1)
-        jump2[interior] = (gmag[ti] - gmag[tj]) ** 2
-    else:
-        tang = mesh.vertices[mesh.edges[interior, 1]] \
-            - mesh.vertices[mesh.edges[interior, 0]]
-        nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-        jump2[interior] = (((gv[ti] - gv[tj]) * nrm).sum(axis=1)) ** 2
+    gmag = np.linalg.norm(gv, axis=1)
+    jump2[interior] = (gmag[ti] - gmag[tj]) ** 2
 
     bnd = np.where(~interior)[0]
     if bnd.size:

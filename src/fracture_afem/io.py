@@ -208,20 +208,21 @@ def write_snapshot(snap, directory):
 
 
 def write_energy_trace(reports, path):
-    """CSV with one row per step; floats in fixed %.9e format."""
+    """Append one CSV row per report, floats in fixed %.9e format; a new
+    file starts with the header line."""
     if not reports:
         raise ValueError("no energy reports to write")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = ("step,time,kinetic,strain,surface,total,"
-              "estimator,est_min,est_max,ndofs,ncells")
-    rows = [header]
-    for r in reports:
-        rows.append(",".join([
-            str(r.step), _fmt(r.time), _fmt(r.kinetic), _fmt(r.strain),
-            _fmt(r.surface), _fmt(r.total), _fmt(r.r_h), _fmt(r.r_min),
-            _fmt(r.r_max), str(r.n_dofs), str(r.n_cells)]))
-    path.write_text("\n".join(rows) + "\n")
+    rows = [",".join([
+        str(r.step), _fmt(r.time), _fmt(r.kinetic), _fmt(r.strain),
+        _fmt(r.surface), _fmt(r.total), _fmt(r.r_h), _fmt(r.r_min),
+        _fmt(r.r_max), str(r.n_dofs), str(r.n_cells)]) for r in reports]
+    with open(path, "a") as fh:
+        if fh.tell() == 0:
+            rows.insert(0, "step,time,kinetic,strain,surface,total,"
+                           "estimator,est_min,est_max,ndofs,ncells")
+        fh.write("\n".join(rows) + "\n")
     return path
 
 
@@ -285,8 +286,12 @@ def cli(argv=None):
                                   t_final=cfg.time.t_final)
         cfg.provenance["time.n_steps"] = "command-line override"
 
+    def print_warnings(state, est, report, record):
+        for warning in record.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+
     try:
-        result = run_driver(cfg)
+        result = run_driver(cfg, on_step=print_warnings)
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

@@ -99,14 +99,15 @@ def phasefield_system(u, params, mesh):
 
 
 def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
-                     max_iter=None, return_report=False):
+                     max_iter=None):
     """Solve the damage critical-point system with crack dofs pinned to 0.
 
     The conjugate gradients are preconditioned by one multigrid V-cycle
-    (:mod:`.multigrid`).  Returns the raw (unclamped) solution; pair with
-    :func:`clamp_and_threshold`.  With ``return_report=True`` also returns a
-    dict with the solver report, the stationarity residual relative to the
-    right-hand side norm, and whether the intact shortcut fired.
+    (:mod:`.multigrid`).  Returns ``(v, info)``: the raw (unclamped)
+    solution, to pair with :func:`clamp_and_threshold`, and a dict with the
+    solver report, the stationarity residual relative to the right-hand side
+    norm, and whether the intact shortcut fired (report and residual are
+    ``None`` then).
     """
     u.check_bound(mesh)
     if crack.generation != mesh.generation:
@@ -116,9 +117,7 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     if crack.ids.size == 0 and reaction.max(initial=0.0) \
             <= SHORTCUT_FACTOR * params.nu_pf:
         v = FeFunction.constant(mesh, 1.0)
-        if return_report:
-            return v, {"report": None, "stationarity": None, "shortcut": True}
-        return v
+        return v, {"report": None, "stationarity": None, "shortcut": True}
 
     A, b = _system(reaction, params, mesh)
     ds = DirichletSet(crack.ids, np.zeros(len(crack.ids)))
@@ -134,14 +133,12 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
         raise RuntimeError(
             f"phase-field solve failed to converge "
             f"(residual {report.relative_residual:.3e})")
+    resid = bc - Ac @ sol
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[crack.ids] = False
+    stat = np.abs(resid[free]).max(initial=0.0) / np.linalg.norm(bc)
     v = FeFunction(sol, mesh.generation)
-    if return_report:
-        resid = bc - Ac @ sol
-        free = np.ones(mesh.n_vertices, dtype=bool)
-        free[crack.ids] = False
-        stat = np.abs(resid[free]).max(initial=0.0) / np.linalg.norm(bc)
-        return v, {"report": report, "stationarity": stat, "shortcut": False}
-    return v
+    return v, {"report": report, "stationarity": stat, "shortcut": False}
 
 
 def clamp_and_threshold(v, xi_v):

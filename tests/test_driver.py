@@ -1,10 +1,13 @@
 """Staggered stepping, energy reports, and the adaptive loop."""
 
+import dataclasses
+import re
 import weakref
 
 import numpy as np
 import pytest
 
+import fracture_afem.driver as driver
 from fracture_afem.driver import (RunConfig, adapt_step, build_dirichlet,
                                   energies, mark_for_adaptation, run,
                                   staggered_step, transfer_state)
@@ -27,6 +30,17 @@ def zero_loading_cfg(tmp_path, n0=4, n_steps=3):
     return cfg
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("mesh", "lx", 1.0), ("mesh", "n0", 8), ("mesh", "max_levels", 2),
+    ("time", "t_final", 1.0), ("time", "n_steps", 10)])
+def test_mesh_and_time_sections_are_frozen(section, key, value):
+    # epsilon, varrho, eta and t_g are derived from these sections once, so
+    # a later assignment would leave them stale
+    cfg = RunConfig.with_defaults(n0=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(getattr(cfg, section), key, value)
+
+
 # ----------------------------------------------------------------------
 # staggered_step
 # ----------------------------------------------------------------------
@@ -36,8 +50,8 @@ def test_zero_loading_fixed_point_one_inner_iteration(tmp_path):
     mesh = cfg.build_mesh()
     st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
                     cfg.time.k)
-    new, diag = staggered_step(st, 2 * cfg.time.k, cfg)
-    assert diag.inner_iterations == 1
+    new, rec = staggered_step(st, 2 * cfg.time.k, cfg)
+    assert rec.inner_iterations == 1
     assert np.abs(new.u_curr.values).max() < 1e-12
     assert np.allclose(new.v.values, 1.0)
     assert new.n == st.n + 1
@@ -49,8 +63,8 @@ def test_infinite_tolerance_single_iteration(tmp_path):
     mesh = cfg.build_mesh()
     st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
                     cfg.time.k)
-    _, diag = staggered_step(st, 2 * cfg.time.k, cfg)
-    assert diag.inner_iterations == 1
+    _, rec = staggered_step(st, 2 * cfg.time.k, cfg)
+    assert rec.inner_iterations == 1
 
 
 def test_inner_loop_converges_on_strained_fixture(tmp_path):
@@ -63,9 +77,9 @@ def test_inner_loop_converges_on_strained_fixture(tmp_path):
         mesh, lambda x, y: 3.0 * np.tanh(8.0 * (y - 1.4)))
     st = DynamicState(n=st.n, u_prev=st.u_prev, u_curr=band,
                       du=st.du, v=st.v, crack=st.crack, mesh=mesh)
-    new, diag = staggered_step(st, 2 * cfg.time.k, cfg)
-    assert diag.converged
-    assert diag.inner_iterations <= 50
+    new, rec = staggered_step(st, 2 * cfg.time.k, cfg)
+    assert rec.converged
+    assert rec.inner_iterations <= 50
     assert 0.0 <= new.v.values.min() and new.v.values.max() <= 1.0
 
 
@@ -151,9 +165,7 @@ def test_adapt_step_noop_for_flat_indicator(tmp_path):
 
 
 def test_dorfler_single_hot_triangle_refines_with_closure(tmp_path):
-    cfg = quiet_cfg(tmp_path, n0=1, n_steps=2)
-    cfg.mesh.slit = False
-    cfg.mesh.lx = cfg.mesh.ly = 1.0
+    cfg = quiet_cfg(tmp_path, n0=1, n_steps=2, slit=False, lx=1.0, ly=1.0)
     cfg.marking.strategy = "dorfler"
     cfg.marking.theta = 0.99
     mesh = cfg.build_mesh()
@@ -194,8 +206,8 @@ def test_transfer_state_preserves_bounds_and_pins(tmp_path):
 def test_single_step_zero_loading_writes_one_zero_row(tmp_path):
     cfg = zero_loading_cfg(tmp_path, n0=4, n_steps=1)
     res = run(cfg)
-    assert len(res.reports) == 1
-    r = res.reports[0]
+    assert len(res.records) == 1
+    r = res.records[0].report
     assert r.kinetic == r.strain == r.surface == 0.0
     csv = (tmp_path / "out" / "energies.csv").read_text().splitlines()
     assert len(csv) == 2
@@ -217,7 +229,7 @@ def test_zero_loading_fixed_point_independent_of_step_count(tmp_path):
 def test_run_rows_strictly_increasing_steps(tmp_path):
     cfg = quiet_cfg(tmp_path, n0=4, n_steps=6, t_final=2.0)
     res = run(cfg)
-    steps = [r.step for r in res.reports]
+    steps = [rec.report.step for rec in res.records]
     assert steps == sorted(steps)
     assert len(set(steps)) == len(steps)
 
@@ -227,10 +239,39 @@ def test_run_acceptance_observables_collected(tmp_path):
     seen = []
     res = run(cfg, on_step=lambda s, e, r, d: seen.append(r.step))
     assert seen == list(range(2, 9))
-    assert len(res.v_min) == 8
-    assert res.pinned_violations == 0
-    assert all(0.0 <= lo <= hi <= 1.0
-               for lo, hi in zip(res.v_min, res.v_max))
+    assert len(res.records) == 8
+    assert not any(rec.pinned_violation for rec in res.records)
+    assert all(0.0 <= rec.v_min <= rec.v_max <= 1.0 for rec in res.records)
+
+
+def test_aborted_run_leaves_finished_rows_on_disk(tmp_path, monkeypatch):
+    cfg = quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0)
+    calls = []
+
+    def failing_estimate(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise FloatingPointError("injected failure")
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "estimate", failing_estimate)
+    with pytest.raises(RuntimeError, match="aborted at step") as info:
+        run(cfg)
+    failed_step = int(re.search(r"step (\d+)", str(info.value)).group(1))
+    assert failed_step > 1
+    trace = tmp_path / "out" / "energies.csv"
+    aborted = trace.read_text().splitlines()
+    # header plus one row per finished step
+    assert [int(line.split(",")[0]) for line in aborted[1:]] == \
+        list(range(1, failed_step))
+
+    # a complete run in the same directory replaces the old file; the rows
+    # written before the failure are its first rows
+    monkeypatch.setattr(driver, "estimate", estimate)
+    run(cfg)
+    full = trace.read_text().splitlines()
+    assert len(full) == 1 + cfg.time.n_steps
+    assert full[:len(aborted)] == aborted
 
 
 def test_initial_mesh_is_released_after_first_adaptation(tmp_path):
@@ -246,7 +287,7 @@ def test_initial_mesh_is_released_after_first_adaptation(tmp_path):
     cfg.build_mesh = recording_build_mesh
     alive = []
 
-    def on_step(state, est, report, diag):
+    def on_step(state, est, report, record):
         if state.mesh.generation > 0 and not alive:
             alive.append(built[0]() is not None)
 
@@ -257,21 +298,21 @@ def test_initial_mesh_is_released_after_first_adaptation(tmp_path):
 def test_desk_run_damage_onset_and_vmin_monotone(desk16):
     # at this resolution the damage zone stays wide: the field degrades but
     # never crosses the crack threshold, so the crack set stays empty
-    vmin = np.array(desk16.v_min)
+    vmin = np.array([rec.v_min for rec in desk16.records])
     assert (np.diff(vmin) <= 1e-12).all()
     first_damage = int(np.argmax(vmin < 1.0)) + 1
     assert first_damage == 83           # pinned from a measured run
-    assert desk16.pinned_counts[-1] == 0
-    strain = [r.strain for r in desk16.reports]
+    assert desk16.records[-1].pinned == 0
+    strain = [rec.report.strain for rec in desk16.records]
     assert strain[first_damage - 2] > 2.0
 
 
 def test_dissipation_ledger_with_boundary_work(desk32):
     # E_n <= E_{n-1} + reaction force times boundary-displacement increment
     cfg, res = desk32
-    scale = max(max(r.total for r in res.reports), 1.0)
-    assert max(res.ledger_slack) <= 1e-8 * scale
-    assert not res.warnings
+    scale = max(max(rec.report.total for rec in res.records), 1.0)
+    assert max(rec.ledger_slack for rec in res.records[1:]) <= 1e-8 * scale
+    assert not any(rec.warnings for rec in res.records)
 
 
 def test_load_holds_after_ramp_window(tmp_path):
@@ -280,7 +321,7 @@ def test_load_holds_after_ramp_window(tmp_path):
     cfg = quiet_cfg(tmp_path, n0=4, n_steps=6, t_final=2.0, t_s=0.25, t_g=1.0)
     cfg.validate()
     res = run(cfg)
-    assert len(res.reports) == 6
+    assert len(res.records) == 6
     mesh = cfg.build_mesh()
     late = build_dirichlet(mesh, 2.0, cfg.loading)
     end = build_dirichlet(mesh, 1.0, cfg.loading)

@@ -149,19 +149,6 @@ def test_dilation_scaling_of_element_term():
     assert np.allclose(e2.r2, 3.0 ** 4 * e1.r2)
 
 
-def test_normal_jump_mode_differs_and_is_nonnegative():
-    mesh = build_initial_mesh((1.0, 1.0), None, 2)
-    rng = np.random.default_rng(21)
-    u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
-    v = FeFunction(rng.uniform(0, 1, mesh.n_vertices), mesh.generation)
-    e_mag = estimate(u, v, mesh, MP, jump_mode="magnitude")
-    e_nrm = estimate(u, v, mesh, MP, jump_mode="normal")
-    assert (e_nrm.r2 >= 0).all()
-    assert not np.allclose(e_mag.r2, e_nrm.r2)
-    with pytest.raises(ValueError):
-        estimate(u, v, mesh, MP, jump_mode="bogus")
-
-
 # ----------------------------------------------------------------------
 # marking
 # ----------------------------------------------------------------------
@@ -239,7 +226,7 @@ def make_critical_pair(n0):
     mesh = build_initial_mesh((1.0, 1.0), None, n0)
     u = FeFunction.from_callable(
         mesh, lambda x, y: 4.0 * np.sin(np.pi * x) * y)
-    v = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
+    v, _ = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     return mesh, u, v
 
 
@@ -312,9 +299,9 @@ def test_estimate_computes_geometry_once_per_mesh(monkeypatch):
     u2 = FeFunction(x * x - y, mesh.generation)
     v = FeFunction(np.clip(0.3 + 0.2 * x, 0.0, 1.0), mesh.generation)
     estimate(u1, v, mesh, MP)
-    second = estimate(u2, v, mesh, MP, jump_mode="normal")
+    second = estimate(u2, v, mesh, MP)
     assert calls == [mesh.generation]
     # the cached geometry gives the indicators of a fresh computation
-    fresh = estimate(u2, v, twin, MP, jump_mode="normal")
+    fresh = estimate(u2, v, twin, MP)
     assert len(calls) == 2
     assert np.array_equal(second.r2, fresh.r2)

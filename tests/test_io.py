@@ -144,6 +144,22 @@ def test_with_defaults_rejects_unknown_key():
         RunConfig.with_defaults(debug_checks=True)
 
 
+def test_with_defaults_labels_keys_set_by_name():
+    cfg = RunConfig.with_defaults(n0=16, kappa=1e-8)
+    assert cfg.provenance["mesh.n0"] == "set by name"
+    assert cfg.provenance["material.kappa"] == "set by name"
+    assert cfg.provenance["mesh.max_levels"] == "published-experiment default"
+
+
+def test_removed_jump_mode_key_rejected(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("[marking]\njump_mode = magnitude\n")
+    with pytest.raises(fio.ConfigError, match="jump_mode"):
+        fio.load_config(p)
+    with pytest.raises(TypeError, match="jump_mode"):
+        RunConfig.with_defaults(jump_mode="magnitude")
+
+
 @pytest.mark.parametrize("line", ["n0 = 0", "max_levels = -1", "lx = -3"])
 def test_bad_mesh_section_is_a_config_error(tmp_path, line, capsys):
     p = tmp_path / "bad.cfg"
@@ -269,7 +285,7 @@ def test_desk_run_cell_counts_nondecreasing_before_first_coarsening(tmp_path):
     cfg = RunConfig.with_defaults(n0=8, n_steps=12, t_final=5.0)
     cfg.output.directory = str(tmp_path / "out")
     res = run(cfg)
-    ncells = [r.n_cells for r in res.reports]
+    ncells = [rec.report.n_cells for rec in res.records]
     diffs = np.diff(ncells)
     drops = np.where(diffs < 0)[0]
     first_drop = drops[0] if drops.size else len(diffs)
@@ -304,6 +320,22 @@ def test_cli_steps_override_and_run(tmp_path, capsys):
     csv = (tmp_path / "o" / "energies.csv").read_text().splitlines()
     assert len(csv) == 1 + 3
     assert "completed 3 steps" in capsys.readouterr().out
+
+
+def test_cli_prints_every_warning(tmp_path, capsys):
+    # one staggered iteration per step cannot reach the sup-norm tolerance
+    # once the damage field moves
+    p = tmp_path / "c.cfg"
+    p.write_text("[mesh]\nn0 = 4\n[time]\nn_steps = 10\nt_final = 5\n"
+                 "[tolerances]\nmax_inner = 1\n"
+                 f"[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert fio.cli(["run", "--config", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert "9 warnings" in captured.out
+    warnings = [line for line in captured.err.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == 9
+    assert "hit max_inner=1" in captured.err
 
 
 def test_cli_check_config(tmp_path, capsys):

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture_afem.dynamics import MaterialParams
-from fracture_afem.fem import FeFunction, element_gradients
+from fracture_afem.fem import FeFunction, element_gradients, transfer
 from fracture_afem.mesh import adapt, build_initial_mesh
 from fracture_afem.phasefield import (CrackSet, clamp_and_threshold,
                                       phasefield_system, solve_phasefield,
                                       update_crack_set)
+
+from test_mesh import draw_ids, initial_meshes
 
 MP = MaterialParams(mu=1.0, varrho=1.0, eta=0.5, kappa=1e-10, epsilon=0.2)
 
@@ -57,7 +61,7 @@ def dense_phasefield_oracle(mesh, u_vals, params, pinned):
 def test_flat_displacement_gives_intact_field():
     mesh = build_initial_mesh((1.0, 1.0), None, 2)
     v, rep = solve_phasefield(FeFunction.zeros(mesh), MP,
-                              CrackSet.empty(mesh), mesh, return_report=True)
+                              CrackSet.empty(mesh), mesh)
     assert rep["shortcut"]
     assert np.allclose(v.values, 1.0)
 
@@ -71,7 +75,7 @@ def test_single_strained_element_matches_dense_oracle():
     gu = element_gradients(u, mesh)
     mags = (gu ** 2).sum(axis=1)
     assert (mags > 1.0).sum() == 1 and np.isclose(mags.min(), 0.0)
-    v = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
+    v, _ = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     ref = dense_phasefield_oracle(mesh, u.values, MP, [])
     assert np.allclose(v.values, ref, rtol=1e-9, atol=1e-11)
 
@@ -82,7 +86,7 @@ def test_oracle_agreement_with_crack_and_rough_field():
     u = FeFunction(2.0 * rng.standard_normal(mesh.n_vertices),
                    mesh.generation)
     crack = CrackSet(np.array([0, 1]), mesh.generation)
-    v = solve_phasefield(u, MP, crack, mesh)
+    v, _ = solve_phasefield(u, MP, crack, mesh)
     ref = dense_phasefield_oracle(mesh, u.values, MP, [0, 1])
     assert np.allclose(v.values, ref, rtol=1e-8, atol=1e-10)
     assert v.values[0] == 0.0 and v.values[1] == 0.0
@@ -98,7 +102,7 @@ def test_multigrid_solve_matches_oracle_on_adapted_slit_mesh():
     x, y = mesh.vertices.T
     pins = np.flatnonzero((np.abs(y - 1.5) < 0.4) & (x > 1.2) & (x < 2.0))
     crack = CrackSet(pins, mesh.generation)
-    v, rep = solve_phasefield(u, MP, crack, mesh, return_report=True)
+    v, rep = solve_phasefield(u, MP, crack, mesh)
     ref = dense_phasefield_oracle(mesh, u.values, MP, pins)
     assert rep["report"].iterations < 40
     assert np.allclose(v.values, ref, rtol=1e-8, atol=1e-10)
@@ -109,7 +113,7 @@ def test_balanced_gradient_yields_exactly_one():
     mesh = build_initial_mesh((1.0, 1.0), None, 3)
     slope = np.sqrt(MP.nu_pf / (MP.mu * (1.0 - MP.kappa)))
     u = FeFunction.from_callable(mesh, lambda x, y: slope * x)
-    v = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
+    v, _ = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     assert np.allclose(v.values, 1.0, atol=1e-9)
 
 
@@ -125,8 +129,7 @@ def test_solver_failure_propagates():
 def test_stationarity_residual_small():
     mesh = build_initial_mesh((1.0, 1.0), None, 4)
     u = FeFunction.from_callable(mesh, lambda x, y: 3.0 * x * (1 - x) * y)
-    v, rep = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh,
-                              return_report=True)
+    v, rep = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     assert not rep["shortcut"]
     assert rep["stationarity"] <= 1e-12
 
@@ -143,7 +146,7 @@ def test_shortcut_matches_solve_plus_clamp():
     raw = sla.spsolve(A.tocsc(), b)
     clamped = np.clip(raw, None, 1.0)
     assert np.allclose(clamped, 1.0)
-    v = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
+    v, _ = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     assert np.allclose(v.values, 1.0)
 
 
@@ -159,8 +162,7 @@ def test_shortcut_assembles_nothing(monkeypatch):
     monkeypatch.setattr(fem, "_scatter", no_assembly)
     mesh = build_initial_mesh((1.0, 1.0), None, 3)
     u = FeFunction.from_callable(mesh, lambda x, y: 0.1 * x)
-    v, rep = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh,
-                              return_report=True)
+    v, rep = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     assert rep["shortcut"] and np.array_equal(v.values, np.ones(16))
 
 
@@ -188,7 +190,7 @@ def test_energy_decrease_within_sweep():
     def quad_energy(w):
         return 0.5 * (w @ (A @ w)) - b @ w
 
-    v = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
+    v, _ = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     rng = np.random.default_rng(10)
     for _ in range(5):
         other = v.values + 0.1 * rng.standard_normal(mesh.n_vertices)
@@ -276,3 +278,36 @@ def test_crack_monotone_growth_and_transfer():
         pa, pb = fine.vertex_prov[m]
         assert ((m in cf.ids)
                 == ((pa in cf.ids) and (pb in cf.ids)))
+
+
+# ----------------------------------------------------------------------
+# crack set across adaptation
+# ----------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(initial_meshes(), st.data())
+def test_crack_set_transfer_over_random_adapt_chains(mesh, data):
+    crack = CrackSet(draw_ids(data.draw, mesh.n_vertices), mesh.generation)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.uniform(0.0, 1.0, mesh.n_vertices)
+    vals[crack.ids] = 0.0
+    v = FeFunction(vals, mesh.generation)
+    for _ in range(data.draw(st.integers(1, 5))):
+        refine = draw_ids(data.draw, mesh.n_triangles)
+        coarsen = draw_ids(data.draw, mesh.n_triangles)
+        new = adapt(mesh, refine, np.setdiff1d(coarsen, refine))
+        new_crack = crack.transfer(mesh, new)
+        v = transfer(v, mesh, new)
+        old_pinned = crack.mask(mesh.n_vertices)
+        pinned = new_crack.mask(new.n_vertices)
+        prov = new.vertex_prov
+        keep = prov[:, 1] < 0
+        # a surviving vertex keeps its pin, a midpoint is pinned exactly
+        # when both of its endpoints are
+        assert np.array_equal(pinned[keep], old_pinned[prov[keep, 0]])
+        mids = ~keep
+        assert np.array_equal(pinned[mids],
+                              pinned[prov[mids, 0]] & pinned[prov[mids, 1]])
+        assert (v.values[new_crack.ids] == 0.0).all()
+        assert new_crack.generation == new.generation
+        mesh, crack = new, new_crack
