@@ -28,7 +28,7 @@ for eta in (0.0, 0.05):
     print(f"{'step':>5} {'kinetic':>12} {'strain':>12} {'total':>12}")
     e0 = None
     for n in range(2, 61):
-        u, _ = step_displacement(state, k, ds, params=mp)
+        u, _, _ = step_displacement(state, k, ds, params=mp)
         du = FeFunction((u.values - state.u_curr.values) / k, mesh.generation)
         state.u_prev, state.u_curr, state.du, state.n = \
             state.u_curr, u, du, state.n + 1

@@ -19,9 +19,10 @@ from .dynamics import (DynamicState, LoadingParams, MaterialParams,
                        boundary_ramp, degradation, init_state,
                        step_displacement)
 from .estimator import dorfler_mark, estimate, fraction_mark
-from .fem import (DirichletSet, FeFunction, assemble_stiffness,
-                  element_gradients, transfer, unit_mass)
+from .fem import (DirichletSet, FeFunction, element_gradients, transfer,
+                  unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
+from .fem import assemble_stiffness  # noqa: F401  (a perfbench/tracer.py site)
 from .mesh import AdaptSummary, BoundaryLabel, adapt, build_initial_mesh
 from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
 from .phasefield import clamp_and_threshold, solve_phasefield, update_crack_set
@@ -264,16 +265,22 @@ class EnergyReport:
 
 
 def energies(state, params, est=None, time=0.0, step=0):
-    """Kinetic, strain and surface energy of a snapshot (exact P1 quadrature)."""
+    """Kinetic, strain and surface energy of a snapshot (exact P1 quadrature).
+
+    The strain energy ``0.5 mu u^T A u`` of the degraded stiffness ``A`` is
+    summed element by element, ``0.5 mu sum_tau c_tau |tau| |grad u_tau|^2``
+    with ``c_tau`` the element mean of the degradation, so no matrix is
+    assembled.
+    """
     mesh = state.mesh
+    area = mesh.signed_areas()
     M = unit_mass(mesh)
     du = state.du.values
     kinetic = 0.5 * params.varrho * (du @ (M @ du))
-    A = assemble_stiffness(mesh, degradation(state.v, params))
-    u = state.u_curr.values
-    strain = 0.5 * params.mu * (u @ (A @ u))
+    c = degradation(state.v, params).values[mesh.triangles].mean(axis=1)
+    gu = element_gradients(state.u_curr, mesh)
+    strain = 0.5 * params.mu * (c * area * (gu ** 2).sum(axis=1)).sum()
 
-    area = mesh.signed_areas()
     gv = element_gradients(state.v, mesh)
     vbar = state.v.values[mesh.triangles].mean(axis=1)
     h_of_v = (area.sum() - (area * vbar).sum()) / params.epsilon \
@@ -325,6 +332,7 @@ class StepRecord:
     new_pins: int = 0
     shortcut: bool = False          # final damage solve hit the intact guard
     pf_iterations: int = 0          # damage-solve CG iterations, all solves
+    wave_iterations: int = 0        # wave-solve CG iterations, all solves
     boundary_work: float = 0.0      # reactions times the boundary increment
     warnings: list = field(default_factory=list)
     # filled by run
@@ -335,6 +343,14 @@ class StepRecord:
     pinned_violation: bool = False  # a pinned dof is away from 0
     ledger_slack: float = np.nan    # E_n - E_{n-1} - boundary work
     adapt: AdaptSummary = None      # None if the step kept its mesh
+    first_solve: dict = None        # on a step that adapted: the scalars
+                                    # of its solve on the old mesh, by name
+
+
+# the scalar fields staggered_step fills, kept in ``first_solve``
+_SOLVE_FIELDS = ("inner_iterations", "converged", "stationarity",
+                 "clamp_changes", "new_pins", "shortcut", "pf_iterations",
+                 "wave_iterations", "boundary_work")
 
 
 def staggered_step(state, t_n, cfg):
@@ -349,9 +365,10 @@ def staggered_step(state, t_n, cfg):
     v_iter = state.v
     stat_worst = None
     for j in range(1, tol.max_inner + 1):
-        u_new, reactions = step_displacement(
+        u_new, reactions, urep = step_displacement(
             state, k, ds, params=cfg.material, v=v_iter,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter)
+        rec.wave_iterations += urep.iterations
         v_raw, vrep = solve_phasefield(
             u_new, cfg.material, state.crack, mesh, x0=v_iter.values,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter)
@@ -521,8 +538,13 @@ def run(cfg, on_step=None):
                 prev_energy = energies(prev, cfg.material, time=t_n - k,
                                        step=n - 1).total
                 phase = "re-solve after adaptation"
+                first = rec
                 state, rec = staggered_step(prev, t_n, cfg)
                 rec.adapt = new_mesh.adapt_summary
+                rec.first_solve = {name: getattr(first, name)
+                                   for name in _SOLVE_FIELDS}
+                rec.warnings[:0] = [f"before adaptation: {w}"
+                                    for w in first.warnings]
                 est = estimate(state.u_curr, state.v, state.mesh,
                                cfg.material)
         except Exception as exc:

@@ -141,9 +141,11 @@ def step_displacement(state, k, g_values, f=None, params=None, v=None,
 
     ``v`` overrides the damage field used for the degradation coefficient
     (the staggered loop passes its latest iterate); by default the state's
-    own field is used.  Returns ``(u_new, reactions)``: the reactions are
-    the residual ``S u_new - rhs`` of the system before the Dirichlet rows
-    are imposed.  After the step the caller owns the update
+    own field is used.  The conjugate-gradient solve starts from the
+    predictor ``u_old + k du_old``.  Returns ``(u_new, reactions, report)``:
+    the reactions are the residual ``S u_new - rhs`` of the system before
+    the Dirichlet rows are imposed, and ``report`` is the solver's
+    :class:`SolveReport`.  After the step the caller owns the update
     ``du = (u_new - u_old) / k``.
     """
     if k <= 0:
@@ -177,10 +179,11 @@ def step_displacement(state, k, g_values, f=None, params=None, v=None,
             raise AssertionError("wave system matrix is not positive definite")
 
     Sc, rhsc = apply_dirichlet(S, rhs, g_values)
-    x, report = solve_spd(Sc, rhsc, tol=tol, max_iter=max_iter, x0=u_old,
+    x, report = solve_spd(Sc, rhsc, tol=tol, max_iter=max_iter,
+                          x0=u_old + k * du_old,
                           context=f"wave step n={state.n + 1}")
     if not report.converged:
         raise RuntimeError(
             f"wave solve failed to converge at step n={state.n + 1} "
             f"(residual {report.relative_residual:.3e})")
-    return FeFunction(x, mesh.generation), S @ x - rhs
+    return FeFunction(x, mesh.generation), S @ x - rhs, report

@@ -45,8 +45,9 @@ class EstimatorField:
 
 
 def _geometry(mesh):
-    """Triangle diameters and the outward unit normals of the boundary
-    edges (in edge order), computed once per mesh and kept in its cache."""
+    """Triangle diameters, edge lengths and the outward unit normals of the
+    boundary edges (in edge order), computed once per mesh and kept in its
+    cache."""
     cached = mesh._cache.get("estimator")
     if cached is None:
         geo = geometry(mesh)
@@ -54,7 +55,9 @@ def _geometry(mesh):
         tb = mesh.edge_tris[bnd, 0]
         # outward normal of the single incident triangle on that edge
         loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
-        cached = (geo.h, geo.normals[tb, loc])
+        he = np.linalg.norm(mesh.vertices[mesh.edges[:, 1]]
+                            - mesh.vertices[mesh.edges[:, 0]], axis=1)
+        cached = (geo.h, he, geo.normals[tb, loc])
         mesh._cache["estimator"] = cached
     return cached
 
@@ -63,7 +66,7 @@ def estimate(u, v, mesh, params):
     """Evaluate the residual indicator for the pair (u, v)."""
     u.check_bound(mesh)
     v.check_bound(mesh)
-    h, bnd_normals = _geometry(mesh)
+    h, he, bnd_normals = _geometry(mesh)
     gv = element_gradients(v, mesh)
     a_tau = reaction_weight(u, params, mesh)
     nu = params.nu_pf
@@ -77,8 +80,6 @@ def estimate(u, v, mesh, params):
     # edge jumps
     et = mesh.edge_tris
     interior = et[:, 1] >= 0
-    he = np.linalg.norm(mesh.vertices[mesh.edges[:, 1]]
-                        - mesh.vertices[mesh.edges[:, 0]], axis=1)
     jump2 = np.zeros(mesh.n_edges)
     ti = et[interior, 0]
     tj = et[interior, 1]

@@ -217,15 +217,20 @@ def assemble_stiffness(mesh, coeff):
             c = np.full(mesh.n_triangles, float(c))
     if (c < 0).any():
         raise ValueError("stiffness coefficient must be nonnegative")
-    G = ed["grads"]
-    local = np.einsum('nik,njk->nij', G, G) * (c * ed["area"])[:, None, None]
+    # G G^T entry by entry: the products and sums of an einsum over the
+    # two gradient components, in half its time; in place, so that no more
+    # (nt, 3, 3) arrays are alive at once than with the einsum
+    gx, gy = ed["grads"][..., 0], ed["grads"][..., 1]
+    local = gx[:, :, None] * gx[:, None, :]
+    local += gy[:, :, None] * gy[:, None, :]
+    local *= (c * ed["area"])[:, None, None]
     return _scatter(mesh, local)
 
 
 def assemble_load(mesh, f):
     """Load vector b_i = integral(f_h xi_i) for a nodal f."""
     f.check_bound(mesh)
-    return assemble_mass(mesh, 1.0) @ f.values
+    return unit_mass(mesh) @ f.values
 
 
 def apply_dirichlet(A, b, ds):

@@ -145,10 +145,11 @@ def make_snapshot(state, est, cfg, step, time):
     area = mesh.signed_areas()
     gu = element_gradients(state.u_curr, mesh)
     gu2 = (gu ** 2).sum(axis=1)
-    num = np.zeros(mesh.n_vertices)
-    den = np.zeros(mesh.n_vertices)
-    np.add.at(num, mesh.triangles.ravel(), np.repeat(gu2 * area, 3))
-    np.add.at(den, mesh.triangles.ravel(), np.repeat(area, 3))
+    corners = mesh.triangles.ravel()
+    num = np.bincount(corners, weights=np.repeat(gu2 * area, 3),
+                      minlength=mesh.n_vertices)
+    den = np.bincount(corners, weights=np.repeat(area, 3),
+                      minlength=mesh.n_vertices)
     gu2_nodal = num / np.maximum(den, 1e-300)
     stress = degradation(state.v, cfg.material).values * gu2_nodal
     return Snapshot(step=step, time=time, mesh=mesh,
@@ -169,41 +170,43 @@ def _fmt(x):
     return f"{x:.9e}"
 
 
+def _rows(fmt, values):
+    """One ``fmt`` line per row of ``values``, formatted by a single ``%``
+    over the whole array (the same text as formatting each value alone)."""
+    values = np.asarray(values)
+    return (fmt * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_snapshot(snap, directory):
     """Legacy-ASCII unstructured-grid file, byte-deterministic."""
     mesh = snap.mesh
+    nv, nt = mesh.n_vertices, mesh.n_triangles
     out = prepare_output(directory)
     path = out / f"snapshot_{snap.step:06d}.vtk"
-    lines = [
-        "# vtk DataFile Version 3.0",
-        f"fracture state step {snap.step} time {_fmt(snap.time)}",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
+    parts = [
+        "# vtk DataFile Version 3.0\n",
+        f"fracture state step {snap.step} time {_fmt(snap.time)}\n",
+        "ASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {nv} double\n",
+        _rows("%.9e %.9e %.9e\n", np.column_stack([mesh.vertices,
+                                                  np.zeros(nv)])),
+        f"CELLS {nt} {4 * nt}\n",
+        _rows("3 %d %d %d\n", mesh.triangles),
+        f"CELL_TYPES {nt}\n",
+        "5\n" * nt,
     ]
-    for p in mesh.vertices:
-        lines.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(0.0)}")
-    nt = mesh.n_triangles
-    lines.append(f"CELLS {nt} {4 * nt}")
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
-    lines.append(f"POINT_DATA {mesh.n_vertices}")
-    for name, values in snap.point_fields.items():
-        if len(values) != mesh.n_vertices:
-            raise ValueError(f"point field {name!r} not bound to this mesh")
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in values)
-    lines.append(f"CELL_DATA {nt}")
-    for name, values in snap.cell_fields.items():
-        if len(values) != nt:
-            raise ValueError(f"cell field {name!r} not bound to this mesh")
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in values)
-    path.write_text("\n".join(lines) + "\n")
+    for kind, size, fields in (("POINT", nv, snap.point_fields),
+                               ("CELL", nt, snap.cell_fields)):
+        parts.append(f"{kind}_DATA {size}\n")
+        for name, values in fields.items():
+            if len(values) != size:
+                raise ValueError(f"{kind.lower()} field {name!r} not bound "
+                                 "to this mesh")
+            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            parts.append(_rows("%.9e\n", values))
+    with path.open("w") as fh:
+        fh.writelines(parts)
     return path
 
 

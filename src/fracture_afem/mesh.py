@@ -183,11 +183,17 @@ class Mesh:
         return np.array(sorted(ids), dtype=np.int64)
 
     def signed_areas(self):
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Signed triangle areas, computed once per mesh; read-only."""
+        area = self._cache.get("signed_areas")
+        if area is None:
+            v = self.vertices
+            t = self.triangles
+            d1 = v[t[:, 1]] - v[t[:, 0]]
+            d2 = v[t[:, 2]] - v[t[:, 0]]
+            area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            area.flags.writeable = False
+            self._cache["signed_areas"] = area
+        return area
 
     def _validate(self):
         if self.triangles.size and self.triangles.max() >= self.n_vertices:

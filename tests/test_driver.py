@@ -6,16 +6,23 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracture_afem.driver as driver
+import fracture_afem.dynamics as dynamics
+import fracture_afem.phasefield as phasefield
 from fracture_afem.driver import (RunConfig, adapt_step, build_dirichlet,
                                   energies, mark_for_adaptation, run,
                                   staggered_step, transfer_state)
-from fracture_afem.dynamics import DynamicState, init_state
+from fracture_afem.dynamics import (DynamicState, MaterialParams, degradation,
+                                    init_state)
 from fracture_afem.estimator import EstimatorField, estimate
-from fracture_afem.fem import FeFunction
+from fracture_afem.fem import FeFunction, assemble_stiffness
 from fracture_afem.mesh import BoundaryLabel, adapt
 from fracture_afem.phasefield import CrackSet
+
+from test_fem import adapted_meshes
 
 
 def quiet_cfg(tmp_path, **kw):
@@ -136,6 +143,23 @@ def test_kinetic_energy_of_constant_velocity(tmp_path):
     rep = energies(st, cfg.material)
     expected = 0.5 * cfg.material.varrho * 0.75 ** 2 * 9.0
     assert np.isclose(rep.kinetic, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(adapted_meshes(), st.integers(0, 2 ** 32 - 1))
+def test_strain_energy_equals_assembled_quadratic_form(mesh, seed):
+    # the element sum is 0.5 mu u^T A u of the degraded stiffness
+    rng = np.random.default_rng(seed)
+    mp = MaterialParams(mu=rng.uniform(0.5, 2.0))
+    u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
+    v = FeFunction(rng.uniform(0.0, 1.0, mesh.n_vertices), mesh.generation)
+    rest = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
+                      1.0)
+    state = DynamicState(n=1, u_prev=rest.u_prev, u_curr=u, du=rest.du, v=v,
+                         crack=rest.crack, mesh=mesh)
+    A = assemble_stiffness(mesh, degradation(v, mp))
+    want = 0.5 * mp.mu * (u.values @ (A @ u.values))
+    assert abs(energies(state, mp).strain - want) <= 1e-13 * want
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +296,35 @@ def test_aborted_run_leaves_finished_rows_on_disk(tmp_path, monkeypatch):
     full = trace.read_text().splitlines()
     assert len(full) == 1 + cfg.time.n_steps
     assert full[:len(aborted)] == aborted
+
+
+def test_records_count_every_solve_of_an_adapted_step(tmp_path,
+                                                      monkeypatch):
+    # the records, with the solve an adaptation replaced, account for every
+    # conjugate-gradient iteration of the run
+    done = {"wave": 0, "pf": 0}
+
+    def counting(kind, solve):
+        def counted(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            done[kind] += report.iterations
+            return x, report
+        return counted
+
+    monkeypatch.setattr(dynamics, "solve_spd",
+                        counting("wave", dynamics.solve_spd))
+    monkeypatch.setattr(phasefield, "solve_spd",
+                        counting("pf", phasefield.solve_spd))
+    res = run(quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0))
+    firsts = [rec.first_solve for rec in res.records if rec.first_solve]
+    assert firsts
+    assert all(rec.first_solve is None for rec in res.records
+               if rec.adapt is None)
+    for kind in ("wave", "pf"):
+        name = f"{kind}_iterations"
+        assert sum(getattr(rec, name) for rec in res.records) \
+            + sum(first[name] for first in firsts) == done[kind]
+    assert done["pf"] > 0
 
 
 def test_initial_mesh_is_released_after_first_adaptation(tmp_path):

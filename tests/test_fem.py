@@ -111,6 +111,18 @@ def test_pattern_assembly_matches_coo_reference(mesh, data):
     assert M.nnz == mesh.n_vertices + 2 * mesh.n_edges
 
 
+@settings(max_examples=30, deadline=None)
+@given(adapted_meshes(), st.integers(0, 2 ** 32 - 1))
+def test_stiffness_data_equals_einsum_reference(mesh, seed):
+    c = np.random.default_rng(seed).uniform(0.0, 10.0, mesh.n_triangles)
+    ed = element_data(mesh)
+    G = ed["grads"]
+    local = np.einsum('nik,njk->nij', G, G) * (c * ed["area"])[:, None, None]
+    want = np.bincount(ed["slot"], weights=local.reshape(-1),
+                       minlength=len(ed["indices"]))
+    assert assemble_stiffness(mesh, c).data.tobytes() == want.tobytes()
+
+
 def test_returned_matrices_do_not_alias_the_pattern():
     mesh = adapt(unit_square(3), [0, 4, 9])
     first = assemble_stiffness(mesh, 1.0)

@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,59 @@ def test_snapshot_rewrite_identical(tmp_path):
     assert a == b
 
 
+def per_line_snapshot(snap):
+    """The snapshot text written one line and one f-string at a time."""
+    mesh = snap.mesh
+    lines = ["# vtk DataFile Version 3.0",
+             f"fracture state step {snap.step} time {snap.time:.9e}",
+             "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_vertices} double"]
+    lines += [f"{x:.9e} {y:.9e} {0.0:.9e}" for x, y in mesh.vertices]
+    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines.append(f"CELL_TYPES {mesh.n_triangles}")
+    lines += ["5"] * mesh.n_triangles
+    for kind, size, fields in (("POINT", mesh.n_vertices, snap.point_fields),
+                               ("CELL", mesh.n_triangles, snap.cell_fields)):
+        lines.append(f"{kind}_DATA {size}")
+        for name, values in fields.items():
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += [f"{x:.9e}" for x in values]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                     np.finfo(float).max, 0.5, 1.0 - 2.0 ** -53]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_whole_array_writer_equals_per_line_reference(tmp_path_factory, data):
+    nv = data.draw(st.integers(0, 12))
+    nt = data.draw(st.integers(0, 12))
+
+    def floats(*shape):
+        n = int(np.prod(shape))
+        return np.array(data.draw(st.lists(EDGE_FLOATS, min_size=n,
+                                           max_size=n)),
+                        dtype=np.float64).reshape(shape)
+
+    ids = data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=3 * nt,
+                             max_size=3 * nt))
+    mesh = SimpleNamespace(vertices=floats(nv, 2),
+                           triangles=np.array(ids, dtype=np.int64).reshape(
+                               nt, 3),
+                           n_vertices=nv, n_triangles=nt)
+    snap = fio.Snapshot(step=data.draw(st.integers(0, 10 ** 7)),
+                        time=float(floats(1)[0]), mesh=mesh,
+                        point_fields={"u": floats(nv), "v": floats(nv)},
+                        cell_fields={"estimator": floats(nt)})
+    path = fio.write_snapshot(snap, tmp_path_factory.mktemp("snap"))
+    assert path.read_text() == per_line_snapshot(snap)
+
+
 def test_stress_proxy_of_uniform_gradient():
     # |grad u| = 1 everywhere and intact damage give a unit energy density
     cfg = RunConfig.with_defaults(n0=2, n_steps=1, t_final=1.0, slit=False,
@@ -324,18 +378,21 @@ def test_cli_steps_override_and_run(tmp_path, capsys):
 
 def test_cli_prints_every_warning(tmp_path, capsys):
     # one staggered iteration per step cannot reach the sup-norm tolerance
-    # once the damage field moves
+    # once the damage field moves: every solve warns, the 9 steps' final
+    # solves and the 8 solves that an adaptation replaced
     p = tmp_path / "c.cfg"
     p.write_text("[mesh]\nn0 = 4\n[time]\nn_steps = 10\nt_final = 5\n"
                  "[tolerances]\nmax_inner = 1\n"
                  f"[output]\ndirectory = {tmp_path / 'o'}\n")
     assert fio.cli(["run", "--config", str(p)]) == 0
     captured = capsys.readouterr()
-    assert "9 warnings" in captured.out
+    assert "17 warnings" in captured.out
     warnings = [line for line in captured.err.splitlines()
                 if line.startswith("warning: ")]
-    assert len(warnings) == 9
-    assert "hit max_inner=1" in captured.err
+    assert len(warnings) == 17
+    assert all("hit max_inner=1" in line for line in warnings)
+    assert sum(line.startswith("warning: before adaptation: ")
+               for line in warnings) == 8
 
 
 def test_cli_check_config(tmp_path, capsys):

@@ -293,6 +293,16 @@ def test_fuzzed_adapt_chain_stays_conforming():
 # geometry
 # ----------------------------------------------------------------------
 
+def test_signed_areas_computed_once_and_read_only():
+    m = adapt(build_initial_mesh(DOMAIN3, SLIT, 4), [0, 5, 9])
+    first = m.signed_areas()
+    assert m.signed_areas() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    assert np.array_equal(geometry(m).area, first)
+
+
 def test_geometry_right_triangle():
     m = build_initial_mesh((1.0, 1.0), None, 1)
     g = geometry(m)
