@@ -45,6 +45,9 @@ class BoundaryLabel(str, Enum):
     SLIT = "slit"
 
 
+_LABELS = tuple(BoundaryLabel)
+
+
 def _edge_keys(a, b, n):
     """One int64 key per undirected edge, ordered like the sorted id pair."""
     return np.minimum(a, b) * n + np.maximum(a, b)
@@ -72,8 +75,10 @@ class AdaptSummary:
 @dataclass(eq=False)
 class InitialGrid:
     """The arguments of :func:`build_initial_mesh` an adapt chain started
-    from, shared by every generation of the chain.  ``_cache`` holds data
-    derived from the grid alone (the multigrid hierarchy)."""
+    from, shared by every generation of the chain; ``slit`` holds the
+    coordinates of the grid vertices at its ends.  The mesh layout and the
+    boundary labels follow from these fields.  ``_cache`` holds data derived
+    from the grid alone (the multigrid's grid meshes and prolongations)."""
 
     domain: tuple
     slit: tuple | None
@@ -93,24 +98,22 @@ class Mesh:
         Counterclockwise vertex ids, peak first (see module docstring).
     levels : (nt,) int array
         Number of bisections separating each triangle from the initial mesh.
-    boundary_labels : dict
-        Maps sorted vertex-id pairs of boundary edges to :class:`BoundaryLabel`.
     generation : int
         Monotone id, incremented by every adapt call.
     max_levels : int
         Cap on ``levels``; refinement beyond it is silently skipped.
     grid : InitialGrid or None
-        The initial grid of the adapt chain; None for a hand-built mesh.
+        The initial grid of the adapt chain; None for a hand-built mesh,
+        which has no boundary labels.
     """
 
-    def __init__(self, vertices, triangles, levels, boundary_labels,
-                 generation=0, max_levels=4, source_generation=-1,
-                 vertex_prov=None, adapt_summary=None, pair_tags=None,
-                 tag_counter=0, grid=None, validate=True):
+    def __init__(self, vertices, triangles, levels, generation=0,
+                 max_levels=4, source_generation=-1, vertex_prov=None,
+                 adapt_summary=None, pair_tags=None, tag_counter=0,
+                 grid=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.levels = np.ascontiguousarray(levels, dtype=np.int64)
-        self.boundary_labels = dict(boundary_labels)
         self.generation = int(generation)
         self.max_levels = int(max_levels)
         self.grid = grid
@@ -128,8 +131,7 @@ class Mesh:
         self.adapt_summary = adapt_summary
         self._build_edges()
         self._cache = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # ------------------------------------------------------------------
     # Derived connectivity
@@ -172,15 +174,27 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
+    def _boundary(self):
+        """Boundary edges and the index in ``_LABELS`` of each one's label,
+        computed once per mesh."""
+        out = self._cache.get("boundary")
+        if out is None:
+            out = self._cache["boundary"] = _label_boundary(self)
+        return out
+
+    @property
+    def boundary_labels(self):
+        """Maps sorted vertex-id pairs of boundary edges to
+        :class:`BoundaryLabel`; a new dict per call."""
+        edges, codes = self._boundary()
+        return {(a, b): _LABELS[c]
+                for (a, b), c in zip(edges.tolist(), codes.tolist())}
+
     def boundary_vertices(self, *labels):
         """Sorted vertex ids incident to boundary edges with any given label."""
-        want = {BoundaryLabel(l) for l in labels}
-        ids = set()
-        for (a, b), lab in self.boundary_labels.items():
-            if lab in want:
-                ids.add(a)
-                ids.add(b)
-        return np.array(sorted(ids), dtype=np.int64)
+        edges, codes = self._boundary()
+        want = [_LABELS.index(BoundaryLabel(l)) for l in labels]
+        return np.unique(edges[np.isin(codes, want)])
 
     def signed_areas(self):
         """Signed triangle areas, computed once per mesh; read-only."""
@@ -202,17 +216,9 @@ class Mesh:
         bad = np.where(areas <= 0)[0]
         if bad.size:
             raise ValueError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
-        # conformity: labels must cover exactly the boundary edges
-        bnd = self.edges[self.boundary_edge_mask]
-        lab = np.array(list(self.boundary_labels), dtype=np.int64).reshape(-1, 2)
-        lab = lab[np.lexsort((lab[:, 1], lab[:, 0]))]
-        if not np.array_equal(bnd, lab):
-            labelled = set(map(tuple, bnd.tolist()))
-            keys = set(self.boundary_labels)
-            missing = labelled - keys
-            extra = keys - labelled
-            raise ValueError(f"boundary label mismatch: missing={sorted(missing)[:4]} "
-                             f"extra={sorted(extra)[:4]}")
+        # conformity: a hanging node leaves a one-triangle edge inside the
+        # domain, which has no label
+        self._boundary()
         if (self.levels > self.max_levels).any():
             raise ValueError("refinement level exceeds cap")
 
@@ -231,18 +237,12 @@ class MeshGeometry:
 def geometry(mesh):
     """Compute per-triangle diameter, area, edge lengths and outward normals.
 
-    Raises
-    ------
-    ValueError
-        If a triangle is degenerate (non-positive area), naming it.
+    Every triangle has positive area: :class:`Mesh` rejects any other.
     """
     v = mesh.vertices
     t = mesh.triangles
     x = v[t]                                  # (nt, 3, 2)
     area = mesh.signed_areas()
-    bad = np.where(area <= 0)[0]
-    if bad.size:
-        raise ValueError(f"degenerate triangle {bad[0]}")
     # edge i runs opposite local vertex i
     tang = x[:, [2, 0, 1], :] - x[:, [1, 2, 0], :]     # (nt, 3, 2)
     lengths = np.linalg.norm(tang, axis=2)
@@ -265,6 +265,8 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
     Each grid cell is cut by one diagonal (direction alternating with cell
     parity), so the refinement edge of every initial triangle is its
     hypotenuse and uniform refinement exactly doubles the triangle count.
+    Cell ``c = j n0 + i`` (column ``i``, row ``j``) holds triangles ``2c``
+    and ``2c + 1``.
 
     Parameters
     ----------
@@ -305,9 +307,8 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
                               np.column_stack([lr, ul, ll]))],
                     axis=1).reshape(-1, 3)
 
-    slit_y = None
     if slit is not None:
-        sx0, sx1, sy = slit = tuple(map(float, slit))
+        sx0, sx1, sy = map(float, slit)
         if not (sx0 < sx1):
             raise ValueError("slit must have positive length")
         jy = sy / dy
@@ -319,39 +320,21 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
                 raise ValueError(f"slit endpoint x={xe} is not a grid vertex")
         jy = int(round(jy))
         i0, i1 = int(round(sx0 / dx)), int(round(sx1 / dx))
-        slit_y = ys[jy]
+        # the slit as the vertices carry it, so labels compare exactly
+        slit = (float(xs[i0]), float(xs[i1]), float(ys[jy]))
 
-        # duplicate grid vertices on the slit, excluding interior tips
-        dup_is = list(range(i0, i1 + 1))
-        if sx0 > 0.0:                      # interior left endpoint is a tip
-            dup_is.remove(i0)
-        if sx1 < lx:                       # interior right endpoint is a tip
-            dup_is.remove(i1)
-        verts_list = [verts]
-        upper_of = {}
-        for i in dup_is:
-            old = vid(i, jy)
-            upper_of[old] = len(verts) + len(upper_of)
-            verts_list.append(verts[old:old + 1])
-        verts = np.vstack(verts_list)
-
-        # triangles above the slit line use the upper copies
-        cy = verts[tris].mean(axis=1)[:, 1]
-        above = cy > slit_y
-        for old, new in upper_of.items():
-            hit = above & (tris == old).any(axis=1)
-            rows = np.where(hit)[0]
-            for r in rows:
-                tris[r][tris[r] == old] = new
+        # grid vertices on the slit get an upper copy, except interior tips;
+        # triangles above the slit line use the copies
+        dup = vid(np.arange(i0 + (i0 > 0), i1 + 1 - (i1 < n0)), jy)
+        upper_of = np.arange(len(verts))
+        upper_of[dup] = len(verts) + np.arange(len(dup))
+        verts = np.vstack([verts, verts[dup]])
+        above = verts[tris].mean(axis=1)[:, 1] > slit[2]
+        tris[above] = upper_of[tris[above]]
 
     # peak = vertex opposite the longest edge (ties by first occurrence)
     tris = _orient_peak_longest_edge(verts, tris)
-
-    levels = np.zeros(len(tris), dtype=np.int64)
-    mesh = Mesh(verts, tris, levels, {}, generation=0, max_levels=max_levels,
-                validate=False)
-    labels = _label_boundary(mesh, lx, ly, slit_y)
-    return Mesh(verts, tris, levels, labels, generation=0,
+    return Mesh(verts, tris, np.zeros(len(tris), dtype=np.int64),
                 max_levels=max_levels, grid=InitialGrid((lx, ly), slit, n0))
 
 
@@ -367,29 +350,44 @@ def _orient_peak_longest_edge(verts, tris):
     return out
 
 
-def _label_boundary(mesh, lx, ly, slit_y):
-    v = mesh.vertices
-    labels = {}
-    for a, b in mesh.edges[mesh.boundary_edge_mask]:
-        pa, pb = v[a], v[b]
-        mid = 0.5 * (pa + pb)
-        if pa[1] == 0.0 and pb[1] == 0.0:
-            lab = BoundaryLabel.BOTTOM
-        elif pa[1] == ly and pb[1] == ly:
-            lab = BoundaryLabel.TOP
-        elif pa[0] == lx and pb[0] == lx:
-            lab = BoundaryLabel.RIGHT
-        elif pa[0] == 0.0 and pb[0] == 0.0:
-            if slit_y is None or mid[1] > slit_y:
-                lab = BoundaryLabel.LEFT_UPPER
-            else:
-                lab = BoundaryLabel.LEFT_LOWER
-        elif slit_y is not None and pa[1] == slit_y and pb[1] == slit_y:
-            lab = BoundaryLabel.SLIT
-        else:
-            raise ValueError(f"cannot label boundary edge {(a, b)} at {mid}")
-        labels[(int(a), int(b))] = lab
-    return labels
+def _label_boundary(mesh):
+    """Boundary edges of ``mesh`` and the index in ``_LABELS`` of each one's
+    label, read off the endpoint coordinates.
+
+    A bisection midpoint of a boundary edge lies exactly on that edge's line,
+    so every boundary edge has both endpoints on a side of the rectangle or
+    on the slit.  A mesh without an initial grid has no labels.
+
+    Raises
+    ------
+    ValueError
+        If a boundary edge lies off the sides and off the slit, as the
+        one-triangle edge at a hanging node does.
+    """
+    edges = mesh.edges[mesh.boundary_edge_mask]
+    if mesh.grid is None:
+        return edges[:0], np.empty(0, dtype=np.int64)
+    (lx, ly), slit = mesh.grid.domain, mesh.grid.slit
+    ends = mesh.vertices[edges]                 # (k, 2, 2)
+    x, y = ends[:, :, 0], ends[:, :, 1]
+    left = (x == 0.0).all(axis=1)
+    upper = np.ones(len(ends), dtype=bool)
+    on_slit = np.zeros(len(ends), dtype=bool)
+    if slit is not None:
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        upper = mid[:, 1] > slit[2]
+        on_slit = ((y == slit[2]).all(axis=1) & (mid[:, 0] >= slit[0])
+                   & (mid[:, 0] <= slit[1]))
+    # one condition per label, in the order of _LABELS
+    conds = [(y == 0.0).all(axis=1), (x == lx).all(axis=1),
+             (y == ly).all(axis=1), left & upper, left & ~upper, on_slit]
+    codes = np.select(conds, np.arange(len(conds)), default=-1)
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        a, b = edges[bad[0]].tolist()
+        mid = 0.5 * (ends[bad[0], 0] + ends[bad[0], 1])
+        raise ValueError(f"cannot label boundary edge {(a, b)} at {mid}")
+    return edges, codes
 
 
 # ----------------------------------------------------------------------
@@ -420,10 +418,10 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
 
     marked = _closure(mesh, refine_ids, summary)
     coarse = _coarsen(mesh, coarsen_ids, marked, summary)
-    verts, tris, levels, tags, counter, labels, prov = _refine(
+    verts, tris, levels, tags, counter, prov = _refine(
         *coarse, mesh.tag_counter)
 
-    return Mesh(verts, tris, levels, labels,
+    return Mesh(verts, tris, levels,
                 generation=mesh.generation + 1, max_levels=mesh.max_levels,
                 source_generation=mesh.generation, vertex_prov=prov,
                 pair_tags=tags, tag_counter=counter, adapt_summary=summary,
@@ -484,13 +482,6 @@ def _closure(mesh, refine_ids, summary):
     summary.skipped_capped = int((~done).sum())
     summary.refined = int(marked[T[:, 0]].sum())
     return marked
-
-
-def _label_arrays(labels):
-    """Boundary label dict as arrays (first ids, second ids, labels)."""
-    keys = np.array(list(labels), dtype=np.int64).reshape(-1, 2)
-    return keys[:, 0], keys[:, 1], np.fromiter(labels.values(), dtype=object,
-                                               count=len(labels))
 
 
 def _find_keys(table, keys):
@@ -601,22 +592,7 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     summary.coarsened_pairs = len(right)
     summary.skipped_coarsen = int(elig.sum() - 2 * len(right))
 
-    # sibling boundary edges (m, p1) and (m, p2) merge into (p1, p2)
-    m, p0, p1, p2 = t[right, 0], t[right, 2], t[left, 2], t[right, 1]
-    la, lb, lab = _label_arrays(mesh.boundary_labels)
-    table = la * nv + lb
-    k1 = _find_keys(table, _edge_keys(m, p1, nv))
-    k2 = _find_keys(table, _edge_keys(m, p2, nv))
-    merge = (k1 >= 0) | (k2 >= 0)
-    if (k1[merge] < 0).any() or (k2[merge] < 0).any() or \
-            (lab[k1[merge]] != lab[k2[merge]]).any():
-        raise ValueError("inconsistent labels on sibling boundary edges")
-    drop = np.zeros(len(table), dtype=bool)
-    drop[k1[merge]] = drop[k2[merge]] = True
-    la = np.concatenate([la[~drop], np.minimum(p1, p2)[merge]])
-    lb = np.concatenate([lb[~drop], np.maximum(p1, p2)[merge]])
-    lab = np.concatenate([lab[~drop], lab[k1[merge]]])
-
+    p0, p1, p2 = t[right, 2], t[left, 2], t[right, 1]
     keep_vert = np.ones(nv, dtype=bool)
     keep_vert[gone] = False
     old2new = np.cumsum(keep_vert) - 1
@@ -625,16 +601,14 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     tris = old2new[np.vstack([t[keep_tri], np.column_stack([p0, p1, p2])])]
     levels = np.concatenate([lev[keep_tri], lev[right] - 1])
     new_tags = np.concatenate([tags[keep_tri], np.full(len(right), -1)])
-    labels = (old2new[la], old2new[lb], lab)
     n = int(keep_vert.sum())
     e = mesh.edges[marked]
     marked_keys = old2new[e[:, 0]] * n + old2new[e[:, 1]]
     prov = np.column_stack([np.flatnonzero(keep_vert), np.full(n, -1)])
-    return v[keep_vert], tris, levels, new_tags, labels, prov, marked_keys
+    return v[keep_vert], tris, levels, new_tags, prov, marked_keys
 
 
-def _refine(verts, tris, levels, tags, labels, prov, marked_keys,
-            tag_counter):
+def _refine(verts, tris, levels, tags, prov, marked_keys, tag_counter):
     """Bisect every triangle whose refinement edge is marked.
 
     A bisected triangle ``(v0, v1, v2)`` splits at the midpoint ``m`` of
@@ -685,22 +659,9 @@ def _refine(verts, tris, levels, tags, labels, prov, marked_keys,
                                                 n2 * (1 + n1), 1 + n1])
     counter = tag_counter + int(step.sum())
 
-    # a labelled edge hands its label to both halves, (a, m) then (b, m)
-    la, lb, lab = labels
-    hit = _find_keys(la * n + lb, _edge_keys(ma, mb, n))
-    split = hit >= 0
-    kept = np.ones(len(la), dtype=bool)
-    kept[hit[split]] = False
-    new_ids = n + np.arange(len(ma))[split]
-    la = np.concatenate([la[kept], np.column_stack([ma[split], mb[split]]).ravel()])
-    lb = np.concatenate([lb[kept], np.repeat(new_ids, 2)])
-    lab = np.concatenate([lab[kept], np.repeat(lab[hit[split]], 2)])
-    keys = zip(np.minimum(la, lb).tolist(), np.maximum(la, lb).tolist())
-
     return (np.vstack([verts, 0.5 * (verts[ma] + verts[mb])]),
             np.vstack([tris[~ref], kids[real]]),
             np.concatenate([levels[~ref], kid_levels[real]]),
             np.concatenate([tags[~ref], kid_tags[real]]),
             counter,
-            dict(zip(keys, lab)),
             np.vstack([prov, np.column_stack([ma, mb])]))

@@ -3,12 +3,16 @@
 The levels are the current mesh, then the ``n0 x n0`` grid its adapt chain
 started from, then ``n0/2``, ``n0/4``, ... down to the first grid with at
 most ``COARSE_DOFS`` dofs, or to the last one whose grid lines still carry
-the slit.  The grids are nested.  The current mesh need not be nested in
+the slit.  Every grid level is the mesh :func:`build_initial_mesh` builds
+for its size, so the layout of the split quads and of the slit copies has
+one source.  The grids are nested.  The current mesh need not be nested in
 the ``n0`` grid (the structural coarsening pass can merge same-level
 triangles of different initial triangles), so every prolongation is P1
-interpolation at the finer vertices, and a vertex on the slit takes the
-grid copy on its own face.  Interpolation from a continuous coarse space
-gives an SPD preconditioner whether or not the spaces nest.
+interpolation at the finer vertices: each vertex is located in the two
+triangles of its grid cell, and a vertex on the slit takes the cell on its
+own face, the upper one if a triangle above the slit line uses it.
+Interpolation from a continuous coarse space gives an SPD preconditioner
+whether or not the spaces nest.
 
 Per system the coarse operators are Galerkin products ``P^T A P``, with the
 rows of ``P`` that belong to pinned dofs zeroed, and the coarsest grid is
@@ -24,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import build_initial_mesh
+
 __all__ = ["VCycle", "vcycle", "mesh_prolongation", "grid_prolongations"]
 
 COARSE_DOFS = 100       # coarsening stops at the first grid this small
@@ -31,142 +37,97 @@ DENSE_MAX = 400         # largest coarsest grid that is inverted densely
 OMEGA = 0.7             # Jacobi damping
 
 
-def _slit_indices(grid, n):
-    """``(i0, i1, jy)`` of the slit on the ``n`` grid, or None if its
-    endpoints or its height leave the grid lines."""
-    (lx, ly), (sx0, sx1, sy) = grid.domain, grid.slit
-    out = (sx0 * n / lx, sx1 * n / lx, sy * n / ly)
-    if any(abs(q - round(q)) > 1e-9 for q in out):
-        return None
-    return tuple(int(round(q)) for q in out)
+def _upper(mesh):
+    """Flags the vertices used by a triangle above the slit line: on the
+    slit, those of its upper face."""
+    upper = np.zeros(mesh.n_vertices, dtype=bool)
+    if mesh.grid.slit is not None:
+        t = mesh.triangles
+        above = mesh.vertices[t, 1].mean(axis=1) > mesh.grid.slit[2]
+        upper[t[above].ravel()] = True
+    return upper
 
 
-def _grid_levels(grid):
-    """Subdivisions of the grid levels: ``n0``, ``n0/2``, ... ."""
-    sizes = [grid.n0]
-    while _n_dofs(grid, sizes[-1]) > COARSE_DOFS and sizes[-1] % 2 == 0:
-        n = sizes[-1] // 2
-        if grid.slit is not None and _slit_indices(grid, n) is None:
-            break
-        sizes.append(n)
-    return sizes
+def _corner_areas(mesh, tris, x, y):
+    """For each point ``(x, y)`` and each corner of its triangle in
+    ``tris``, twice the signed area spanned by the point and the two other
+    corners: the barycentric weights of the point times a common factor."""
+    dx = mesh.vertices[:, 0][tris] - x[:, None]
+    dy = mesh.vertices[:, 1][tris] - y[:, None]
+    return (dx[:, [1, 2, 0]] * dy[:, [2, 0, 1]]
+            - dy[:, [1, 2, 0]] * dx[:, [2, 0, 1]])
 
 
-def _upper_ids(grid, n):
-    """Dof of every base vertex ``j (n+1) + i`` as seen from above the slit:
-    the vertex itself, or its upper copy where the slit duplicates it.
-    Copies are numbered after the base vertices, as in the initial mesh."""
-    nb = (n + 1) ** 2
-    ids = np.arange(nb)
-    if grid.slit is not None:
-        i0, i1, jy = _slit_indices(grid, n)
-        lx = grid.domain[0]
-        dup = np.arange(i0 + (grid.slit[0] > 0.0),
-                        i1 + 1 - (grid.slit[1] < lx))
-        ids[jy * (n + 1) + dup] = nb + np.arange(len(dup))
-    return ids
+def _interpolation(coarse, pts, upper):
+    """P1 interpolation from the grid mesh ``coarse`` at ``pts``, as a CSR
+    matrix.
 
-
-def _n_dofs(grid, n):
-    return int(_upper_ids(grid, n).max()) + 1
-
-
-def _grid_points(grid, n):
-    """Coordinates of the ``n`` grid dofs and a flag for upper slit copies."""
-    lx, ly = grid.domain
-    xx, yy = np.meshgrid(np.linspace(0.0, lx, n + 1),
-                         np.linspace(0.0, ly, n + 1), indexing="xy")
-    base = np.column_stack([xx.ravel(), yy.ravel()])
-    up_ids = _upper_ids(grid, n)
-    copied = np.flatnonzero(up_ids >= len(base))
-    pts = np.vstack([base, base[copied]])
-    upper = np.arange(len(pts)) >= len(base)
-    return pts, upper
-
-
-def _interpolation(grid, n, pts, upper):
-    """P1 interpolation from the ``n`` grid at ``pts``, as a CSR matrix.
-
-    ``upper`` flags the points that lie on the upper face of the slit; a
-    point on the slit interpolates from the cell on its own side.  Cells of
-    even parity ``i + j`` are cut by the diagonal from their lower-left to
-    their upper-right corner, odd ones by the other diagonal.
+    Each point is located in the two triangles ``2c`` and ``2c + 1`` of its
+    grid cell ``c`` and weighted by its barycentric coordinates in the one
+    that holds it.  A point on the slit takes the cell on its own face,
+    above the slit line where ``upper`` flags it.
     """
-    lx, ly = grid.domain
-    s = pts[:, 0] * (n / lx)
-    t = pts[:, 1] * (n / ly)
-    i = np.clip(np.floor(s), 0, n - 1).astype(np.int64)
-    j = np.clip(np.floor(t), 0, n - 1).astype(np.int64)
+    grid = coarse.grid
+    n, (lx, ly) = grid.n0, grid.domain
+    x, y = pts.T
+    i = np.clip(np.floor(x * (n / lx)), 0, n - 1).astype(np.int64)
+    j = np.clip(np.floor(y * (n / ly)), 0, n - 1).astype(np.int64)
     if grid.slit is not None:
-        i0, i1, jy = _slit_indices(grid, n)
-        tol = 1e-9
-        on = (np.abs(t - jy) <= tol) & (s >= i0 - tol) & (s <= i1 + tol)
+        sx0, sx1, sy = grid.slit
+        on = (y == sy) & (x >= sx0) & (x <= sx1)
+        jy = round(sy * (n / ly))
         j = np.where(on, np.where(upper, jy, jy - 1), j)
-    ll = j * (n + 1) + i
-    lr, ul = ll + 1, ll + n + 1
-    ur = ul + 1
-    if grid.slit is not None:
-        # cells above the slit line use the upper copies of its vertices
-        up_ids = _upper_ids(grid, n)
-        above = j == jy
-        ll = np.where(above, up_ids[ll], ll)
-        lr = np.where(above, up_ids[lr], lr)
-    s = np.clip(s - i, 0.0, 1.0)
-    t = np.clip(t - j, 0.0, 1.0)
-
-    even = (i + j) % 2 == 0
-    lower = np.where(even, s >= t, s + t <= 1.0)
-    cases = [even & lower, even & ~lower, ~even & lower, ~even & ~lower]
-    cols = np.select([c[:, None] for c in cases], [
-        np.column_stack([ll, lr, ur]),
-        np.column_stack([ll, ur, ul]),
-        np.column_stack([ll, lr, ul]),
-        np.column_stack([lr, ur, ul])])
-    w = np.select([c[:, None] for c in cases], [
-        np.column_stack([1.0 - s, s - t, t]),
-        np.column_stack([1.0 - t, s, t - s]),
-        np.column_stack([1.0 - s - t, s, t]),
-        np.column_stack([1.0 - t, s + t - 1.0, 1.0 - s])])
-    w = np.maximum(w, 0.0)
+    pair = coarse.triangles.reshape(-1, 2, 3)[j * n + i]      # (np, 2, 3)
+    cols = pair[:, 0]
+    w = _corner_areas(coarse, cols, x, y)
+    # a point outside the first triangle goes to the second where that one
+    # holds it better, the least corner area being the larger
+    out = np.flatnonzero(w.min(axis=1) < 0.0)
+    w2 = _corner_areas(coarse, pair[out, 1], x[out], y[out])
+    better = w2.min(axis=1) > w[out].min(axis=1)
+    out = out[better]
+    cols[out], w[out] = pair[out, 1], w2[better]
+    np.maximum(w, 0.0, out=w)
     w /= w.sum(axis=1, keepdims=True)
     keep = w > 0.0
     rows = np.repeat(np.arange(len(pts)), 3).reshape(-1, 3)
     return sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
-                         shape=(len(pts), _n_dofs(grid, n)))
+                         shape=(len(pts), coarse.n_vertices))
+
+
+def _hierarchy(grid):
+    """The grid meshes ``n0``, ``n0/2``, ... and ``(P, P^T)`` from each to
+    the next finer one, built once per initial grid and kept in its cache."""
+    cached = grid._cache.get("mg")
+    if cached is None:
+        meshes = [build_initial_mesh(grid.domain, grid.slit, grid.n0)]
+        n = grid.n0
+        while meshes[-1].n_vertices > COARSE_DOFS and n % 2 == 0:
+            n //= 2
+            try:
+                meshes.append(build_initial_mesh(grid.domain, grid.slit, n))
+            except ValueError:      # the slit leaves the coarser grid lines
+                break
+        levels = []
+        for fine, coarse in zip(meshes, meshes[1:]):
+            P = _interpolation(coarse, fine.vertices, _upper(fine))
+            levels.append((P, P.T.tocsr()))
+        cached = grid._cache["mg"] = (meshes, levels)
+    return cached
 
 
 def grid_prolongations(grid):
-    """``(P, P^T)`` from each grid level to the next finer one, built once
-    per initial grid and kept in its cache."""
-    levels = grid._cache.get("mg")
-    if levels is None:
-        sizes = _grid_levels(grid)
-        levels = []
-        for fine, coarse in zip(sizes, sizes[1:]):
-            P = _interpolation(grid, coarse, *_grid_points(grid, fine))
-            levels.append((P, P.T.tocsr()))
-        grid._cache["mg"] = levels
-    return levels
+    """``(P, P^T)`` from each grid level to the next finer one."""
+    return _hierarchy(grid)[1]
 
 
 def mesh_prolongation(mesh):
-    """``(P, P^T)`` from the ``n0`` grid to ``mesh``, kept in its cache.
-
-    A vertex lies on the upper face of the slit if a triangle that uses it
-    lies above the slit line.
-    """
+    """``(P, P^T)`` from the ``n0`` grid to ``mesh``, kept in its cache."""
     cached = mesh._cache.get("mg")
     if cached is None:
-        upper = np.zeros(mesh.n_vertices, dtype=bool)
-        if mesh.grid.slit is not None:
-            t = mesh.triangles
-            tri_of = np.empty(mesh.n_vertices, dtype=np.int64)
-            tri_of[t.ravel()] = np.repeat(np.arange(len(t)), 3)
-            cy = mesh.vertices[t[tri_of], 1].mean(axis=1)
-            upper = cy > mesh.grid.slit[2]
-        P = _interpolation(mesh.grid, mesh.grid.n0, mesh.vertices, upper)
-        cached = (P, P.T.tocsr())
-        mesh._cache["mg"] = cached
+        P = _interpolation(_hierarchy(mesh.grid)[0][0], mesh.vertices,
+                           _upper(mesh))
+        cached = mesh._cache["mg"] = (P, P.T.tocsr())
     return cached
 
 

@@ -150,12 +150,9 @@ def test_returned_matrices_do_not_alias_the_pattern():
 
 def test_element_mass_single_triangle():
     import fracture_afem.mesh as M
-    from fracture_afem.mesh import BoundaryLabel
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    labels = {(0, 1): BoundaryLabel.BOTTOM, (1, 2): BoundaryLabel.RIGHT,
-              (0, 2): BoundaryLabel.LEFT_UPPER}
-    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int), labels)
+    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int))
     Mm = assemble_mass(mesh, 1.0).toarray()
     expected = (0.5 / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.allclose(Mm, expected)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracture_afem.fem import FeFunction, transfer
 from fracture_afem.mesh import (BoundaryLabel, adapt, build_initial_mesh,
                                 geometry)
+from test_multigrid import adapted_slit_meshes
 
 DOMAIN3 = (3.0, 3.0)
 SLIT = (0.0, 1.5, 1.5)
@@ -115,6 +116,33 @@ def test_boundary_labels_cover_fig_layout():
             assert mid[0] == 0.0 and mid[1] < 1.5
         elif lab is BoundaryLabel.SLIT:
             assert mid[1] == 1.5 and mid[0] < 1.5
+
+
+def test_slit_row_off_its_decimal_value_still_labels_and_loads():
+    # the grid row of y = 0.3 on ten cells of [0, 1] is 0.30000000000000004
+    from fracture_afem.driver import RunConfig, build_dirichlet
+    from fracture_afem.multigrid import mesh_prolongation
+    m = build_initial_mesh((1.0, 1.0), (0.0, 0.5, 0.3), 10)
+    row = np.linspace(0.0, 1.0, 11)[3]
+    assert row != 0.3 and m.grid.slit == (0.0, 0.5, row)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        n = m.n_triangles
+        refine = rng.choice(n, n // 4, replace=False)
+        m = adapt(m, refine, np.setdiff1d(rng.choice(n, n // 3), refine))
+    check_conforming(m)
+    slit_edges = [e for e, lab in m.boundary_labels.items()
+                  if lab is BoundaryLabel.SLIT]
+    assert slit_edges and (m.vertices[np.ravel(slit_edges), 1] == row).all()
+    ds = build_dirichlet(m, 1.0, RunConfig.with_defaults(
+        lx=1.0, ly=1.0, n0=10, slit_x_end=0.5, slit_y=0.3).loading)
+    x, y = m.vertices[ds.dofs].T
+    on = y == row                              # both copies of (0, row)
+    assert (x == 0.0).all() and on.sum() == 2
+    assert np.sign(ds.values[on]).tolist() in ([1.0, -1.0], [-1.0, 1.0])
+    assert ((ds.values > 0) == (y > row))[~on].all()
+    P, _ = mesh_prolongation(m)
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
 def test_slit_separation_no_edge_across_faces():
@@ -314,20 +342,17 @@ def test_geometry_equilateral_shape_ratio():
     import fracture_afem.mesh as M
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     tris = np.array([[0, 1, 2]])
-    labels = {(0, 1): BoundaryLabel.BOTTOM, (1, 2): BoundaryLabel.RIGHT,
-              (0, 2): BoundaryLabel.LEFT_UPPER}
-    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int), labels)
+    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int))
     g = geometry(mesh)
     assert np.isclose(g.shape_ratio[0], np.sqrt(3.0))
 
 
-def test_geometry_rejects_degenerate_triangle():
+def test_mesh_rejects_degenerate_triangle():
     import fracture_afem.mesh as M
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     tris = np.array([[0, 1, 2]])
-    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int), {}, validate=False)
-    with pytest.raises(ValueError, match="degenerate triangle 0"):
-        geometry(mesh)
+    with pytest.raises(ValueError, match="triangle 0 has non-positive area"):
+        M.Mesh(verts, tris, np.zeros(1, dtype=int))
 
 
 def test_geometry_normal_closure():
@@ -461,6 +486,30 @@ def initial_meshes(draw):
 
 def draw_ids(draw, n):
     return sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 40))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(adapted_slit_meshes())
+def test_labels_follow_the_boundary_through_adaptation(mesh):
+    from collections import Counter
+    grid = mesh.grid
+
+    def lengths(m):
+        out = dict.fromkeys(BoundaryLabel, 0.0)
+        for (a, b), lab in m.boundary_labels.items():
+            out[lab] += np.linalg.norm(m.vertices[a] - m.vertices[b])
+        return out
+
+    start = build_initial_mesh(grid.domain, grid.slit, grid.n0)
+    assert lengths(mesh) == pytest.approx(lengths(start), rel=1e-12)
+    v = mesh.vertices
+    cnt = Counter(tuple(sorted(e)) for a, b, c in mesh.triangles.tolist()
+                  for e in ((a, b), (b, c), (c, a)))
+    left_upper = {i for e, c in cnt.items() if c == 1
+                  and (v[list(e), 0] == 0.0).all()
+                  and v[list(e), 1].mean() > grid.slit[2] for i in e}
+    assert mesh.boundary_vertices(BoundaryLabel.LEFT_UPPER).tolist() \
+        == sorted(left_upper)
 
 
 @settings(max_examples=40, deadline=None)

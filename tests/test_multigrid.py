@@ -42,9 +42,13 @@ def face_field(pts, upper, slit):
                                               0.0)
 
 
-def grid_field(grid, n):
-    pts, upper = mg._grid_points(grid, n)
-    return face_field(pts, upper | (pts[:, 1] > grid.slit[2]), grid.slit)
+def grid_meshes(grid):
+    return mg._hierarchy(grid)[0]
+
+
+def grid_field(mesh):
+    return face_field(mesh.vertices, on_upper_face(mesh, mesh.grid.slit),
+                      mesh.grid.slit)
 
 
 @st.composite
@@ -70,23 +74,25 @@ def adapted_slit_meshes(draw):
 def test_mesh_prolongation_interpolates_each_face(mesh):
     P, R = mg.mesh_prolongation(mesh)
     grid = mesh.grid
-    assert P.shape == (mesh.n_vertices, mg._n_dofs(grid, grid.n0))
+    coarse = grid_meshes(grid)[0]
+    assert P.shape == (mesh.n_vertices, coarse.n_vertices)
     assert (P.data >= 0.0).all() and (P.data <= 1.0).all()
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
     assert (R != P.T).nnz == 0
     want = face_field(mesh.vertices, on_upper_face(mesh, grid.slit),
                       grid.slit)
-    got = P @ grid_field(grid, grid.n0)
+    got = P @ grid_field(coarse)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_grid_levels_stop_at_small_grid_or_off_grid_slit():
     def sizes(slit, n0):
-        return mg._grid_levels(build_initial_mesh(DOMAIN3, slit, n0).grid)
+        grid = build_initial_mesh(DOMAIN3, slit, n0).grid
+        return [m.grid.n0 for m in grid_meshes(grid)]
 
     assert sizes(EDGE_SLIT, 64) == [64, 32, 16, 8]
-    assert [mg._n_dofs(build_initial_mesh(DOMAIN3, EDGE_SLIT, 16).grid, n)
-            for n in (16, 8)] == [297, 85]
+    assert [m.n_vertices for m in grid_meshes(
+        build_initial_mesh(DOMAIN3, EDGE_SLIT, 16).grid)] == [297, 85]
     assert sizes(None, 4) == [4]
     assert sizes(INNER_SLIT, 16) == [16, 8]
     # the tip at 0.75 is on the 12-grid but not on the 6-grid
@@ -96,14 +102,14 @@ def test_grid_levels_stop_at_small_grid_or_off_grid_slit():
 
 def test_grid_prolongations_are_exact_between_levels():
     grid = build_initial_mesh(DOMAIN3, EDGE_SLIT, 32).grid
-    sizes = mg._grid_levels(grid)
+    meshes = grid_meshes(grid)
     levels = mg.grid_prolongations(grid)
-    assert len(levels) == len(sizes) - 1
-    for (P, R), fine, coarse in zip(levels, sizes, sizes[1:]):
-        assert P.shape == (mg._n_dofs(grid, fine), mg._n_dofs(grid, coarse))
+    assert len(levels) == len(meshes) - 1
+    for (P, R), fine, coarse in zip(levels, meshes, meshes[1:]):
+        assert P.shape == (fine.n_vertices, coarse.n_vertices)
         assert (R != P.T).nnz == 0
-        assert np.allclose(P @ grid_field(grid, coarse),
-                           grid_field(grid, fine), rtol=0.0, atol=1e-12)
+        assert np.allclose(P @ grid_field(coarse), grid_field(fine),
+                           rtol=0.0, atol=1e-12)
     assert mg.grid_prolongations(grid) is levels
 
 
@@ -177,8 +183,9 @@ def test_vcycle_cuts_iterations_on_adapted_slit_mesh():
 def test_large_coarsest_grid_is_smoothed_not_inverted():
     # an odd n0 cannot be halved, so the coarsest level is the whole grid
     mesh = adapt(build_initial_mesh(DOMAIN3, None, 21), range(0, 800, 7))
-    assert mg._grid_levels(mesh.grid) == [21]
-    assert mg._n_dofs(mesh.grid, 21) > mg.DENSE_MAX
+    meshes = grid_meshes(mesh.grid)
+    assert [m.grid.n0 for m in meshes] == [21]
+    assert meshes[0].n_vertices > mg.DENSE_MAX
     Ac, bc = pinned_system(mesh, np.arange(5))
     B = mg.vcycle(Ac, mesh, np.arange(5))
     assert B.coarse_inv is None
@@ -191,7 +198,7 @@ def test_large_coarsest_grid_is_smoothed_not_inverted():
 
 def test_mesh_without_grid_gets_one_jacobi_sweep():
     ref = build_initial_mesh((1.0, 1.0), None, 3)
-    mesh = Mesh(ref.vertices, ref.triangles, ref.levels, ref.boundary_labels)
+    mesh = Mesh(ref.vertices, ref.triangles, ref.levels)
     assert mesh.grid is None
     A = (assemble_stiffness(mesh, 1.0)
          + sp.identity(mesh.n_vertices, format="csr"))
