@@ -30,8 +30,7 @@ for eta in (0.0, 0.05):
     for n in range(2, 61):
         u, _, _ = step_displacement(state, k, ds, params=mp)
         du = FeFunction((u.values - state.u_curr.values) / k, mesh.generation)
-        state.u_prev, state.u_curr, state.du, state.n = \
-            state.u_curr, u, du, state.n + 1
+        state.u_curr, state.du, state.n = u, du, state.n + 1
         kin = 0.5 * (du.values @ (M @ du.values))
         strn = 0.5 * (u.values @ (A @ u.values))
         if e0 is None:

@@ -391,33 +391,27 @@ def staggered_step(state, t_n, cfg):
     rec.shortcut = vrep["shortcut"]
 
     # work of the reaction forces over this step's boundary increment
-    g_now = boundary_ramp(min(t_n, cfg.loading.t_g), cfg.loading)
-    g_prev = boundary_ramp(min(t_n - k, cfg.loading.t_g), cfg.loading)
-    signs = np.sign(ds.values) if g_now != 0 else np.zeros(len(ds.values))
-    dg = (g_now - g_prev) * signs
-    rec.boundary_work = float(reactions[ds.dofs] @ dg) if len(ds.dofs) \
-        else 0.0
+    dg = ds.values - build_dirichlet(mesh, t_n - k, cfg.loading).values
+    rec.boundary_work = float(reactions[ds.dofs] @ dg)
 
     crack_new = update_crack_set(v_iter, mesh, tol.xi_cr, state.crack)
     rec.new_pins = len(crack_new.ids) - len(state.crack.ids)
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
-    new_state = DynamicState(n=state.n + 1, u_prev=state.u_curr,
-                             u_curr=u_new, du=du, v=v_iter,
+    new_state = DynamicState(n=state.n + 1, u_curr=u_new, du=du, v=v_iter,
                              crack=crack_new, mesh=mesh)
     return new_state, rec
 
 
-def transfer_state(state, src_mesh, dst_mesh, crack_from=None):
-    """Carry a snapshot to a new generation; the crack set may be taken from
-    a later snapshot (irreversibility propagates forward)."""
-    crack_src = crack_from if crack_from is not None else state.crack
+def transfer_state(state, src_mesh, dst_mesh, crack_from):
+    """Carry a snapshot to a new generation with the crack set
+    ``crack_from``, which may be a later snapshot's (irreversibility
+    propagates forward)."""
     return DynamicState(
         n=state.n,
-        u_prev=transfer(state.u_prev, src_mesh, dst_mesh),
         u_curr=transfer(state.u_curr, src_mesh, dst_mesh),
         du=transfer(state.du, src_mesh, dst_mesh),
         v=transfer(state.v, src_mesh, dst_mesh),
-        crack=crack_src.transfer(src_mesh, dst_mesh),
+        crack=crack_from.transfer(src_mesh, dst_mesh),
         mesh=dst_mesh)
 
 

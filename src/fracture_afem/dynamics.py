@@ -94,23 +94,16 @@ class DynamicState:
     """One snapshot of the staggered evolution.
 
     ``u_curr`` and ``du`` are the displacement and its backward difference at
-    time index ``n``; ``u_prev`` is the displacement one step back.  All
-    fields are bound to ``mesh``.
+    time index ``n``, ``v`` the damage field and ``crack`` the pinned dofs.
+    All fields are bound to ``mesh``.
     """
 
     n: int
-    u_prev: FeFunction
     u_curr: FeFunction
     du: FeFunction
     v: FeFunction
     crack: "CrackSet"
     mesh: "Mesh"
-
-    def check(self):
-        for f in (self.u_prev, self.u_curr, self.du, self.v):
-            f.check_bound(self.mesh)
-        if (self.v.values < 0).any() or (self.v.values > 1).any():
-            raise ValueError("damage field out of [0, 1]")
 
 
 def init_state(mesh, u0, u1, k1):
@@ -121,11 +114,10 @@ def init_state(mesh, u0, u1, k1):
     u1.check_bound(mesh)
     if k1 <= 0:
         raise ValueError("k1 must be positive")
-    u_prev = FeFunction(u0.values.copy(), mesh.generation)
     du = FeFunction(u1.values.copy(), mesh.generation)
     u_curr = FeFunction(u0.values + k1 * u1.values, mesh.generation)
     v = FeFunction.constant(mesh, 1.0)
-    return DynamicState(n=1, u_prev=u_prev, u_curr=u_curr, du=du, v=v,
+    return DynamicState(n=1, u_curr=u_curr, du=du, v=v,
                         crack=CrackSet.empty(mesh), mesh=mesh)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import _MASS_PATTERN, element_data, element_gradients
-from .mesh import geometry
+from .mesh import derived
+from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
 from .phasefield import reaction_weight
 
 __all__ = [
@@ -37,7 +38,6 @@ class EstimatorField:
 
     r2: np.ndarray
     r_h: float
-    generation: int
 
     def __post_init__(self):
         if (self.r2 < 0).any() or not np.isfinite(self.r2).all():
@@ -46,27 +46,28 @@ class EstimatorField:
 
 def _geometry(mesh):
     """Triangle diameters, edge lengths and the outward unit normals of the
-    boundary edges (in edge order), computed once per mesh and kept in its
-    cache."""
-    cached = mesh._cache.get("estimator")
-    if cached is None:
-        geo = geometry(mesh)
-        bnd = np.flatnonzero(mesh.edge_tris[:, 1] < 0)
-        tb = mesh.edge_tris[bnd, 0]
-        # outward normal of the single incident triangle on that edge
-        loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
-        he = np.linalg.norm(mesh.vertices[mesh.edges[:, 1]]
-                            - mesh.vertices[mesh.edges[:, 0]], axis=1)
-        cached = (geo.h, he, geo.normals[tb, loc])
-        mesh._cache["estimator"] = cached
-    return cached
+    boundary edges (in edge order); :func:`estimate` keeps them in the
+    mesh's cache."""
+    v = mesh.vertices
+    he = np.linalg.norm(v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]], axis=1)
+    h = he[mesh.tri_edges].max(axis=1)
+    bnd = np.flatnonzero(mesh.boundary_edge_mask)
+    tb = mesh.edge_tris[bnd, 0]
+    # local edge i of the single incident triangle runs from its vertex
+    # i + 1 to i + 2; rotated by -90 degrees it points outward
+    loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
+    tri = mesh.triangles[tb]
+    rows = np.arange(len(tb))
+    tang = v[tri[rows, (loc + 2) % 3]] - v[tri[rows, (loc + 1) % 3]]
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / he[bnd, None]
+    return h, he, normals
 
 
 def estimate(u, v, mesh, params):
     """Evaluate the residual indicator for the pair (u, v)."""
     u.check_bound(mesh)
     v.check_bound(mesh)
-    h, he, bnd_normals = _geometry(mesh)
+    h, he, bnd_normals = derived(mesh, "estimator", _geometry)
     gv = element_gradients(v, mesh)
     a_tau = reaction_weight(u, params, mesh)
     nu = params.nu_pf
@@ -79,28 +80,26 @@ def estimate(u, v, mesh, params):
 
     # edge jumps
     et = mesh.edge_tris
-    interior = et[:, 1] >= 0
+    interior = ~mesh.boundary_edge_mask
     jump2 = np.zeros(mesh.n_edges)
     ti = et[interior, 0]
     tj = et[interior, 1]
     gmag = np.linalg.norm(gv, axis=1)
     jump2[interior] = (gmag[ti] - gmag[tj]) ** 2
 
-    bnd = np.where(~interior)[0]
-    if bnd.size:
-        tb = et[bnd, 0]
-        jump2[bnd] = ((gv[tb] * bnd_normals).sum(axis=1)) ** 2
+    bnd = np.flatnonzero(mesh.boundary_edge_mask)
+    tb = et[bnd, 0]
+    jump2[bnd] = ((gv[tb] * bnd_normals).sum(axis=1)) ** 2
 
     w = params.rho_pf ** 2 * he ** 2 * jump2
     # one bincount adds the element term, then the interior halves, then
     # the boundary edges, in that order for every triangle
     half = 0.5 * w[interior]
     r2 = np.bincount(
-        np.concatenate([np.arange(mesh.n_triangles), ti, tj, et[bnd, 0]]),
+        np.concatenate([np.arange(mesh.n_triangles), ti, tj, tb]),
         weights=np.concatenate([elem, half, half, w[bnd]]),
         minlength=mesh.n_triangles)
-    return EstimatorField(r2=r2, r_h=float(np.sqrt(r2.sum())),
-                          generation=mesh.generation)
+    return EstimatorField(r2=r2, r_h=float(np.sqrt(r2.sum())))
 
 
 def dorfler_mark(est, theta):

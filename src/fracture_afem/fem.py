@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import derived
+
 __all__ = [
     "FeFunction",
     "DirichletSet",
@@ -99,23 +101,23 @@ def element_data(mesh):
     """Per-element areas and shape-function gradients, and the CSR pattern
     of the P1 matrices, cached on the mesh.
 
-    The pattern holds the diagonal and both directions of every mesh edge,
-    with sorted column indices.  ``slot`` maps the ``9 nt`` element entries
-    (row-major within each triangle) to their positions in ``indices``, so
-    assembly is one ``bincount`` onto a fixed pattern.
+    The areas are :meth:`Mesh.signed_areas`.  The pattern holds the
+    diagonal and both directions of every mesh edge, with sorted column
+    indices.  ``slot`` maps the ``9 nt`` element entries (row-major within
+    each triangle) to their positions in ``indices``, so assembly is one
+    ``bincount`` onto a fixed pattern.
     """
-    cached = mesh._cache.get("elem")
-    if cached is not None:
-        return cached
+    return derived(mesh, "elem", _element_data)
+
+
+def _element_data(mesh):
     x = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
     b = x[:, [1, 2, 0], 1] - x[:, [2, 0, 1], 1]
     c = x[:, [2, 0, 1], 0] - x[:, [1, 2, 0], 0]
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    area = mesh.signed_areas()
     # rows of grads are the constant gradients of the three hat functions
     grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
-    cached = {"area": area, "grads": grads, **_pattern(mesh)}
-    mesh._cache["elem"] = cached
-    return cached
+    return {"area": area, "grads": grads, **_pattern(mesh)}
 
 
 def _pattern(mesh):
@@ -173,11 +175,12 @@ def _scatter(mesh, local):
 def unit_mass(mesh):
     """Unit-density mass matrix, assembled once per mesh and shared by its
     callers; its data is read-only."""
-    M = mesh._cache.get("unit_mass")
-    if M is None:
-        M = assemble_mass(mesh, 1.0)
-        M.data.flags.writeable = False
-        mesh._cache["unit_mass"] = M
+    return derived(mesh, "unit_mass", _unit_mass)
+
+
+def _unit_mass(mesh):
+    M = assemble_mass(mesh, 1.0)
+    M.data.flags.writeable = False
     return M
 
 
@@ -241,10 +244,11 @@ def apply_dirichlet(A, b, ds):
     that the free block solves the original problem with the prescribed
     values substituted.  ``A'`` keeps the sparsity pattern of ``A`` (the
     eliminated entries stay as explicit zeros); ``A`` is not modified.
+    Without constrained dofs the pair is ``(A, b)`` itself, not a copy.
     """
     n = b.shape[0]
     if len(ds.dofs) == 0:
-        return A.copy(), b.copy()
+        return A, b
     if ds.dofs.min() < 0 or ds.dofs.max() >= n:
         raise ValueError("Dirichlet dof out of range")
     g = np.zeros(n)

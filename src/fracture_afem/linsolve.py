@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ class SolveReport:
     iterations: int
     relative_residual: float
     converged: bool
-    residual_history: list = field(default_factory=list)
 
 
 def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
@@ -41,7 +40,7 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
         max_iter = max(100, 10 * n)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True, [0.0])
+        return np.zeros(n), SolveReport(0, 0.0, True)
 
     diag = np.asarray(A.diagonal(), dtype=np.float64)
     if (diag <= 0).any():
@@ -49,9 +48,9 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x
-    history = [np.sqrt(r @ r) / norm_b]
-    if history[0] <= tol:
-        return x, SolveReport(0, history[0], True, history)
+    res = np.sqrt(r @ r) / norm_b
+    if res <= tol:
+        return x, SolveReport(0, res, True)
 
     z = r / diag if precond is None else precond(r)
     p = z.copy()
@@ -70,7 +69,6 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, Ap, out=tmp)
         res = np.sqrt(r @ r) / norm_b
-        history.append(res)
         if res <= tol:
             converged = True
             break
@@ -82,4 +80,4 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return x, SolveReport(it, history[-1], converged, history)
+    return x, SolveReport(it, res, converged)

@@ -31,6 +31,7 @@ __all__ = [
     "build_initial_mesh",
     "adapt",
     "geometry",
+    "derived",
 ]
 
 
@@ -72,13 +73,26 @@ class AdaptSummary:
     skipped_coarsen: int = 0
 
 
+def derived(owner, key, build):
+    """``build(owner)``, built at the first call per ``key`` and kept in the
+    cache of ``owner``, a :class:`Mesh` or an :class:`InitialGrid`; the one
+    get-or-build of the package.  ``build`` reads only the owner's primary
+    data (a mesh's arrays, level cap and grid; a grid's fields), so an
+    identical owner rebuilds the value bit for bit and none is saved."""
+    value = owner._cache.get(key)
+    if value is None:
+        value = owner._cache[key] = build(owner)
+    return value
+
+
 @dataclass(eq=False)
 class InitialGrid:
     """The arguments of :func:`build_initial_mesh` an adapt chain started
     from, shared by every generation of the chain; ``slit`` holds the
     coordinates of the grid vertices at its ends.  The mesh layout and the
     boundary labels follow from these fields.  ``_cache`` holds data derived
-    from the grid alone (the multigrid's grid meshes and prolongations)."""
+    from the grid alone (the multigrid's grid meshes and prolongations), and
+    only :func:`derived` touches it."""
 
     domain: tuple
     slit: tuple | None
@@ -177,10 +191,7 @@ class Mesh:
     def _boundary(self):
         """Boundary edges and the index in ``_LABELS`` of each one's label,
         computed once per mesh."""
-        out = self._cache.get("boundary")
-        if out is None:
-            out = self._cache["boundary"] = _label_boundary(self)
-        return out
+        return derived(self, "boundary", _label_boundary)
 
     @property
     def boundary_labels(self):
@@ -198,16 +209,7 @@ class Mesh:
 
     def signed_areas(self):
         """Signed triangle areas, computed once per mesh; read-only."""
-        area = self._cache.get("signed_areas")
-        if area is None:
-            v = self.vertices
-            t = self.triangles
-            d1 = v[t[:, 1]] - v[t[:, 0]]
-            d2 = v[t[:, 2]] - v[t[:, 0]]
-            area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-            area.flags.writeable = False
-            self._cache["signed_areas"] = area
-        return area
+        return derived(self, "signed_areas", _signed_areas)
 
     def _validate(self):
         if self.triangles.size and self.triangles.max() >= self.n_vertices:
@@ -221,6 +223,16 @@ class Mesh:
         self._boundary()
         if (self.levels > self.max_levels).any():
             raise ValueError("refinement level exceeds cap")
+
+
+def _signed_areas(mesh):
+    v = mesh.vertices
+    t = mesh.triangles
+    d1 = v[t[:, 1]] - v[t[:, 0]]
+    d2 = v[t[:, 2]] - v[t[:, 0]]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    area.flags.writeable = False
+    return area
 
 
 @dataclass

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import build_initial_mesh
+from .mesh import build_initial_mesh, derived
 
 __all__ = ["VCycle", "vcycle", "mesh_prolongation", "grid_prolongations"]
 
@@ -98,22 +98,23 @@ def _interpolation(coarse, pts, upper):
 def _hierarchy(grid):
     """The grid meshes ``n0``, ``n0/2``, ... and ``(P, P^T)`` from each to
     the next finer one, built once per initial grid and kept in its cache."""
-    cached = grid._cache.get("mg")
-    if cached is None:
-        meshes = [build_initial_mesh(grid.domain, grid.slit, grid.n0)]
-        n = grid.n0
-        while meshes[-1].n_vertices > COARSE_DOFS and n % 2 == 0:
-            n //= 2
-            try:
-                meshes.append(build_initial_mesh(grid.domain, grid.slit, n))
-            except ValueError:      # the slit leaves the coarser grid lines
-                break
-        levels = []
-        for fine, coarse in zip(meshes, meshes[1:]):
-            P = _interpolation(coarse, fine.vertices, _upper(fine))
-            levels.append((P, P.T.tocsr()))
-        cached = grid._cache["mg"] = (meshes, levels)
-    return cached
+    return derived(grid, "mg", _build_hierarchy)
+
+
+def _build_hierarchy(grid):
+    meshes = [build_initial_mesh(grid.domain, grid.slit, grid.n0)]
+    n = grid.n0
+    while meshes[-1].n_vertices > COARSE_DOFS and n % 2 == 0:
+        n //= 2
+        try:
+            meshes.append(build_initial_mesh(grid.domain, grid.slit, n))
+        except ValueError:      # the slit leaves the coarser grid lines
+            break
+    levels = []
+    for fine, coarse in zip(meshes, meshes[1:]):
+        P = _interpolation(coarse, fine.vertices, _upper(fine))
+        levels.append((P, P.T.tocsr()))
+    return meshes, levels
 
 
 def grid_prolongations(grid):
@@ -123,12 +124,13 @@ def grid_prolongations(grid):
 
 def mesh_prolongation(mesh):
     """``(P, P^T)`` from the ``n0`` grid to ``mesh``, kept in its cache."""
-    cached = mesh._cache.get("mg")
-    if cached is None:
-        P = _interpolation(_hierarchy(mesh.grid)[0][0], mesh.vertices,
-                           _upper(mesh))
-        cached = mesh._cache["mg"] = (P, P.T.tocsr())
-    return cached
+    return derived(mesh, "mg", _mesh_prolongation)
+
+
+def _mesh_prolongation(mesh):
+    P = _interpolation(_hierarchy(mesh.grid)[0][0], mesh.vertices,
+                       _upper(mesh))
+    return P, P.T.tocsr()
 
 
 def _spd_inverse(a):

@@ -27,6 +27,7 @@ from .fem import (FeFunction, DirichletSet, assemble_stiffness, weighted_mass,
                   unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
+from .mesh import derived
 from .multigrid import vcycle
 
 __all__ = [
@@ -77,15 +78,15 @@ def reaction_weight(u, params, mesh):
     return params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
 
 
+def _constants(mesh):
+    return (assemble_stiffness(mesh, 1.0).data,
+            unit_mass(mesh) @ np.ones(mesh.n_vertices))
+
+
 def _system(reaction, params, mesh):
     """(A, b) of the damage equation.  The unit stiffness data and the
     source ``M 1`` depend on the mesh only and are kept in its cache."""
-    const = mesh._cache.get("phasefield")
-    if const is None:
-        const = (assemble_stiffness(mesh, 1.0).data,
-                 unit_mass(mesh) @ np.ones(mesh.n_vertices))
-        mesh._cache["phasefield"] = const
-    k_data, m_one = const
+    k_data, m_one = derived(mesh, "phasefield", _constants)
     A = weighted_mass(mesh, reaction)
     A.data += params.rho_pf * k_data        # same pattern as the unit stiffness
     return A, params.nu_pf * m_one

@@ -245,7 +245,7 @@ def test_criterion_09_marking():
         r2 = rng.uniform(0.0, 1.0, n) ** 2
         if trial % 3 == 0 and n > 4:
             r2[rng.integers(0, n, size=3)] = r2.max()   # force ties
-        est = EstimatorField(r2, float(np.sqrt(r2.sum())), 0)
+        est = EstimatorField(r2, float(np.sqrt(r2.sum())))
         theta = float(rng.uniform(0.05, 1.0))
         marked = dorfler_mark(est, theta)
         total = r2.sum()

@@ -82,8 +82,8 @@ def test_inner_loop_converges_on_strained_fixture(tmp_path):
                     cfg.time.k)
     band = FeFunction.from_callable(
         mesh, lambda x, y: 3.0 * np.tanh(8.0 * (y - 1.4)))
-    st = DynamicState(n=st.n, u_prev=st.u_prev, u_curr=band,
-                      du=st.du, v=st.v, crack=st.crack, mesh=mesh)
+    st = DynamicState(n=st.n, u_curr=band, du=st.du, v=st.v, crack=st.crack,
+                      mesh=mesh)
     new, rec = staggered_step(st, 2 * cfg.time.k, cfg)
     assert rec.converged
     assert rec.inner_iterations <= 50
@@ -155,8 +155,8 @@ def test_strain_energy_equals_assembled_quadratic_form(mesh, seed):
     v = FeFunction(rng.uniform(0.0, 1.0, mesh.n_vertices), mesh.generation)
     rest = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
                       1.0)
-    state = DynamicState(n=1, u_prev=rest.u_prev, u_curr=u, du=rest.du, v=v,
-                         crack=rest.crack, mesh=mesh)
+    state = DynamicState(n=1, u_curr=u, du=rest.du, v=v, crack=rest.crack,
+                         mesh=mesh)
     A = assemble_stiffness(mesh, degradation(v, mp))
     want = 0.5 * mp.mu * (u.values @ (A @ u.values))
     assert abs(energies(state, mp).strain - want) <= 1e-13 * want
@@ -176,8 +176,8 @@ def balanced_state(cfg):
     v = FeFunction.constant(mesh, c)
     st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
                     cfg.time.k)
-    return DynamicState(n=1, u_prev=st.u_prev, u_curr=u, du=st.du, v=v,
-                        crack=st.crack, mesh=mesh), mesh
+    return DynamicState(n=1, u_curr=u, du=st.du, v=v, crack=st.crack,
+                        mesh=mesh), mesh
 
 
 def test_adapt_step_noop_for_flat_indicator(tmp_path):
@@ -194,7 +194,7 @@ def test_dorfler_single_hot_triangle_refines_with_closure(tmp_path):
     cfg.marking.theta = 0.99
     mesh = cfg.build_mesh()
     r2 = np.array([1.0, 1e-9])
-    est = EstimatorField(r2, float(np.sqrt(r2.sum())), mesh.generation)
+    est = EstimatorField(r2, float(np.sqrt(r2.sum())))
     refine, coarsen = mark_for_adaptation(est, cfg)
     assert np.array_equal(refine, [0])
     assert coarsen.size == 0
@@ -214,10 +214,10 @@ def test_transfer_state_preserves_bounds_and_pins(tmp_path):
     a, b = mesh.edges[0]
     st.v.values[[a, b]] = 0.0
     crack = CrackSet(np.array([a, b]), mesh.generation)
-    st = DynamicState(n=2, u_prev=st.u_prev, u_curr=st.u_curr, du=st.du,
-                      v=st.v, crack=crack, mesh=mesh)
+    st = DynamicState(n=2, u_curr=st.u_curr, du=st.du, v=st.v, crack=crack,
+                      mesh=mesh)
     fine = adapt(mesh, range(mesh.n_triangles))
-    moved = transfer_state(st, mesh, fine)
+    moved = transfer_state(st, mesh, fine, st.crack)
     assert moved.v.values.min() >= 0.0 and moved.v.values.max() <= 1.0
     assert moved.crack.ids.size >= 2
     assert np.allclose(moved.v.values[moved.crack.ids], 0.0)

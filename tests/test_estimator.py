@@ -155,7 +155,7 @@ def test_dilation_scaling_of_element_term():
 
 def field(r2):
     return EstimatorField(np.asarray(r2, dtype=float),
-                          float(np.sqrt(np.sum(r2))), 0)
+                          float(np.sqrt(np.sum(r2))))
 
 
 def test_dorfler_greedy_forced():
@@ -284,12 +284,13 @@ def test_estimate_computes_geometry_once_per_mesh(monkeypatch):
     import fracture_afem.estimator as est_mod
 
     calls = []
+    build = est_mod._geometry
 
     def counted(mesh):
         calls.append(mesh.generation)
-        return geometry(mesh)
+        return build(mesh)
 
-    monkeypatch.setattr(est_mod, "geometry", counted)
+    monkeypatch.setattr(est_mod, "_geometry", counted)
     mesh = adapt(build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4),
                  [0, 5, 9])
     twin = adapt(build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4),
