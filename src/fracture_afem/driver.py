@@ -23,7 +23,8 @@ from .fem import (DirichletSet, FeFunction, element_gradients, transfer,
                   unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .fem import assemble_stiffness  # noqa: F401  (a perfbench/tracer.py site)
-from .mesh import AdaptSummary, BoundaryLabel, adapt, build_initial_mesh
+from .mesh import (AdaptSummary, BoundaryLabel, adapt, build_initial_mesh,
+                   derived)
 from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
 from .phasefield import clamp_and_threshold, solve_phasefield, update_crack_set
 
@@ -197,8 +198,9 @@ class RunConfig:
         ``10 sqrt(h_f)`` and viscosity ``1 / (10 sqrt(h_f))``; the ramp ends
         at ``t_g = t_final``.  A key given by name replaces its default or
         derived value and is labelled "set by name" in ``provenance``; an
-        unknown key raises ``TypeError``.  The mesh and time sections, which
-        the derived values follow, are frozen.  The shear modulus, ramp
+        unknown key raises ``TypeError`` and a value that fails
+        :meth:`validate` raises ``ValueError``.  The mesh and time sections,
+        which the derived values follow, are frozen.  The shear modulus, ramp
         switch time and final time are assumptions (the experiment leaves
         them open).
         """
@@ -228,14 +230,20 @@ class RunConfig:
             tolerances=build(Tolerances),
             marking=build(MarkingConfig),
             output=build(OutputConfig),
-            provenance=provenance)
+            provenance=provenance).validate()
 
     def validate(self):
-        if not self.loading.t_s < self.loading.t_g <= self.time.t_final:
+        """Every check of the run settings: each section's own, run again
+        so that a value assigned after construction is checked too, then
+        the rule across sections, ``t_g <= t_final``.  Returns ``self``."""
+        for section in self.sections():
+            settings = getattr(self, section)
+            if hasattr(settings, "__post_init__"):
+                settings.__post_init__()
+        if self.loading.t_g > self.time.t_final:
             raise ValueError(
-                f"loading window needs t_s < t_g <= t_final, got "
-                f"{self.loading.t_s} / {self.loading.t_g} / "
-                f"{self.time.t_final}")
+                f"loading window needs t_g <= t_final, got "
+                f"t_g = {self.loading.t_g}, t_final = {self.time.t_final}")
         return self
 
     def build_mesh(self):
@@ -310,12 +318,21 @@ def build_dirichlet(mesh, t, loading):
     so runs longer than the window are well defined.
     """
     g0 = boundary_ramp(min(t, loading.t_g), loading)
+    dofs, sign = derived(mesh, "dirichlet", _loaded_boundary)
+    return DirichletSet(dofs, sign * g0)
+
+
+def _loaded_boundary(mesh):
+    """Sorted dofs of the loaded boundary and the sign of their load, +1
+    above the slit and -1 below; read-only."""
     up = mesh.boundary_vertices(BoundaryLabel.LEFT_UPPER)
     lo = mesh.boundary_vertices(BoundaryLabel.LEFT_LOWER)
     dofs = np.concatenate([up, lo])
-    vals = np.concatenate([np.full(len(up), g0), np.full(len(lo), -g0)])
+    sign = np.concatenate([np.ones(len(up)), -np.ones(len(lo))])
     order = np.argsort(dofs, kind="stable")
-    return DirichletSet(dofs[order], vals[order])
+    dofs, sign = dofs[order], sign[order]
+    dofs.flags.writeable = sign.flags.writeable = False
+    return dofs, sign
 
 
 @dataclass
@@ -426,10 +443,11 @@ def mark_for_adaptation(est, cfg):
 
 
 def adapt_step(prev_state, post_state, est, cfg):
-    """One adaptation pass: mark, adapt, transfer, and re-solve the step.
+    """One adaptation pass: mark, adapt and transfer.
 
-    Returns ``(new_prev, new_mesh)`` ready for the re-solve, or ``None`` if
-    the indicator is at or below the threshold.
+    Returns the previous state on the new mesh, ready for the re-solve, or
+    ``None`` if the indicator is at or below the threshold or nothing is
+    marked.
     """
     if est.r_h <= cfg.tolerances.xi_rf:
         return None
@@ -438,9 +456,8 @@ def adapt_step(prev_state, post_state, est, cfg):
         return None
     mesh = prev_state.mesh
     new_mesh = adapt(mesh, refine, coarsen)
-    new_prev = transfer_state(prev_state, mesh, new_mesh,
-                              crack_from=post_state.crack)
-    return new_prev, new_mesh
+    return transfer_state(prev_state, mesh, new_mesh,
+                          crack_from=post_state.crack)
 
 
 # ----------------------------------------------------------------------
@@ -487,9 +504,12 @@ def _finish_record(rec, state, report):
 def run(cfg, on_step=None):
     """Execute the adaptive staggered evolution defined by ``cfg``.
 
-    Appends each step's energy row to ``energies.csv`` in the output
-    directory as soon as the step finishes (an old file is replaced), and
-    writes snapshots per cadence; returns one :class:`StepRecord` per step.
+    ``cfg`` passes :meth:`RunConfig.validate` before anything is built or
+    written, so a bad value assigned after construction raises
+    ``ValueError`` here.  Appends each step's energy row to
+    ``energies.csv`` in the output directory as soon as the step finishes
+    (an old file is replaced), and writes snapshots per cadence; returns
+    one :class:`StepRecord` per step.
     ``on_step(state, est, report, record)`` is invoked after every completed
     step but the first.
     """
@@ -528,13 +548,13 @@ def run(cfg, on_step=None):
             adapted = None if rec.shortcut \
                 else adapt_step(prev, state, est, cfg)
             if adapted is not None:
-                prev, new_mesh = adapted
+                prev = adapted
                 prev_energy = energies(prev, cfg.material, time=t_n - k,
                                        step=n - 1).total
                 phase = "re-solve after adaptation"
                 first = rec
                 state, rec = staggered_step(prev, t_n, cfg)
-                rec.adapt = new_mesh.adapt_summary
+                rec.adapt = prev.mesh.adapt_summary
                 rec.first_solve = {name: getattr(first, name)
                                    for name in _SOLVE_FIELDS}
                 rec.warnings[:0] = [f"before adaptation: {w}"

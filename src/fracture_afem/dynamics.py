@@ -76,8 +76,9 @@ class LoadingParams:
     t_g: float = 5.0
 
     def __post_init__(self):
-        if self.t_s <= 0 or self.t_g < self.t_s:
-            raise ValueError("need 0 < t_s <= t_g")
+        if not 0 < self.t_s < self.t_g:
+            raise ValueError(f"loading window needs 0 < t_s < t_g, got "
+                             f"t_s = {self.t_s}, t_g = {self.t_g}")
 
 
 def boundary_ramp(t, loading):

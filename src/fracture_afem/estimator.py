@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import _MASS_PATTERN, element_data, element_gradients
+from .fem import element_data, element_gradients
 from .mesh import derived
 from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
-from .phasefield import reaction_weight
+from .phasefield import phasefield_system, reaction_weight
 
 __all__ = [
     "EstimatorField",
@@ -140,23 +140,13 @@ def fraction_mark(est, refine_frac, coarsen_frac):
 def j_prime(u, v, mesh, params, phi):
     """Directional derivative of the damage energy at (u, v) toward phi.
 
-    Exact for P1 fields: the gradient pairing is element-constant, the
-    source is a linear moment, and the reaction integrates products of
-    linears with the consistent element mass.
+    The damage equation's weak form ``phi . (A v - b)``, with ``(A, b)``
+    from :func:`.phasefield.phasefield_system`; exact for P1 fields.
     """
     for f in (u, v, phi):
         f.check_bound(mesh)
-    ed = element_data(mesh)
-    area = ed["area"]
-    gv = element_gradients(v, mesh)
-    gp = element_gradients(phi, mesh)
-    grad_term = params.rho_pf * (area * (gv * gp).sum(axis=1)).sum()
-    pv = phi.values[mesh.triangles]
-    src_term = params.nu_pf * (area * pv.mean(axis=1)).sum()
-    vv = v.values[mesh.triangles]
-    mass = np.einsum('ni,ij,nj->n', vv, _MASS_PATTERN, pv) * area
-    reaction_term = (reaction_weight(u, params, mesh) * mass).sum()
-    return grad_term - src_term + reaction_term
+    A, b, _ = phasefield_system(u, params, mesh)
+    return phi.values @ (A @ v.values - b)
 
 
 def reliability_ratio(u, v, mesh, params, trial, r_h=None):

@@ -285,30 +285,29 @@ def transfer(src, src_mesh, dst_mesh):
     under refinement.
     """
     src.check_bound(src_mesh)
-    if dst_mesh.source_generation != src_mesh.generation or \
-            dst_mesh.vertex_prov is None:
-        raise ValueError("destination mesh was not adapted from source mesh")
-    prov = dst_mesh.vertex_prov
-    vals = np.empty(dst_mesh.n_vertices)
-    keep = prov[:, 1] < 0
-    vals[keep] = src.values[prov[keep, 0]]
-    mids = ~keep
-    vals[mids] = 0.5 * (vals[prov[mids, 0]] + vals[prov[mids, 1]])
+    vals = _walk_provenance(src.values, src_mesh, dst_mesh,
+                            lambda a, b: 0.5 * (a + b))
     return FeFunction(vals, dst_mesh.generation)
 
 
 def transfer_pinned(pinned_mask, src_mesh, dst_mesh):
     """Propagate a boolean pinned-dof mask: a midpoint is pinned only if
     both its parent endpoints are."""
+    return _walk_provenance(pinned_mask, src_mesh, dst_mesh, np.logical_and)
+
+
+def _walk_provenance(values, src_mesh, dst_mesh, midpoint):
+    """Nodal ``values`` on ``dst_mesh``: a surviving vertex keeps its value,
+    a bisection midpoint gets ``midpoint`` of its edge endpoints' values."""
     if dst_mesh.source_generation != src_mesh.generation or \
             dst_mesh.vertex_prov is None:
         raise ValueError("destination mesh was not adapted from source mesh")
     prov = dst_mesh.vertex_prov
-    out = np.zeros(dst_mesh.n_vertices, dtype=bool)
+    out = np.empty(dst_mesh.n_vertices, dtype=values.dtype)
     keep = prov[:, 1] < 0
-    out[keep] = pinned_mask[prov[keep, 0]]
+    out[keep] = values[prov[keep, 0]]
     mids = ~keep
-    out[mids] = out[prov[mids, 0]] & out[prov[mids, 1]]
+    out[mids] = midpoint(out[prov[mids, 0]], out[prov[mids, 1]])
     return out
 
 

@@ -84,27 +84,37 @@ def _read_entries(path):
         if key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} "
                               f"in section [{section}]")
+        if (section, key) in entries:
+            raise ConfigError(f"line {lineno}: repeated key {key!r} "
+                              f"in section [{section}]")
         entries[(section, key)] = _parse_value(raw, _SCHEMA[section][key],
                                                lineno)
     return entries
 
 
-def load_config(path):
-    """Parse a config file into a fully populated :class:`RunConfig`.
+def load_config(path, **overrides):
+    """Parse a config file into a fully populated, validated
+    :class:`RunConfig`.
 
-    The keys found go to :meth:`RunConfig.with_defaults`, so omitted keys
-    take the edge-crack experiment defaults and the derived quantities
-    (regularization length, density, viscosity, ramp end) follow the mesh
-    and time configured; every value's provenance is recorded on the config.
+    The keys found, with ``overrides`` (config keys by name) on top, go to
+    :meth:`RunConfig.with_defaults`, so omitted keys take the edge-crack
+    experiment defaults and the derived quantities (regularization length,
+    density, viscosity, ramp end) follow the mesh and time configured; every
+    value's provenance is recorded on the config.
     """
     entries = _read_entries(path)
     try:
-        cfg = RunConfig.with_defaults(
-            **{key: value for (_, key), value in entries.items()})
+        cfg = RunConfig.with_defaults(**{
+            **{key: value for (_, key), value in entries.items()},
+            **overrides})
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    for section, key in entries:
-        cfg.provenance[f"{section}.{key}"] = "config-file"
+    for section, keys in _SCHEMA.items():
+        for key in keys:
+            if key in overrides:
+                cfg.provenance[f"{section}.{key}"] = "command-line override"
+            elif (section, key) in entries:
+                cfg.provenance[f"{section}.{key}"] = "config-file"
     return cfg
 
 
@@ -242,8 +252,11 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="execute a simulation")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--output", default=None)
-    p_run.add_argument("--steps", type=int, default=None)
+    # the overrides are config keys, passed to load_config by name
+    p_run.add_argument("--output", dest="directory", metavar="OUTPUT",
+                       default=argparse.SUPPRESS)
+    p_run.add_argument("--steps", dest="n_steps", metavar="STEPS", type=int,
+                       default=argparse.SUPPRESS)
 
     p_check = sub.add_parser("check-config", help="parse and echo a config")
     p_check.add_argument("--config", required=True)
@@ -266,8 +279,10 @@ def cli(argv=None):
         parser.print_usage()
         return 2
 
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config")}
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, **overrides)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -280,14 +295,6 @@ def cli(argv=None):
                 origin = cfg.provenance.get(f"{section}.{key}", "default")
                 print(f"  {key} = {getattr(obj, key)}   ({origin})")
         return 0
-
-    if args.output is not None:
-        cfg.output.directory = args.output
-        cfg.provenance["output.directory"] = "command-line override"
-    if args.steps is not None:
-        cfg.time = type(cfg.time)(n_steps=args.steps,
-                                  t_final=cfg.time.t_final)
-        cfg.provenance["time.n_steps"] = "command-line override"
 
     def print_warnings(state, est, report, record):
         for warning in record.warnings:

@@ -308,15 +308,17 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
 
-    # two triangles per cell, cells row by row
+    # two triangles per cell, cells row by row, each written from the
+    # right-angle vertex, so the diagonal is the refinement edge: even cells
+    # are cut from ll to ur, odd cells from lr to ul
     j, i = np.divmod(np.arange(n0 * n0, dtype=np.int64), n0)
     ll, lr = vid(i, j), vid(i + 1, j)
     ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
     even = ((i + j) % 2 == 0)[:, None]
-    tris = np.stack([np.where(even, np.column_stack([ll, lr, ur]),
-                              np.column_stack([lr, ur, ul])),
-                     np.where(even, np.column_stack([ll, ur, ul]),
-                              np.column_stack([lr, ul, ll]))],
+    tris = np.stack([np.where(even, np.column_stack([lr, ur, ll]),
+                              np.column_stack([ur, ul, lr])),
+                     np.where(even, np.column_stack([ul, ll, ur]),
+                              np.column_stack([ll, lr, ul]))],
                     axis=1).reshape(-1, 3)
 
     if slit is not None:
@@ -344,22 +346,8 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
         above = verts[tris].mean(axis=1)[:, 1] > slit[2]
         tris[above] = upper_of[tris[above]]
 
-    # peak = vertex opposite the longest edge (ties by first occurrence)
-    tris = _orient_peak_longest_edge(verts, tris)
     return Mesh(verts, tris, np.zeros(len(tris), dtype=np.int64),
                 max_levels=max_levels, grid=InitialGrid((lx, ly), slit, n0))
-
-
-def _orient_peak_longest_edge(verts, tris):
-    out = np.array(tris, dtype=np.int64)
-    x = verts[out]
-    # edge i opposite vertex i
-    lens = np.linalg.norm(x[:, [2, 0, 1], :] - x[:, [1, 2, 0], :], axis=2)
-    peak = lens.argmax(axis=1)
-    for k in (1, 2):
-        rows = peak == k
-        out[rows] = np.roll(out[rows], -k, axis=1)
-    return out
 
 
 def _label_boundary(mesh):

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracture_afem.dynamics import MaterialParams
+from fracture_afem.driver import build_dirichlet
+from fracture_afem.dynamics import LoadingParams, MaterialParams
 from fracture_afem.estimator import estimate
 from fracture_afem.fem import FeFunction, element_data, unit_mass
 from fracture_afem.mesh import InitialGrid, Mesh, adapt, build_initial_mesh
@@ -20,7 +21,7 @@ MP = MaterialParams(epsilon=0.2)
 
 # every per-mesh entry, each built by one producer
 MESH_KEYS = {"signed_areas", "boundary", "elem", "unit_mass", "phasefield",
-             "estimator", "mg"}
+             "estimator", "mg", "dirichlet"}
 
 
 def test_only_the_mesh_module_touches_the_cache():
@@ -60,6 +61,7 @@ def build_all(mesh):
     phasefield_system(u, MP, mesh)
     estimate(u, FeFunction.constant(mesh, 1.0), mesh, MP)
     mesh_prolongation(mesh)
+    build_dirichlet(mesh, 1.0, LoadingParams())
 
 
 def twin(mesh):
@@ -112,4 +114,5 @@ def test_cached_values_are_derived_from_primary_data_only(chain):
         # the cached arrays that callers share are read-only
         assert not mesh.signed_areas().flags.writeable
         assert not unit_mass(mesh).data.flags.writeable
+        assert not any(a.flags.writeable for a in mesh._cache["dirichlet"])
         assert element_data(mesh)["area"] is mesh.signed_areas()

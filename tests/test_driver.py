@@ -188,6 +188,20 @@ def test_adapt_step_noop_for_flat_indicator(tmp_path):
     assert adapt_step(state, state, est, cfg) is None
 
 
+def test_adapt_step_returns_the_state_on_the_new_mesh(tmp_path):
+    cfg = quiet_cfg(tmp_path, n0=4, n_steps=2)
+    mesh = cfg.build_mesh()
+    state = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
+                       cfg.time.k)
+    r2 = np.zeros(mesh.n_triangles)
+    r2[0] = 1.0
+    moved = adapt_step(state, state, EstimatorField(r2, 1.0), cfg)
+    assert isinstance(moved, DynamicState)
+    assert moved.mesh.source_generation == mesh.generation
+    assert moved.mesh.adapt_summary.refined >= 1
+    moved.v.check_bound(moved.mesh)
+
+
 def test_dorfler_single_hot_triangle_refines_with_closure(tmp_path):
     cfg = quiet_cfg(tmp_path, n0=1, n_steps=2, slit=False, lx=1.0, ly=1.0)
     cfg.marking.strategy = "dorfler"
@@ -346,6 +360,18 @@ def test_initial_mesh_is_released_after_first_adaptation(tmp_path):
 
     run(cfg, on_step=on_step)
     assert alive == [False]
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("marking", "strategy", "Dorfler", "marking strategy"),
+    ("tolerances", "max_inner", 0, "iteration limits")])
+def test_run_rechecks_values_assigned_after_construction(
+        tmp_path, section, key, value, message):
+    cfg = quiet_cfg(tmp_path, n0=4, n_steps=3, t_final=1.0)
+    setattr(getattr(cfg, section), key, value)
+    with pytest.raises(ValueError, match=message):
+        run(cfg)
+    assert not (tmp_path / "out" / "energies.csv").exists()
 
 
 def test_desk_run_damage_onset_and_vmin_monotone(desk16):

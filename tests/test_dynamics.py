@@ -171,6 +171,12 @@ def test_ramp_linear_branch_value():
     assert np.isclose(boundary_ramp(1.0, lp), 0.9 * 1.0 - 0.9 * 0.25)
 
 
+@pytest.mark.parametrize("t_s, t_g", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
+def test_loading_window_must_be_open(t_s, t_g):
+    with pytest.raises(ValueError, match="loading window"):
+        LoadingParams(t_s=t_s, t_g=t_g)
+
+
 def test_ramp_signs_and_window():
     # the sign follows the boundary labels: +g0 above the slit, -g0 below
     lp = LoadingParams(eps_v=0.9, t_s=0.5, t_g=2.0)

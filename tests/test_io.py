@@ -124,6 +124,13 @@ def test_load_config_equals_with_defaults(keys):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.cfg"
         path.write_text(text)
+        if keys.get("t_final", 5.0) <= 0.5:
+            # the ramp end t_g = t_final leaves no window after t_s = 0.5
+            with pytest.raises(fio.ConfigError, match="loading window"):
+                fio.load_config(path)
+            with pytest.raises(ValueError, match="loading window"):
+                RunConfig.with_defaults(**keys)
+            return
         cfg = fio.load_config(path)
     ref = RunConfig.with_defaults(**keys)
     for section in RunConfig.sections():
@@ -188,6 +195,26 @@ def test_type_mismatch_rejected_with_line(tmp_path):
     p.write_text("[time]\n\nn_steps = soon\n")
     with pytest.raises(fio.ConfigError, match="line 3"):
         fio.load_config(p)
+
+
+def test_repeated_key_rejected_with_line(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("[mesh]\nn0 = 4\nmax_levels = 2\nn0 = 8\n")
+    with pytest.raises(fio.ConfigError, match="line 4: repeated key 'n0'"):
+        fio.load_config(p)
+
+
+def test_load_config_overrides_win_and_are_labelled(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("[time]\nn_steps = 1600\nt_final = 2.0\n")
+    cfg = fio.load_config(p, n_steps=3, directory="elsewhere")
+    assert cfg.time.n_steps == 3 and cfg.time.t_final == 2.0
+    assert cfg.output.directory == "elsewhere"
+    assert cfg.provenance["time.n_steps"] == "command-line override"
+    assert cfg.provenance["output.directory"] == "command-line override"
+    assert cfg.provenance["time.t_final"] == "config-file"
+    with pytest.raises(fio.ConfigError, match="n_steps"):
+        fio.load_config(p, n_steps=0)
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -402,6 +429,37 @@ def test_cli_check_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mu = 2.0   (config-file)" in out
     assert "(assumption)" not in out.split("mu = 2.0")[1].split("\n")[0]
+
+
+# one row per class of config error: the file text and the extra flags of
+# ``run``; ``check-config`` takes the file alone
+CONFIG_ERRORS = [
+    ("unknown key", "[mesh]\ncolour = blue\n", []),
+    ("bad type", "[time]\nn_steps = soon\n", []),
+    ("repeated key", "[mesh]\nn0 = 4\nn0 = 8\n", []),
+    ("no steps", "[mesh]\nn0 = 4\n", ["--steps", "0"]),
+    ("ramp end after final time", "[time]\nt_final = 1.0\n"
+     "[loading]\nt_g = 2.0\n", []),
+    ("empty ramp window", "[time]\nt_final = 1.0\n[loading]\nt_s = 1.0\n",
+     []),
+]
+
+
+def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys):
+    for name, text, flags in CONFIG_ERRORS:
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        out = tmp_path / "o"
+        commands = [["run", "--config", str(p), "--output", str(out),
+                     *flags]]
+        if not flags:
+            commands.append(["check-config", "--config", str(p)])
+        for argv in commands:
+            assert fio.cli(argv) == 2, (name, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith("config error: "), (name, argv[0], err)
+            assert "Traceback" not in err
+        assert not out.exists(), name
 
 
 def test_cli_rejects_removed_seed_flag(tmp_path):
