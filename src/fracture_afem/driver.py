@@ -57,7 +57,6 @@ class MeshConfig:
     lx: float = 3.0
     ly: float = 3.0
     slit: bool = True
-    slit_x_start: float = 0.0
     slit_x_end: float = 1.5
     slit_y: float = 1.5
 
@@ -134,6 +133,12 @@ class MarkingConfig:
     def __post_init__(self):
         if self.strategy not in ("fraction", "dorfler", "threshold"):
             raise ValueError(f"unknown marking strategy {self.strategy!r}")
+        if not 0.0 < self.theta <= 1.0:
+            raise ValueError("theta must lie in (0, 1]")
+        if min(self.refine_fraction, self.coarsen_fraction) < 0.0 \
+                or self.refine_fraction + self.coarsen_fraction > 1.0:
+            raise ValueError("refine_fraction and coarsen_fraction must be "
+                             "nonnegative and sum to at most 1")
         if self.cell_threshold <= 0:
             raise ValueError("cell_threshold must be positive")
 
@@ -248,7 +253,8 @@ class RunConfig:
 
     def build_mesh(self):
         mc = self.mesh
-        slit = (mc.slit_x_start, mc.slit_x_end, mc.slit_y) if mc.slit else None
+        # the edge crack starts on the loaded left edge, at x = 0
+        slit = (0.0, mc.slit_x_end, mc.slit_y) if mc.slit else None
         return build_initial_mesh((mc.lx, mc.ly), slit, mc.n0,
                                   max_levels=mc.max_levels)
 
@@ -446,8 +452,10 @@ def adapt_step(prev_state, post_state, est, cfg):
     """One adaptation pass: mark, adapt and transfer.
 
     Returns the previous state on the new mesh, ready for the re-solve, or
-    ``None`` if the indicator is at or below the threshold or nothing is
-    marked.
+    ``None`` if the indicator is at or below the threshold, nothing is
+    marked, or the adaptation refined nothing and merged no pair (every
+    mark hit the level cap or an unmergeable pair), which leaves the mesh
+    as it was.
     """
     if est.r_h <= cfg.tolerances.xi_rf:
         return None
@@ -456,6 +464,9 @@ def adapt_step(prev_state, post_state, est, cfg):
         return None
     mesh = prev_state.mesh
     new_mesh = adapt(mesh, refine, coarsen)
+    done = new_mesh.adapt_summary
+    if done.refined == 0 and done.coarsened_pairs == 0:
+        return None
     return transfer_state(prev_state, mesh, new_mesh,
                           crack_from=post_state.crack)
 

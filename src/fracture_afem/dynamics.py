@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.sparse as sp
 
-from .fem import FeFunction, apply_dirichlet, assemble_stiffness, unit_mass
+from .fem import (FeFunction, apply_dirichlet, assemble_load,
+                  assemble_stiffness, unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
 
@@ -129,7 +129,7 @@ def degradation(v, params):
 
 
 def step_displacement(state, k, g_values, f=None, params=None, v=None,
-                      tol=1e-12, max_iter=None, debug_checks=False):
+                      tol=1e-12, max_iter=None):
     """Advance the displacement one implicit step of size ``k``.
 
     ``v`` overrides the damage field used for the degradation coefficient
@@ -160,16 +160,7 @@ def step_displacement(state, k, g_values, f=None, params=None, v=None,
     rhs = (mp.varrho / k ** 2) * (M @ u_old) + (mp.varrho / k) * (M @ du_old) \
         + (mp.eta / k) * (A @ u_old)
     if f is not None:
-        f.check_bound(mesh)
-        rhs = rhs + M @ f.values
-
-    if debug_checks:
-        asym = abs(S - S.T)
-        if asym.data.size and asym.data.max() > 1e-10 * abs(S).data.max():
-            raise AssertionError("wave system matrix is not symmetric")
-        w = np.random.default_rng(0).standard_normal(S.shape[0])
-        if w @ (S @ w) <= 0:
-            raise AssertionError("wave system matrix is not positive definite")
+        rhs = rhs + assemble_load(mesh, f)
 
     Sc, rhsc = apply_dirichlet(S, rhs, g_values)
     x, report = solve_spd(Sc, rhsc, tol=tol, max_iter=max_iter,

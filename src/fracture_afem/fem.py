@@ -67,7 +67,7 @@ class FeFunction:
 
 @dataclass
 class DirichletSet:
-    """Constrained dofs and their prescribed values."""
+    """Constrained dofs, each listed once, and their prescribed values."""
 
     dofs: np.ndarray
     values: np.ndarray
@@ -77,15 +77,8 @@ class DirichletSet:
         self.values = np.asarray(self.values, dtype=np.float64)
         if len(self.dofs) != len(self.values):
             raise ValueError("dof/value length mismatch")
-        uniq, first = np.unique(self.dofs, return_index=True)
-        if len(uniq) != len(self.dofs):
-            # tolerate exact repeats, reject conflicts
-            order = np.argsort(self.dofs, kind="stable")
-            d, v = self.dofs[order], self.values[order]
-            same = d[1:] == d[:-1]
-            if (same & (v[1:] != v[:-1])).any():
-                raise ValueError("conflicting values for a repeated dof")
-            self.dofs, self.values = uniq, v[np.searchsorted(d, uniq)]
+        if len(np.unique(self.dofs)) != len(self.dofs):
+            raise ValueError("a constrained dof is listed more than once")
 
 
 # ----------------------------------------------------------------------
@@ -189,10 +182,7 @@ def assemble_mass(mesh, density=1.0):
     density = np.asarray(density, dtype=np.float64)
     if np.any(density <= 0):
         raise ValueError("density must be positive")
-    ed = element_data(mesh)
-    w = density * ed["area"]
-    local = w[:, None, None] * _MASS_PATTERN[None, :, :]
-    return _scatter(mesh, local)
+    return weighted_mass(mesh, density)
 
 
 def weighted_mass(mesh, per_element):
@@ -245,6 +235,13 @@ def apply_dirichlet(A, b, ds):
     values substituted.  ``A'`` keeps the sparsity pattern of ``A`` (the
     eliminated entries stay as explicit zeros); ``A`` is not modified.
     Without constrained dofs the pair is ``(A, b)`` itself, not a copy.
+
+    Raises
+    ------
+    ValueError
+        If a constrained dof is out of range, or its row of ``A`` does not
+        store its diagonal exactly once (every matrix on a mesh's pattern
+        stores each diagonal once).
     """
     n = b.shape[0]
     if len(ds.dofs) == 0:
@@ -267,14 +264,12 @@ def apply_dirichlet(A, b, ds):
     slots = np.flatnonzero(in_row)
     rows = np.repeat(np.flatnonzero(pinned), counts[pinned])
     diag = slots[A.indices[slots] == rows]
-    if len(diag) == len(ds.dofs):
-        data[diag] = 1.0
-        return sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
-                             shape=A.shape), b2
-    # some pinned row stores no diagonal entry, or stores it twice
-    A2 = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape) \
-        + sp.diags(pinned.astype(np.float64))
-    return A2.tocsr(), b2
+    if not np.array_equal(A.indices[diag], np.sort(ds.dofs)):
+        raise ValueError("a constrained row does not store its diagonal "
+                         "exactly once")
+    data[diag] = 1.0
+    return sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
+                         shape=A.shape), b2
 
 
 def transfer(src, src_mesh, dst_mesh):

@@ -46,13 +46,15 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
     if (diag <= 0).any():
         raise ValueError(f"non-positive diagonal entry ({context or 'solve_spd'})")
 
+    if precond is None:
+        precond = lambda r: r / diag        # noqa: E731  (Jacobi)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A @ x
     res = np.sqrt(r @ r) / norm_b
     if res <= tol:
         return x, SolveReport(0, res, True)
 
-    z = r / diag if precond is None else precond(r)
+    z = precond(r)
     p = z.copy()
     tmp = np.empty(n)
     rz = r @ z
@@ -72,10 +74,7 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
         if res <= tol:
             converged = True
             break
-        if precond is None:
-            np.divide(r, diag, out=z)
-        else:
-            z = precond(r)
+        z = precond(r)
         rz_new = r @ z
         p *= rz_new / rz
         p += z

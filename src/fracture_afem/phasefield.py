@@ -104,11 +104,12 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     """Solve the damage critical-point system with crack dofs pinned to 0.
 
     The conjugate gradients are preconditioned by one multigrid V-cycle
-    (:mod:`.multigrid`).  Returns ``(v, info)``: the raw (unclamped)
-    solution, to pair with :func:`clamp_and_threshold`, and a dict with the
-    solver report, the stationarity residual relative to the right-hand side
-    norm, and whether the intact shortcut fired (report and residual are
-    ``None`` then).
+    (:mod:`.multigrid`) and start from the nodal array ``x0`` (zero by
+    default) with the crack dofs set to 0.  Returns ``(v, info)``: the raw
+    (unclamped) solution, to pair with :func:`clamp_and_threshold`, and a
+    dict with the solver report, the stationarity residual relative to the
+    right-hand side norm, and whether the intact shortcut fired (report and
+    residual are ``None`` then).
     """
     u.check_bound(mesh)
     if crack.generation != mesh.generation:
@@ -123,11 +124,10 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     A, b = _system(reaction, params, mesh)
     ds = DirichletSet(crack.ids, np.zeros(len(crack.ids)))
     Ac, bc = apply_dirichlet(A, b, ds)
-    x = x0.values if isinstance(x0, FeFunction) else x0
-    if x is not None:
-        x = x.copy()
-        x[crack.ids] = 0.0
-    sol, report = solve_spd(Ac, bc, tol=tol, max_iter=max_iter, x0=x,
+    if x0 is not None:
+        x0 = x0.copy()
+        x0[crack.ids] = 0.0
+    sol, report = solve_spd(Ac, bc, tol=tol, max_iter=max_iter, x0=x0,
                             context="phase-field solve",
                             precond=vcycle(Ac, mesh, crack.ids))
     if not report.converged:

@@ -202,6 +202,23 @@ def test_adapt_step_returns_the_state_on_the_new_mesh(tmp_path):
     moved.v.check_bound(moved.mesh)
 
 
+def test_adapt_step_skips_an_adaptation_that_changes_nothing(tmp_path):
+    # at max_levels = 0 every Dorfler mark is at the level cap, so the
+    # adaptation would rebuild the same mesh and re-solve the step on it
+    cfg = quiet_cfg(tmp_path, n0=4, n_steps=2, max_levels=0,
+                    strategy="dorfler")
+    mesh = cfg.build_mesh()
+    state = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
+                       cfg.time.k)
+    r2 = np.zeros(mesh.n_triangles)
+    r2[[0, 5]] = 1.0
+    est = EstimatorField(r2, 1.0)
+    refine, _ = mark_for_adaptation(est, cfg)
+    assert refine.size > 0
+    assert adapt(mesh, refine).adapt_summary.skipped_capped == refine.size
+    assert adapt_step(state, state, est, cfg) is None
+
+
 def test_dorfler_single_hot_triangle_refines_with_closure(tmp_path):
     cfg = quiet_cfg(tmp_path, n0=1, n_steps=2, slit=False, lx=1.0, ly=1.0)
     cfg.marking.strategy = "dorfler"

@@ -5,7 +5,8 @@ import pytest
 
 from fracture_afem.driver import build_dirichlet
 from fracture_afem.dynamics import (DynamicState, LoadingParams,
-                                    MaterialParams, boundary_ramp, init_state,
+                                    MaterialParams, boundary_ramp,
+                                    degradation, init_state,
                                     step_displacement)
 from fracture_afem.fem import (DirichletSet, FeFunction, assemble_mass,
                                assemble_stiffness)
@@ -63,8 +64,9 @@ def test_zero_data_fixed_point():
     bnd = boundary_dofs(mesh)
     ds = DirichletSet(bnd, np.zeros(len(bnd)))
     for _ in range(5):
-        u, _, _ = step_displacement(st, 0.05, ds, params=mp, debug_checks=True)
+        u, _, rep = step_displacement(st, 0.05, ds, params=mp)
         assert np.abs(u.values).max() < 1e-12
+        assert rep.converged and rep.iterations == 0
         st = advance(st, u, 0.05)
 
 
@@ -119,9 +121,17 @@ def test_system_is_spd_under_damage():
     mp = MaterialParams(epsilon=0.2, kappa=1e-10)
     st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh), 0.05)
     st.v.values[:] = 0.0          # fully broken field still yields SPD system
+    k = 0.05
+    S = (mp.varrho / k ** 2) * assemble_mass(mesh, 1.0) \
+        + (mp.mu + mp.eta / k) * assemble_stiffness(mesh, degradation(st.v, mp))
+    assert abs(S - S.T).max() == 0.0
+    assert np.linalg.eigvalsh(S.toarray()).min() > 0.0
+    # non-zero boundary data makes the conjugate gradients iterate, and
+    # they raise on the first direction of non-positive curvature
     bnd = boundary_dofs(mesh)
-    ds = DirichletSet(bnd, np.zeros(len(bnd)))
-    u, _, _ = step_displacement(st, 0.05, ds, params=mp, debug_checks=True)
+    ds = DirichletSet(bnd, mesh.vertices[bnd, 0])
+    u, _, rep = step_displacement(st, k, ds, params=mp)
+    assert rep.converged and rep.iterations > 0
     assert np.isfinite(u.values).all()
 
 

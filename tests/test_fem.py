@@ -310,11 +310,12 @@ def test_dirichlet_path_graph_interpolation():
 
 
 def test_dirichlet_conflicting_duplicates_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than once"):
         DirichletSet(np.array([3, 3]), np.array([1.0, 2.0]))
-    # exact repeats are tolerated
-    ds = DirichletSet(np.array([3, 3]), np.array([1.0, 1.0]))
-    assert len(ds.dofs) == 1
+    # an exact repeat is rejected too: every constraint set lists a dof once
+    with pytest.raises(ValueError, match="more than once"):
+        DirichletSet(np.array([3, 5, 3]), np.array([1.0, 0.0, 1.0]))
+    assert DirichletSet(np.array([5, 3]), np.ones(2)).dofs.tolist() == [5, 3]
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,15 +351,27 @@ def test_dirichlet_matches_dense_elimination(mesh, data):
 
 
 def test_dirichlet_without_stored_diagonal():
+    # a constrained row must store its diagonal exactly once, as every
+    # matrix on a mesh's pattern does; anything else is rejected
     A = sp.csr_matrix(np.array([[0.0, -1.0, 0.0],
                                 [-1.0, 2.0, -1.0],
                                 [0.0, -1.0, 1.0]]))
     assert A.nnz == 6                           # row 0 stores no diagonal
-    A2, b2 = apply_dirichlet(A, np.ones(3), DirichletSet([0], [2.0]))
-    assert np.array_equal(A2.toarray(), [[1.0, 0.0, 0.0],
-                                         [0.0, 2.0, -1.0],
-                                         [0.0, -1.0, 1.0]])
-    assert np.array_equal(b2, [2.0, 3.0, 1.0])
+    with pytest.raises(ValueError, match="diagonal"):
+        apply_dirichlet(A, np.ones(3), DirichletSet([0], [2.0]))
+    # row 0 stores its diagonal twice and row 2 not at all: the count of
+    # diagonal entries is right, their rows are not
+    twice = sp.csr_matrix((np.array([0.5, 0.5, -1.0, -1.0, 2.0, -1.0, -1.0]),
+                           np.array([0, 0, 1, 0, 1, 2, 1]),
+                           np.array([0, 3, 6, 7])), shape=(3, 3))
+    with pytest.raises(ValueError, match="diagonal"):
+        apply_dirichlet(twice, np.ones(3), DirichletSet([0, 2], [2.0, 0.0]))
+    # the unconstrained row 0 may lack its diagonal
+    A2, b2 = apply_dirichlet(A, np.ones(3), DirichletSet([2], [2.0]))
+    assert np.array_equal(A2.toarray(), [[0.0, -1.0, 0.0],
+                                         [-1.0, 2.0, 0.0],
+                                         [0.0, 0.0, 1.0]])
+    assert np.array_equal(b2, [1.0, 3.0, 2.0])
 
 
 def test_dirichlet_symmetric_and_spd_on_free_block():

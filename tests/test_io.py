@@ -168,6 +168,27 @@ def test_removed_jump_mode_key_rejected(tmp_path):
         RunConfig.with_defaults(jump_mode="magnitude")
 
 
+def test_removed_slit_x_start_key_rejected(tmp_path, capsys):
+    # the edge crack starts on the loaded edge; any other start gave one
+    # left-edge vertex both loads, which passed check-config and made run
+    # fail at step 2
+    p = tmp_path / "c.cfg"
+    p.write_text("[mesh]\nn0 = 4\nslit_x_start = 0.75\n")
+    assert fio.cli(["check-config", "--config", str(p)]) == 2
+    assert "unknown key 'slit_x_start'" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="slit_x_start"):
+        RunConfig.with_defaults(slit_x_start=0.0)
+
+
+@pytest.mark.parametrize("keys", [
+    {"theta": 0.0}, {"theta": 2.0}, {"refine_fraction": -0.1},
+    {"coarsen_fraction": 1.5}, {"refine_fraction": 0.6, "coarsen_fraction": 0.5}])
+def test_marking_ranges_checked_at_load(keys):
+    # checked for every strategy, not only when a marking runs
+    with pytest.raises(ValueError, match="must"):
+        RunConfig.with_defaults(strategy="threshold", **keys)
+
+
 @pytest.mark.parametrize("line", ["n0 = 0", "max_levels = -1", "lx = -3"])
 def test_bad_mesh_section_is_a_config_error(tmp_path, line, capsys):
     p = tmp_path / "bad.cfg"
@@ -442,6 +463,7 @@ CONFIG_ERRORS = [
      "[loading]\nt_g = 2.0\n", []),
     ("empty ramp window", "[time]\nt_final = 1.0\n[loading]\nt_s = 1.0\n",
      []),
+    ("marking range", "[marking]\nstrategy = dorfler\ntheta = 2.0\n", []),
 ]
 
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracture_afem.fem import FeFunction, transfer
+from fracture_afem.fem import FeFunction, transfer, transfer_pinned
 from fracture_afem.mesh import (BoundaryLabel, adapt, build_initial_mesh,
                                 geometry)
 from test_multigrid import adapted_slit_meshes
@@ -555,3 +555,29 @@ def test_coarsening_uniform_refinement_returns_original(mesh):
     for field in ("vertices", "triangles", "levels", "pair_tags", "edges"):
         assert np.array_equal(getattr(back, field), getattr(mesh, field))
     assert back.boundary_labels == mesh.boundary_labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(adapted_slit_meshes(), st.data())
+def test_adapt_that_refines_and_merges_nothing_returns_its_input(mesh, data):
+    # the driver skips such an adaptation, so its mesh must equal the input
+    # and transfer onto it must be the identity
+    def subset(pool):
+        return pool[draw_ids(data.draw, len(pool))] if len(pool) else pool
+
+    capped = np.flatnonzero(mesh.levels == mesh.max_levels)
+    every = np.arange(mesh.n_triangles)
+    refine = subset(capped if data.draw(st.booleans()) else every)
+    coarsen = subset(np.setdiff1d(every, refine))
+    new = adapt(mesh, refine, coarsen)
+    done = new.adapt_summary
+    assume(done.refined == 0 and done.coarsened_pairs == 0)
+    for name in ("vertices", "triangles", "levels", "pair_tags"):
+        assert np.array_equal(getattr(new, name), getattr(mesh, name)), name
+    assert new.tag_counter == mesh.tag_counter
+    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=mesh.n_vertices,
+                                max_size=mesh.n_vertices))
+    u = FeFunction(values, mesh.generation)
+    assert np.array_equal(transfer(u, mesh, new).values, u.values)
+    pinned = np.asarray(values) > 0.0
+    assert np.array_equal(transfer_pinned(pinned, mesh, new), pinned)
