@@ -23,8 +23,8 @@ from .fem import (DirichletSet, FeFunction, element_gradients, transfer,
                   unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .fem import assemble_stiffness  # noqa: F401  (a perfbench/tracer.py site)
-from .mesh import (AdaptSummary, BoundaryLabel, adapt, build_initial_mesh,
-                   derived)
+from .mesh import (AdaptSummary, BoundaryLabel, InitialGrid, adapt,
+                   build_initial_mesh, derived)
 from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
 from .phasefield import clamp_and_threshold, solve_phasefield, update_crack_set
 
@@ -61,11 +61,15 @@ class MeshConfig:
     slit_y: float = 1.5
 
     def __post_init__(self):
-        # the derived material constants divide by n0 before any mesh exists
-        if self.n0 < 1 or self.max_levels < 0:
-            raise ValueError("need n0 >= 1 and max_levels >= 0")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError("domain lengths lx, ly must be positive")
+        # the layout is checked before the derived material constants divide
+        # by n0, and a config that loads builds its mesh
+        if self.max_levels < 0:
+            raise ValueError("max_levels must be at least 0")
+        InitialGrid((self.lx, self.ly), self._slit(), self.n0)
+
+    def _slit(self):
+        # the edge crack starts on the loaded left edge, at x = 0
+        return (0.0, self.slit_x_end, self.slit_y) if self.slit else None
 
     @property
     def h_initial(self):
@@ -147,6 +151,10 @@ class MarkingConfig:
 class OutputConfig:
     directory: str = "out"
     snapshot_every: int = 0         # 0 disables snapshots
+
+    def __post_init__(self):
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be at least 0")
 
 
 # Origin of the edge-crack experiment defaults, echoed by ``check-config``;
@@ -242,9 +250,7 @@ class RunConfig:
         so that a value assigned after construction is checked too, then
         the rule across sections, ``t_g <= t_final``.  Returns ``self``."""
         for section in self.sections():
-            settings = getattr(self, section)
-            if hasattr(settings, "__post_init__"):
-                settings.__post_init__()
+            getattr(self, section).__post_init__()
         if self.loading.t_g > self.time.t_final:
             raise ValueError(
                 f"loading window needs t_g <= t_final, got "
@@ -253,9 +259,7 @@ class RunConfig:
 
     def build_mesh(self):
         mc = self.mesh
-        # the edge crack starts on the loaded left edge, at x = 0
-        slit = (0.0, mc.slit_x_end, mc.slit_y) if mc.slit else None
-        return build_initial_mesh((mc.lx, mc.ly), slit, mc.n0,
+        return build_initial_mesh((mc.lx, mc.ly), mc._slit(), mc.n0,
                                   max_levels=mc.max_levels)
 
 

@@ -128,10 +128,11 @@ def degradation(v, params):
     return FeFunction(vals, v.generation)
 
 
-def step_displacement(state, k, g_values, f=None, params=None, v=None,
+def step_displacement(state, k, g_values, f=None, *, params, v=None,
                       tol=1e-12, max_iter=None):
     """Advance the displacement one implicit step of size ``k``.
 
+    ``params`` are the :class:`MaterialParams`, a keyword without default.
     ``v`` overrides the damage field used for the degradation coefficient
     (the staggered loop passes its latest iterate); by default the state's
     own field is used.  The conjugate-gradient solve starts from the

@@ -119,13 +119,26 @@ def load_config(path, **overrides):
 
 
 def write_config(cfg, path):
-    """Serialize every configurable key; ``load_config`` restores it exactly."""
+    """Serialize every configurable key; ``load_config`` restores it exactly.
+
+    Raises
+    ------
+    ValueError
+        Naming the key, for a string value the format cannot carry: one
+        with a ``#`` (a comment starts there), a line break, or leading or
+        trailing blanks (the parser strips them).
+    """
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         obj = getattr(cfg, section)
         for key in keys:
-            lines.append(f"{key} = {getattr(obj, key)}")
+            value = getattr(obj, key)
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ValueError(f"cannot write {section}.{key} = {value!r}: "
+                                 "it holds '#', a line break or outer blanks")
+            lines.append(f"{key} = {value}")
         lines.append("")
     Path(path).write_text("\n".join(lines))
     return Path(path)

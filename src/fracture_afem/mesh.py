@@ -87,17 +87,79 @@ def derived(owner, key, build):
 
 @dataclass(eq=False)
 class InitialGrid:
-    """The arguments of :func:`build_initial_mesh` an adapt chain started
-    from, shared by every generation of the chain; ``slit`` holds the
-    coordinates of the grid vertices at its ends.  The mesh layout and the
-    boundary labels follow from these fields.  ``_cache`` holds data derived
-    from the grid alone (the multigrid's grid meshes and prolongations), and
-    only :func:`derived` touches it."""
+    """The ``n0 x n0`` grid of ``[0, Lx] x [0, Ly]`` an adapt chain started
+    from, shared by every generation of the chain, and the one check of its
+    layout.
+
+    Construction checks ``0 < Lx, Ly < inf`` and ``n0 >= 1``.  A slit
+    ``(x_start, x_end, y)`` needs ``n0 >= 2``, its row on an interior grid
+    line and its ends on grid vertices, each to within ``1e-12 n0`` of a
+    grid index, and a positive length between those vertices; it is then
+    snapped to their coordinates, and ``slit_index`` keeps their indices
+    ``(i0, i1, jy)``: the columns of its ends and its row.  The checks need
+    no mesh, so a config is checked by building its grid.  The mesh layout
+    and the boundary labels follow from these fields.  ``_cache`` holds data
+    derived from the grid alone (the multigrid's grid meshes and
+    prolongations), and only :func:`derived` touches it.
+
+    Raises
+    ------
+    ValueError
+        If the layout breaks one of the rules above.
+    """
 
     domain: tuple
     slit: tuple | None
     n0: int
+    slit_index: tuple | None = field(init=False, default=None)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        lx, ly = self.domain = tuple(map(float, self.domain))
+        n0 = self.n0 = int(self.n0)
+        if not (0.0 < lx < np.inf and 0.0 < ly < np.inf):
+            raise ValueError("domain lengths lx, ly must be positive and finite")
+        if n0 < 1:
+            raise ValueError("n0 must be at least 1")
+        if self.slit is None:
+            return
+        if n0 < 2:
+            raise ValueError("a slit requires n0 >= 2 (interior gridline needed)")
+        sx0, sx1, sy = map(float, self.slit)
+        # the ends and the row in grid steps; a nan one is near no index and
+        # an infinite one fails the range
+        at = np.array([sx0, sx1, sy]) / (np.array([lx, lx, ly]) / n0)
+        near = np.isclose(at, np.rint(at), rtol=0.0, atol=1e-12 * n0)
+        if not (near[2] and 0 < np.rint(at[2]) < n0):
+            raise ValueError(f"slit height {sy} is not on an interior gridline")
+        for xe, ix, ok in zip((sx0, sx1), np.rint(at), near):
+            if not (ok and 0 <= ix <= n0):
+                raise ValueError(f"slit endpoint x={xe} is not a grid vertex")
+        i0, i1, jy = self.slit_index = tuple(int(i) for i in np.rint(at))
+        # on the indices, so that an end within rounding of the other counts
+        if not i0 < i1:
+            raise ValueError("slit must have positive length")
+        # the grid vertices' own coordinates, so labels compare exactly
+        xs, ys = self.lines()
+        self.slit = (float(xs[i0]), float(xs[i1]), float(ys[jy]))
+
+    def lines(self):
+        """The grid's x and y coordinates; ``linspace`` pins the ends
+        exactly, so boundary tests are exact."""
+        return tuple(np.linspace(0.0, d, self.n0 + 1) for d in self.domain)
+
+    def above(self, points):
+        """Flags the ``(..., 2)`` points strictly above the slit line; all
+        of them without a slit, whose left edge is all upper."""
+        y = np.asarray(points)[..., 1]
+        return y > (self.slit[2] if self.slit else -np.inf)
+
+    def on_slit(self, points):
+        """Flags the ``(..., 2)`` points on the slit, tips included; none
+        without a slit (nothing compares equal to nan)."""
+        sx0, sx1, sy = self.slit or (np.nan,) * 3
+        x, y = np.moveaxis(np.asarray(points), -1, 0)
+        return (y == sy) & (x >= sx0) & (x <= sx1)
 
 
 class Mesh:
@@ -290,23 +352,19 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
         (except an interior tip) so the two faces are disconnected.
     n0 : int
         Subdivisions per axis; ``n0 >= 1`` without a slit, ``n0 >= 2`` with.
+
+    Raises
+    ------
+    ValueError
+        If :class:`InitialGrid` refuses the layout.
     """
-    lx, ly = float(domain[0]), float(domain[1])
-    n0 = int(n0)
-    if n0 < 1:
-        raise ValueError("n0 must be at least 1")
-    if slit is not None and n0 < 2:
-        raise ValueError("a slit requires n0 >= 2 (interior gridline needed)")
-    dx, dy = lx / n0, ly / n0
+    grid = InitialGrid(domain, slit, n0)
+    n0 = grid.n0
 
     def vid(i, j):
         return j * (n0 + 1) + i
 
-    # linspace pins the endpoints exactly, so boundary tests below are exact
-    xs = np.linspace(0.0, lx, n0 + 1)
-    ys = np.linspace(0.0, ly, n0 + 1)
-    xx, yy = np.meshgrid(xs, ys, indexing="xy")
-    verts = np.column_stack([xx.ravel(), yy.ravel()])
+    verts = np.stack(np.meshgrid(*grid.lines()), axis=-1).reshape(-1, 2)
 
     # two triangles per cell, cells row by row, each written from the
     # right-angle vertex, so the diagonal is the refinement edge: even cells
@@ -321,33 +379,19 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
                               np.column_stack([ll, lr, ul]))],
                     axis=1).reshape(-1, 3)
 
-    if slit is not None:
-        sx0, sx1, sy = map(float, slit)
-        if not (sx0 < sx1):
-            raise ValueError("slit must have positive length")
-        jy = sy / dy
-        if abs(jy - round(jy)) > 1e-12 * n0 or not (0 < round(jy) < n0):
-            raise ValueError(f"slit height {sy} is not on an interior gridline")
-        for xe in (sx0, sx1):
-            ix = xe / dx
-            if abs(ix - round(ix)) > 1e-12 * n0 or not (0 <= round(ix) <= n0):
-                raise ValueError(f"slit endpoint x={xe} is not a grid vertex")
-        jy = int(round(jy))
-        i0, i1 = int(round(sx0 / dx)), int(round(sx1 / dx))
-        # the slit as the vertices carry it, so labels compare exactly
-        slit = (float(xs[i0]), float(xs[i1]), float(ys[jy]))
-
+    if grid.slit is not None:
+        i0, i1, jy = grid.slit_index
         # grid vertices on the slit get an upper copy, except interior tips;
         # triangles above the slit line use the copies
         dup = vid(np.arange(i0 + (i0 > 0), i1 + 1 - (i1 < n0)), jy)
         upper_of = np.arange(len(verts))
         upper_of[dup] = len(verts) + np.arange(len(dup))
         verts = np.vstack([verts, verts[dup]])
-        above = verts[tris].mean(axis=1)[:, 1] > slit[2]
+        above = grid.above(verts[tris].mean(axis=1))
         tris[above] = upper_of[tris[above]]
 
     return Mesh(verts, tris, np.zeros(len(tris), dtype=np.int64),
-                max_levels=max_levels, grid=InitialGrid((lx, ly), slit, n0))
+                max_levels=max_levels, grid=grid)
 
 
 def _label_boundary(mesh):
@@ -367,20 +411,15 @@ def _label_boundary(mesh):
     edges = mesh.edges[mesh.boundary_edge_mask]
     if mesh.grid is None:
         return edges[:0], np.empty(0, dtype=np.int64)
-    (lx, ly), slit = mesh.grid.domain, mesh.grid.slit
+    grid, (lx, ly) = mesh.grid, mesh.grid.domain
     ends = mesh.vertices[edges]                 # (k, 2, 2)
     x, y = ends[:, :, 0], ends[:, :, 1]
     left = (x == 0.0).all(axis=1)
-    upper = np.ones(len(ends), dtype=bool)
-    on_slit = np.zeros(len(ends), dtype=bool)
-    if slit is not None:
-        mid = 0.5 * (ends[:, 0] + ends[:, 1])
-        upper = mid[:, 1] > slit[2]
-        on_slit = ((y == slit[2]).all(axis=1) & (mid[:, 0] >= slit[0])
-                   & (mid[:, 0] <= slit[1]))
+    upper = grid.above(0.5 * (ends[:, 0] + ends[:, 1]))
     # one condition per label, in the order of _LABELS
     conds = [(y == 0.0).all(axis=1), (x == lx).all(axis=1),
-             (y == ly).all(axis=1), left & upper, left & ~upper, on_slit]
+             (y == ly).all(axis=1), left & upper, left & ~upper,
+             grid.on_slit(ends).all(axis=1)]
     codes = np.select(conds, np.arange(len(conds)), default=-1)
     bad = np.flatnonzero(codes < 0)
     if bad.size:

@@ -3,16 +3,19 @@
 The levels are the current mesh, then the ``n0 x n0`` grid its adapt chain
 started from, then ``n0/2``, ``n0/4``, ... down to the first grid with at
 most ``COARSE_DOFS`` dofs, or to the last one whose grid lines still carry
-the slit.  Every grid level is the mesh :func:`build_initial_mesh` builds
-for its size, so the layout of the split quads and of the slit copies has
-one source.  The grids are nested.  The current mesh need not be nested in
-the ``n0`` grid (the structural coarsening pass can merge same-level
-triangles of different initial triangles), so every prolongation is P1
-interpolation at the finer vertices: each vertex is located in the two
-triangles of its grid cell, and a vertex on the slit takes the cell on its
-own face, the upper one if a triangle above the slit line uses it.
-Interpolation from a continuous coarse space gives an SPD preconditioner
-whether or not the spaces nest.
+the slit.  A grid is halved only while ``n0`` and the slit's grid indices
+``(i0, i1, jy)`` that :class:`~fracture_afem.mesh.InitialGrid` keeps (the
+columns of its ends and its row) are all even, so every coarser grid passes
+the layout check of ``InitialGrid``.  Every grid level is the mesh
+:func:`build_initial_mesh` builds for its size, so the layout of the split
+quads and of the slit copies has one source.  The grids are nested.  The
+current mesh need not be nested in the ``n0`` grid (the structural
+coarsening pass can merge same-level triangles of different initial
+triangles), so every prolongation is P1 interpolation at the finer
+vertices: each vertex is located in the two triangles of its grid cell, and
+a vertex on the slit takes the cell on its own face, the upper one if a
+triangle above the slit line uses it.  Interpolation from a continuous
+coarse space gives an SPD preconditioner whether or not the spaces nest.
 
 Per system the coarse operators are Galerkin products ``P^T A P``, with the
 rows of ``P`` that belong to pinned dofs zeroed, and the coarsest grid is
@@ -37,17 +40,6 @@ DENSE_MAX = 400         # largest coarsest grid that is inverted densely
 OMEGA = 0.7             # Jacobi damping
 
 
-def _upper(mesh):
-    """Flags the vertices used by a triangle above the slit line: on the
-    slit, those of its upper face."""
-    upper = np.zeros(mesh.n_vertices, dtype=bool)
-    if mesh.grid.slit is not None:
-        t = mesh.triangles
-        above = mesh.vertices[t, 1].mean(axis=1) > mesh.grid.slit[2]
-        upper[t[above].ravel()] = True
-    return upper
-
-
 def _corner_areas(mesh, tris, x, y):
     """For each point ``(x, y)`` and each corner of its triangle in
     ``tris``, twice the signed area spanned by the point and the two other
@@ -58,25 +50,26 @@ def _corner_areas(mesh, tris, x, y):
             - dy[:, [1, 2, 0]] * dx[:, [2, 0, 1]])
 
 
-def _interpolation(coarse, pts, upper):
-    """P1 interpolation from the grid mesh ``coarse`` at ``pts``, as a CSR
-    matrix.
+def _prolongation(coarse, fine):
+    """``(P, P^T)``, CSR, where ``P`` is the P1 interpolation from the grid
+    mesh ``coarse`` at the vertices of the mesh ``fine``.
 
-    Each point is located in the two triangles ``2c`` and ``2c + 1`` of its
+    Each vertex is located in the two triangles ``2c`` and ``2c + 1`` of its
     grid cell ``c`` and weighted by its barycentric coordinates in the one
-    that holds it.  A point on the slit takes the cell on its own face,
-    above the slit line where ``upper`` flags it.
+    that holds it.  A vertex on the slit takes the cell on its own face:
+    the upper one if a triangle above the slit line uses it.
     """
-    grid = coarse.grid
+    grid, pts = coarse.grid, fine.vertices
     n, (lx, ly) = grid.n0, grid.domain
     x, y = pts.T
     i = np.clip(np.floor(x * (n / lx)), 0, n - 1).astype(np.int64)
     j = np.clip(np.floor(y * (n / ly)), 0, n - 1).astype(np.int64)
     if grid.slit is not None:
-        sx0, sx1, sy = grid.slit
-        on = (y == sy) & (x >= sx0) & (x <= sx1)
-        jy = round(sy * (n / ly))
-        j = np.where(on, np.where(upper, jy, jy - 1), j)
+        t = fine.triangles
+        upper = np.zeros(len(pts), dtype=bool)
+        upper[t[grid.above(pts[t].mean(axis=1))].ravel()] = True
+        jy = grid.slit_index[2]
+        j = np.where(grid.on_slit(pts), np.where(upper, jy, jy - 1), j)
     pair = coarse.triangles.reshape(-1, 2, 3)[j * n + i]      # (np, 2, 3)
     cols = pair[:, 0]
     w = _corner_areas(coarse, cols, x, y)
@@ -91,8 +84,9 @@ def _interpolation(coarse, pts, upper):
     w /= w.sum(axis=1, keepdims=True)
     keep = w > 0.0
     rows = np.repeat(np.arange(len(pts)), 3).reshape(-1, 3)
-    return sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
-                         shape=(len(pts), coarse.n_vertices))
+    P = sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
+                      shape=(len(pts), coarse.n_vertices))
+    return P, P.T.tocsr()
 
 
 def _hierarchy(grid):
@@ -103,18 +97,13 @@ def _hierarchy(grid):
 
 def _build_hierarchy(grid):
     meshes = [build_initial_mesh(grid.domain, grid.slit, grid.n0)]
-    n = grid.n0
-    while meshes[-1].n_vertices > COARSE_DOFS and n % 2 == 0:
-        n //= 2
-        try:
-            meshes.append(build_initial_mesh(grid.domain, grid.slit, n))
-        except ValueError:      # the slit leaves the coarser grid lines
-            break
-    levels = []
-    for fine, coarse in zip(meshes, meshes[1:]):
-        P = _interpolation(coarse, fine.vertices, _upper(fine))
-        levels.append((P, P.T.tocsr()))
-    return meshes, levels
+    while meshes[-1].n_vertices > COARSE_DOFS:
+        g = meshes[-1].grid
+        if any(i % 2 for i in (g.n0, *(g.slit_index or ()))):
+            break               # the slit leaves the grid lines of n0 / 2
+        meshes.append(build_initial_mesh(g.domain, g.slit, g.n0 // 2))
+    return meshes, [_prolongation(coarse, fine)
+                    for fine, coarse in zip(meshes, meshes[1:])]
 
 
 def grid_prolongations(grid):
@@ -124,13 +113,8 @@ def grid_prolongations(grid):
 
 def mesh_prolongation(mesh):
     """``(P, P^T)`` from the ``n0`` grid to ``mesh``, kept in its cache."""
-    return derived(mesh, "mg", _mesh_prolongation)
-
-
-def _mesh_prolongation(mesh):
-    P = _interpolation(_hierarchy(mesh.grid)[0][0], mesh.vertices,
-                       _upper(mesh))
-    return P, P.T.tocsr()
+    return derived(mesh, "mg",
+                   lambda m: _prolongation(_hierarchy(m.grid)[0][0], m))
 
 
 def _spd_inverse(a):
@@ -178,11 +162,9 @@ class VCycle:
         self.R = [R for _, R in levels]
         for P, R in levels:
             self.ops.append((R @ (self.ops[-1] @ P)).tocsr())
-        self.weights = []
-        for op in self.ops:
-            d = op.diagonal()
-            # a coarse dof whose whole support is pinned has an empty row
-            self.weights.append(OMEGA / np.where(d > 0.0, d, 1.0))
+        # a coarse dof whose whole support is pinned has an empty row
+        self.weights = [OMEGA / np.where(d > 0.0, d, 1.0)
+                        for d in (op.diagonal() for op in self.ops)]
         self.coarse_inv = None
         if levels and self.ops[-1].shape[0] <= DENSE_MAX:
             self.coarse_inv = _spd_inverse(self.ops[-1].toarray())

@@ -153,6 +153,17 @@ def test_wave_solve_starts_from_the_predictor():
     assert np.allclose(u.values, predicted, rtol=0.0, atol=1e-13)
 
 
+def test_step_displacement_requires_material_params():
+    # without a default the call fails at the call, not deep inside the
+    # degradation with an AttributeError of None
+    mesh = build_initial_mesh((1.0, 1.0), None, 2)
+    st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh), 0.1)
+    bnd = boundary_dofs(mesh)
+    ds = DirichletSet(bnd, np.zeros(len(bnd)))
+    with pytest.raises(TypeError, match="params"):
+        step_displacement(st, 0.1, ds)
+
+
 # ----------------------------------------------------------------------
 # boundary loading
 # ----------------------------------------------------------------------

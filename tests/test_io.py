@@ -14,6 +14,7 @@ from fracture_afem.driver import EnergyReport, RunConfig, run
 from fracture_afem.dynamics import init_state
 from fracture_afem.estimator import estimate
 from fracture_afem.fem import FeFunction
+from fracture_afem.mesh import build_initial_mesh
 
 
 GOLDEN_SNAPSHOT = (
@@ -110,7 +111,7 @@ def test_derived_values_follow_configured_domain(tmp_path, capsys):
 _MESH_TIME_KEYS = {
     "lx": st.floats(0.25, 20.0), "ly": st.floats(0.25, 20.0),
     "n0": st.integers(1, 256), "max_levels": st.integers(0, 10),
-    "t_final": st.floats(0.5, 50.0),
+    "t_final": st.floats(0.5, 50.0), "slit": st.booleans(),
 }
 
 
@@ -124,6 +125,20 @@ def test_load_config_equals_with_defaults(keys):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.cfg"
         path.write_text(text)
+        try:
+            build_initial_mesh((keys.get("lx", 3.0), keys.get("ly", 3.0)),
+                               (0.0, 1.5, 1.5) if keys.get("slit", True)
+                               else None, keys.get("n0", 64))
+        except ValueError:
+            # the default slit is off this grid: both refuse the layout, with
+            # one message
+            with pytest.raises(ValueError) as by_name:
+                RunConfig.with_defaults(**keys)
+            with pytest.raises(fio.ConfigError) as from_file:
+                fio.load_config(path)
+            assert "slit" in str(by_name.value)
+            assert str(from_file.value) == str(by_name.value)
+            return
         if keys.get("t_final", 5.0) <= 0.5:
             # the ramp end t_g = t_final leaves no window after t_s = 0.5
             with pytest.raises(fio.ConfigError, match="loading window"):
@@ -143,6 +158,39 @@ def test_load_config_equals_with_defaults(keys):
     for key in keys:
         section = "time" if key == "t_final" else "mesh"
         assert cfg.provenance[f"{section}.{key}"] == "config-file"
+
+
+@st.composite
+def mesh_layouts(draw):
+    """``[mesh]`` keys whose slit row and end are each drawn on a grid line
+    of the ``n0`` grid (the sides and the outside included) or anywhere."""
+    n0 = draw(st.integers(1, 64))
+    lx, ly = draw(st.floats(0.25, 20.0)), draw(st.floats(0.25, 20.0))
+
+    def coordinate(length):
+        if draw(st.booleans()):
+            return draw(st.integers(-1, n0 + 1)) * (length / n0)
+        return draw(st.floats(-1.0, length + 1.0))
+
+    return {"n0": n0, "lx": lx, "ly": ly, "slit": draw(st.booleans()),
+            "slit_x_end": coordinate(lx), "slit_y": coordinate(ly)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mesh_layouts())
+def test_config_is_accepted_exactly_when_its_mesh_builds(keys):
+    slit = (0.0, keys["slit_x_end"], keys["slit_y"]) if keys["slit"] else None
+    try:
+        build_initial_mesh((keys["lx"], keys["ly"]), slit, keys["n0"])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            RunConfig.with_defaults(**keys)
+        assert str(refused.value) == str(exc)
+    else:
+        cfg = RunConfig.with_defaults(**keys)
+        mesh = cfg.build_mesh()
+        assert mesh.grid.n0 == keys["n0"] and (mesh.grid.slit is None) \
+            == (not keys["slit"])
 
 
 def test_with_defaults_rejects_unknown_key():
@@ -187,6 +235,16 @@ def test_marking_ranges_checked_at_load(keys):
     # checked for every strategy, not only when a marking runs
     with pytest.raises(ValueError, match="must"):
         RunConfig.with_defaults(strategy="threshold", **keys)
+
+
+def test_negative_snapshot_cadence_rejected():
+    # 0 is the one spelling of "no snapshots"
+    with pytest.raises(ValueError, match="snapshot_every"):
+        RunConfig.with_defaults(snapshot_every=-3)
+    cfg = RunConfig.with_defaults(snapshot_every=0)
+    cfg.output.snapshot_every = -1
+    with pytest.raises(ValueError, match="snapshot_every"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("line", ["n0 = 0", "max_levels = -1", "lx = -3"])
@@ -262,6 +320,25 @@ def test_config_round_trip(tmp_path):
     assert back.tolerances == cfg.tolerances
     assert back.marking == cfg.marking
     assert back.output == cfg.output
+
+
+@pytest.mark.parametrize("directory", [
+    "runs/#3", "runs/\n3", "runs/3\r", " runs", "runs ", "runs\t"])
+def test_write_config_refuses_a_value_it_cannot_restore(tmp_path, directory):
+    # '#' starts a comment, a value ends at the line break and is stripped
+    cfg = RunConfig.with_defaults(n0=8)
+    cfg.output.directory = directory
+    p = tmp_path / "rt.cfg"
+    with pytest.raises(ValueError, match=r"output\.directory"):
+        fio.write_config(cfg, p)
+    assert not p.exists()
+
+
+def test_write_config_restores_inner_blanks_and_symbols(tmp_path):
+    cfg = RunConfig.with_defaults(n0=8)
+    cfg.output.directory = "runs/a b=c;[d]"
+    back = fio.load_config(fio.write_config(cfg, tmp_path / "rt.cfg"))
+    assert back.output.directory == cfg.output.directory
 
 
 # ----------------------------------------------------------------------
@@ -467,21 +544,41 @@ CONFIG_ERRORS = [
 ]
 
 
+def assert_config_error(tmp_path, capsys, name, text, flags):
+    """``run`` (and ``check-config`` when no flag is needed) exit 2 with a
+    one-line config error and write nothing."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    out = tmp_path / "o"
+    commands = [["run", "--config", str(p), "--output", str(out), *flags]]
+    if not flags:
+        commands.append(["check-config", "--config", str(p)])
+    for argv in commands:
+        assert fio.cli(argv) == 2, (name, argv[0])
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), (name, argv[0], err)
+        assert "Traceback" not in err
+    assert not out.exists(), name
+
+
 def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys):
     for name, text, flags in CONFIG_ERRORS:
-        p = tmp_path / "bad.cfg"
-        p.write_text(text)
-        out = tmp_path / "o"
-        commands = [["run", "--config", str(p), "--output", str(out),
-                     *flags]]
-        if not flags:
-            commands.append(["check-config", "--config", str(p)])
-        for argv in commands:
-            assert fio.cli(argv) == 2, (name, argv[0])
-            err = capsys.readouterr().err
-            assert err.startswith("config error: "), (name, argv[0], err)
-            assert "Traceback" not in err
-        assert not out.exists(), name
+        assert_config_error(tmp_path, capsys, name, text, flags)
+
+
+# a layout the mesh build refuses and a negative snapshot cadence; each
+# passed check-config before the grid checked itself at load.  The short
+# runs keep a file that loads from running the published experiment.
+@pytest.mark.parametrize("name, text", [
+    ("slit row off the grid", "[mesh]\nn0 = 16\nslit_y = 1.4\n"),
+    ("slit end off the grid", "[mesh]\nn0 = 16\nslit_x_end = 3.5\n"),
+    ("slit of zero length", "[mesh]\nn0 = 16\nslit_x_end = 0\n"),
+    ("slit on a one-cell grid", "[mesh]\nn0 = 1\n"),
+    ("negative snapshot cadence",
+     "[mesh]\nn0 = 4\n[time]\nn_steps = 2\n[output]\nsnapshot_every = -1\n"),
+])
+def test_cli_layout_and_cadence_errors_exit_2(tmp_path, capsys, name, text):
+    assert_config_error(tmp_path, capsys, name, text, [])
 
 
 def test_cli_rejects_removed_seed_flag(tmp_path):

@@ -1,13 +1,15 @@
 """Mesh construction, bisection refinement, coarsening and geometry."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracture_afem.fem import FeFunction, transfer, transfer_pinned
-from fracture_afem.mesh import (BoundaryLabel, adapt, build_initial_mesh,
-                                geometry)
+from fracture_afem.mesh import (BoundaryLabel, InitialGrid, adapt,
+                                build_initial_mesh, geometry)
 from test_multigrid import adapted_slit_meshes
 
 DOMAIN3 = (3.0, 3.0)
@@ -92,6 +94,49 @@ def test_slit_requires_n0_at_least_two():
         build_initial_mesh(DOMAIN3, SLIT, 1)
     with pytest.raises(ValueError):
         build_initial_mesh(DOMAIN3, None, 0)
+
+
+@pytest.mark.parametrize("domain, slit, n0, message", [
+    ((3.0, 3.0), SLIT, 1, "a slit requires n0 >= 2"),
+    ((3.0, 3.0), (0.0, 0.0, 1.5), 16, "slit must have positive length"),
+    ((3.0, 3.0), (1.5, 0.0, 1.5), 16, "slit must have positive length"),
+    # an end within rounding of the other snaps onto it
+    ((3.0, 3.0), (0.0, 1e-13, 1.5), 2, "slit must have positive length"),
+    ((3.0, 3.0), (0.0, 1.5, 1.4), 16,
+     "slit height 1.4 is not on an interior gridline"),
+    ((3.0, 3.0), (0.0, 1.5, 3.0), 16,
+     "slit height 3.0 is not on an interior gridline"),
+    ((3.0, 3.0), (0.0, 3.5, 1.5), 16,
+     "slit endpoint x=3.5 is not a grid vertex"),
+    ((3.0, 3.0), (0.0, 1.5, float("nan")), 16,
+     "slit height nan is not on an interior gridline"),
+    ((3.0, 3.0), (0.0, float("inf"), 1.5), 16,
+     "slit endpoint x=inf is not a grid vertex"),
+    ((3.0, 3.0), None, 0, "n0 must be at least 1"),
+    ((-3.0, 3.0), None, 4, "domain lengths lx, ly must be positive"),
+    ((float("inf"), 3.0), None, 4, "domain lengths lx, ly must be positive"),
+])
+def test_layout_checked_by_the_grid_with_its_message(domain, slit, n0,
+                                                     message):
+    # the mesh build refuses a layout exactly as its grid does
+    with pytest.raises(ValueError, match=re.escape(message)):
+        InitialGrid(domain, slit, n0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_initial_mesh(domain, slit, n0)
+
+
+def test_grid_keeps_the_snapped_slit_and_its_indices():
+    g = InitialGrid((1, 1), (0, 0.5, 0.3), 10)
+    assert g.domain == (1.0, 1.0) and g.n0 == 10
+    assert g.slit == (0.0, 0.5, np.linspace(0.0, 1.0, 11)[3])
+    assert g.slit_index == (0, 5, 3)
+    assert InitialGrid((1.0, 1.0), None, 3).slit_index is None
+    pts = np.array([[0.0, 0.3], [0.2, g.slit[2]], [0.6, g.slit[2]],
+                    [0.4, 0.31]])
+    assert g.on_slit(pts).tolist() == [False, True, False, False]
+    assert g.above(pts).tolist() == [False, False, False, True]
+    free = InitialGrid((1.0, 1.0), None, 3)
+    assert free.above(pts).all() and not free.on_slit(pts).any()
 
 
 def test_non_power_of_two_grid_labels_exactly():

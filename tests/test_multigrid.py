@@ -99,6 +99,28 @@ def test_grid_levels_stop_at_small_grid_or_off_grid_slit():
     assert sizes(INNER_SLIT, 24) == [24, 12]
     assert sizes(EDGE_SLIT, 18) == [18]
 
+    def build_attempts(slit, n0):
+        # the stopping rule by trial: halve while the coarser mesh builds
+        out = [build_initial_mesh(DOMAIN3, slit, n0)]
+        while out[-1].n_vertices > mg.COARSE_DOFS and out[-1].grid.n0 % 2 == 0:
+            try:
+                out.append(build_initial_mesh(DOMAIN3, slit,
+                                              out[-1].grid.n0 // 2))
+            except ValueError:
+                break
+        return [m.grid.n0 for m in out]
+
+    swept = 0
+    for slit in (EDGE_SLIT, INNER_SLIT):
+        for n0 in range(2, 65):
+            try:
+                want = build_attempts(slit, n0)
+            except ValueError:      # the slit is off the n0 grid
+                continue
+            assert sizes(slit, n0) == want, (slit, n0)
+            swept += 1
+    assert swept == 32 + 16
+
 
 def test_grid_prolongations_are_exact_between_levels():
     grid = build_initial_mesh(DOMAIN3, EDGE_SLIT, 32).grid
