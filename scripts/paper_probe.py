@@ -15,9 +15,10 @@ mesh) and the same number of staggered iterations form a phase; a phase
 shorter than ``MIN_PHASE_STEPS`` joins the one before it.  Each row gives the
 step range, the dofs at its first and last step, the wall time between
 ``on_step`` callbacks (the first row also holds the set-up and step 1),
-and the wave and damage conjugate-gradient iterations, including the
-solves an adaptation replaced.  The run's output files go to a temporary
-directory.
+the wave and damage conjugate-gradient iterations, including the solves an
+adaptation replaced, and the damage iterations per staggered iteration
+(each staggered iteration makes one damage solve, or takes the intact
+shortcut).  The run's output files go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ MIN_PHASE_STEPS = 10
 
 def step_row(n, seconds, record):
     """The per-step numbers a phase sums, from the step's record."""
-    first = record.first_solve or {"wave_iterations": 0, "pf_iterations": 0}
+    first = record.first_solve or {"inner_iterations": 0,
+                                   "wave_iterations": 0, "pf_iterations": 0}
     kind = ("intact" if record.shortcut
             else "adapted" if record.adapt is not None else "kept mesh")
     return {"step": n, "seconds": seconds, "dofs": record.report.n_dofs,
             "kind": kind, "inner": record.inner_iterations,
+            "staggered": record.inner_iterations + first["inner_iterations"],
             "wave": record.wave_iterations + first["wave_iterations"],
             "pf": record.pf_iterations + first["pf_iterations"]}
 
@@ -96,15 +99,18 @@ def main(argv=None):
         result = run(cfg, on_step=on_step)
 
     print(f"{'steps':>11} {'dofs':>15} {'wall s':>8} {'s/step':>7} "
-          f"{'wave CG':>8} {'damage CG':>9}  phase")
+          f"{'wave CG':>8} {'damage CG':>9} {'per stag':>8}  phase")
     for members in phases(rows, MIN_PHASE_STEPS):
         first, last = members[0], members[-1]
         wall = sum(m["seconds"] for m in members)
+        pf = sum(m["pf"] for m in members)
         print(f"{first['step']:>5}-{last['step']:<5} "
               f"{first['dofs']:>7}-{last['dofs']:<7} {wall:>8.2f} "
               f"{wall / len(members):>7.3f} "
               f"{sum(m['wave'] for m in members):>8} "
-              f"{sum(m['pf'] for m in members):>9}  {describe(members)}")
+              f"{pf:>9} "
+              f"{pf / sum(m['staggered'] for m in members):>8.1f}  "
+              f"{describe(members)}")
     s = result.summary
     print(f"total {sum(m['seconds'] for m in rows):.2f} s over steps 2-{n}; "
           f"{s['final_dofs']} dofs and {s['pinned_dofs']} pinned dofs at "

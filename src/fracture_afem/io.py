@@ -327,3 +327,7 @@ def cli(argv=None):
 
 def main():
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,12 +1,39 @@
-"""Preconditioned conjugate gradients for SPD systems (Jacobi by default)."""
+"""Preconditioned conjugate gradients for SPD systems (Jacobi by default),
+and the CSR matrix-vector product they share with the multigrid cycle."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
-__all__ = ["SolveReport", "solve_spd"]
+__all__ = ["SolveReport", "solve_spd", "csr_matvec"]
+
+
+def csr_matvec(A, x, out):
+    """``A @ x`` for a float64 CSR matrix ``A``, written into the caller's
+    float64 buffer ``out`` and returned.
+
+    It calls the kernel behind scipy's ``A @ x`` (``csr_matvec`` of
+    ``scipy.sparse._sparsetools``, which adds ``A x`` to its output), so the
+    bits are the same, without the per-call dispatch and the fresh output
+    array.  The kernel checks no sizes, so they are checked here.
+
+    Raises
+    ------
+    ValueError
+        If ``A`` is not CSR or the lengths of ``x`` and ``out`` do not fit
+        it.
+    """
+    if A.format != "csr" or (len(out), len(x)) != A.shape:
+        raise ValueError(f"csr_matvec needs a CSR matrix and fitting "
+                         f"vectors, got {A.format} {A.shape}, "
+                         f"{len(x)} and {len(out)} entries")
+    out.fill(0.0)
+    _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices,
+                            A.data, x, out)
+    return out
 
 
 @dataclass
@@ -18,7 +45,7 @@ class SolveReport:
 
 def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
               precond=None):
-    """Solve ``A x = b`` for symmetric positive definite ``A``.
+    """Solve ``A x = b`` for a symmetric positive definite CSR matrix ``A``.
 
     The residual test is relative: iteration stops once
     ``||b - A x|| <= tol * ||b||``.  Deterministic for fixed inputs.
@@ -56,13 +83,14 @@ def solve_spd(A, b, tol=1e-12, max_iter=None, x0=None, context="",
 
     z = precond(r)
     p = z.copy()
+    Ap = np.empty(n)
     tmp = np.empty(n)
     rz = r @ z
     it = 0
     converged = False
     while it < max_iter:
         it += 1
-        Ap = A @ p
+        csr_matvec(A, p, Ap)
         pAp = p @ Ap
         if pAp <= 0.0:
             raise ValueError(

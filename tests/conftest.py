@@ -1,7 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fracture_afem.driver import RunConfig, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def src_env():
+    """The environment of a child Python that imports the package from
+    this checkout's ``src/``."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Config parsing, writers, and the command line."""
 
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -106,6 +108,19 @@ def test_derived_values_follow_configured_domain(tmp_path, capsys):
     assert fio.cli(["check-config", "--config", str(p)]) == 0
     assert (f"epsilon = {5.0 * h_f}   (published-experiment default (5 h_f))"
             in capsys.readouterr().out)
+
+
+def test_module_run_reads_the_config(tmp_path, src_env):
+    # `python -m fracture_afem.io` runs the command line, as the installed
+    # console script does
+    p = tmp_path / "bad.cfg"
+    p.write_text("[mesh]\nslit_y = 1.4\n")
+    proc = subprocess.run([sys.executable, "-m", "fracture_afem.io",
+                           "check-config", "--config", str(p)],
+                          cwd=tmp_path, env=src_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr
 
 
 _MESH_TIME_KEYS = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracture_afem.linsolve import solve_spd
+from fracture_afem.linsolve import csr_matvec, solve_spd
 
 
 def random_spd(n, seed):
@@ -91,3 +91,19 @@ def test_tol_validation():
         solve_spd(A, np.ones(3), tol=0.0)
     with pytest.raises(ValueError):
         solve_spd(A, np.ones(3), tol=1.5)
+
+
+def test_csr_matvec_writes_the_bits_of_scipy_product():
+    rng = np.random.default_rng(16)
+    dense = np.where(rng.random((37, 30)) < 0.3,
+                     rng.standard_normal((37, 30)), 0.0)
+    A, rect = sp.csr_matrix(dense[:30]), sp.csr_matrix(dense[30:])
+    x = rng.standard_normal(30)
+    out = np.full(30, np.nan)               # stale content is overwritten
+    assert csr_matvec(A, x, out) is out
+    assert np.array_equal(out, A @ x)
+    assert np.array_equal(csr_matvec(rect, x, np.empty(7)), rect @ x)
+    with pytest.raises(ValueError, match="CSR"):
+        csr_matvec(rect, x, np.empty(30))
+    with pytest.raises(ValueError, match="CSR"):
+        csr_matvec(A.tocsc(), x, out)

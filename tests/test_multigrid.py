@@ -1,5 +1,9 @@
 """Multigrid preconditioner: grid hierarchy, prolongations, V-cycle."""
 
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
@@ -42,8 +46,8 @@ def face_field(pts, upper, slit):
                                               0.0)
 
 
-def grid_meshes(grid):
-    return mg._hierarchy(grid)[0]
+def grid_meshes(grid, j=0):
+    return mg._hierarchy(grid, j)[0]
 
 
 def grid_field(mesh):
@@ -74,7 +78,7 @@ def adapted_slit_meshes(draw):
 def test_mesh_prolongation_interpolates_each_face(mesh):
     P, R = mg.mesh_prolongation(mesh)
     grid = mesh.grid
-    coarse = grid_meshes(grid)[0]
+    coarse = grid_meshes(grid, mg.entry_level(mesh))[0]
     assert P.shape == (mesh.n_vertices, coarse.n_vertices)
     assert (P.data >= 0.0).all() and (P.data <= 1.0).all()
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
@@ -142,7 +146,7 @@ def test_hierarchy_is_built_at_the_first_solve_only():
     assert fine.grid is mesh.grid
     A, _, _ = phasefield_system(strained(fine), MP, fine)
     mg.vcycle(A, fine)
-    assert set(mesh.grid._cache) == {"mg"} and "mg" in fine._cache
+    assert set(mesh.grid._cache) == {"mg0"} and "mg" in fine._cache
 
 
 def strained(mesh, amplitude=3.0):
@@ -167,13 +171,15 @@ def adapted_slit_mesh():
     return mesh
 
 
-def test_vcycle_is_symmetric_and_positive_with_pins():
-    mesh = adapted_slit_mesh()
+def block_pins(mesh):
+    """Crack pins along the slit, and a block that pins the whole support
+    of some coarse dofs."""
     x, y = mesh.vertices.T
-    # crack pins along the slit, and a block that pins the whole support of
-    # some coarse dofs
-    pins = np.flatnonzero(((np.abs(y - 1.5) < 0.3) & (x < 2.0))
+    return np.flatnonzero(((np.abs(y - 1.5) < 0.3) & (x < 2.0))
                           | ((x > 2.2) & (y < 0.8)))
+
+
+def assert_symmetric_positive(mesh, pins):
     Ac, _ = pinned_system(mesh, pins)
     B = mg.vcycle(Ac, mesh, pins)
     rng = np.random.default_rng(4)
@@ -188,6 +194,86 @@ def test_vcycle_is_symmetric_and_positive_with_pins():
         free[pins] = False
         r = np.where(free, p, 0.0)
         assert (B(r)[pins] == 0.0).all()
+
+
+def test_vcycle_is_symmetric_and_positive_with_pins():
+    mesh = adapted_slit_mesh()
+    assert_symmetric_positive(mesh, block_pins(mesh))
+
+
+def reference_cycle(B, r):
+    """The cycle of ``B`` with plain scipy products and fresh arrays."""
+    rhs, smooth = [r], []
+    for A, w, R in zip(B.ops, B.weights, B.R):
+        smooth.append(w * rhs[-1])
+        rhs.append(R @ (rhs[-1] - A @ smooth[-1]))
+    x = B.coarse_inv @ rhs[-1]
+    for k in reversed(range(len(smooth))):
+        x = smooth[k] + B.P[k] @ x
+        x += B.weights[k] * (rhs[k] - B.ops[k] @ x)
+    return x
+
+
+def test_vcycle_products_match_scipy_bit_for_bit():
+    mesh = adapted_slit_mesh()
+    pins = block_pins(mesh)
+    Ac, _ = pinned_system(mesh, pins)
+    B = mg.vcycle(Ac, mesh, pins)
+    p, q = np.random.default_rng(11).standard_normal((2, mesh.n_vertices))
+    Bp = B(p)
+    assert np.array_equal(Bp, reference_cycle(B, p))
+    # the work arrays are reused, the results are not
+    assert np.array_equal(B(q), reference_cycle(B, q))
+    assert np.array_equal(Bp, reference_cycle(B, p))
+
+
+def uniform_slit_mesh(levels, n0=8):
+    """The ``n0`` slit grid bisected uniformly ``levels`` times."""
+    mesh = build_initial_mesh(DOMAIN3, EDGE_SLIT, n0)
+    for _ in range(levels):
+        mesh = adapt(mesh, range(mesh.n_triangles))
+    assert (mesh.levels == levels).all()
+    return mesh
+
+
+def test_entry_level_halves_h_once_below_the_median_cell():
+    for levels, j in [([0], 0), ([3, 3, 4], 0), ([4, 4, 0], 1),
+                      ([5], 1), ([6, 2, 7], 2)]:
+        assert mg.entry_level(SimpleNamespace(levels=levels)) == j, levels
+
+
+def test_level_four_mesh_enters_at_the_doubled_grid():
+    mesh = uniform_slit_mesh(4)
+    assert mg.entry_level(mesh) == 1
+    P, R = mg.mesh_prolongation(mesh)
+    entry = grid_meshes(mesh.grid, 1)
+    assert [m.grid.n0 for m in entry] == [16, 8]
+    assert P.shape == (mesh.n_vertices, entry[0].n_vertices)
+    assert (R != P.T).nnz == 0
+    assert np.allclose(P @ grid_field(entry[0]), grid_field(mesh),
+                       rtol=0.0, atol=1e-12)
+    assert_symmetric_positive(mesh, block_pins(mesh))
+    assert set(mesh.grid._cache) == {"mg1"}
+
+
+def test_doubled_entry_grid_cuts_iterations():
+    mesh = uniform_slit_mesh(4)
+    A, b, _ = phasefield_system(strained(mesh, 0.3), MP, mesh)
+    through_n0 = mg.VCycle(A, [mg._prolongation(grid_meshes(mesh.grid)[0],
+                                                mesh)]
+                           + mg.grid_prolongations(mesh.grid))
+    _, rep_n0 = solve_spd(A, b, precond=through_n0)
+    _, rep = solve_spd(A, b, precond=mg.vcycle(A, mesh))
+    assert rep.converged and rep_n0.converged
+    assert rep.iterations < rep_n0.iterations
+
+
+def test_median_level_three_builds_no_finer_grid():
+    mesh = uniform_slit_mesh(3)
+    assert mg.entry_level(mesh) == 0
+    A, _, _ = phasefield_system(strained(mesh), MP, mesh)
+    mg.vcycle(A, mesh)
+    assert set(mesh.grid._cache) == {"mg0"}
 
 
 def test_vcycle_cuts_iterations_on_adapted_slit_mesh():
@@ -247,6 +333,43 @@ def test_dense_inverse_skips_directions_the_matrix_does_not_see():
     assert np.allclose(x, x.T, rtol=0.0, atol=1e-12 * abs(x).max())
     assert np.linalg.eigvalsh(x).min() >= -1e-10 * abs(x).max()
     assert np.allclose(a @ x @ a, a, rtol=0.0, atol=1e-10 * abs(a).max())
+
+
+def test_dense_inverse_of_equal_columns_is_the_pseudo_inverse():
+    # every diagonal entry is positive, so only the factorisation sees
+    # that the last two columns are equal
+    m = np.random.default_rng(10).standard_normal((5, 5))
+    m[:, 4] = m[:, 3]
+    a = m.T @ m
+    assert (np.diagonal(a) > 0.0).all()
+    x = mg._spd_inverse(a)
+    assert np.allclose(x, np.linalg.pinv(a, rcond=1e-10, hermitian=True),
+                       rtol=0.0, atol=1e-10 * abs(x).max())
+    assert np.allclose(a @ x @ a, a, rtol=0.0, atol=1e-10 * abs(a).max())
+
+
+def test_damage_solve_does_not_import_scipy_linalg(tmp_path, src_env):
+    script = """
+import sys
+import numpy as np
+import fracture_afem.driver
+from fracture_afem.dynamics import MaterialParams
+from fracture_afem.fem import FeFunction
+from fracture_afem.mesh import build_initial_mesh
+from fracture_afem.phasefield import CrackSet, solve_phasefield
+mesh = build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 8)
+x, y = mesh.vertices.T
+u = FeFunction(3.0 * np.sin(2.0 * x) * np.cos(y), mesh.generation)
+crack = CrackSet(np.flatnonzero((y == 1.5) & (x < 1.0)), mesh.generation)
+_, info = solve_phasefield(u, MaterialParams(epsilon=0.2), crack, mesh)
+assert crack.ids.size and info["report"].iterations > 0
+print("scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=src_env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_vcycle_stays_positive_with_singular_coarse_matrix():
