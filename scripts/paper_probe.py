@@ -11,14 +11,16 @@ t_final`` is never passed inside the window, so the run is an exact prefix
 of the 1600-step one.
 
 Consecutive steps of the same kind (intact shortcut, adapted, or kept
-mesh) and the same number of staggered iterations form a phase; a phase
-shorter than ``MIN_PHASE_STEPS`` joins the one before it.  Each row gives the
-step range, the dofs at its first and last step, the wall time between
-``on_step`` callbacks (the first row also holds the set-up and step 1),
-the wave and damage conjugate-gradient iterations, including the solves an
-adaptation replaced, and the damage iterations per staggered iteration
-(each staggered iteration makes one damage solve, or takes the intact
-shortcut).  The run's output files go to a temporary directory.
+mesh), the same number of staggered iterations and the same median cell
+level form a phase; consecutive phases shorter than ``MIN_PHASE_STEPS``
+are pooled into one, and a pool still that short joins the phase before
+it.  Each row gives the step range, the dofs at its first and last
+step, the wall time between ``on_step`` callbacks (the first row also
+holds the set-up and step 1), the wave and damage conjugate-gradient
+iterations, including the solves an adaptation replaced, and the wave and
+damage iterations per staggered iteration (each staggered iteration makes
+one wave solve and one damage solve, or takes the intact shortcut).  The
+run's output files go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import argparse
 import tempfile
 import time
 
+import numpy as np
+
 from fracture_afem.driver import RunConfig, run
 
 PUBLISHED_STEPS = 1600
@@ -34,46 +38,61 @@ PUBLISHED_T_FINAL = 5.0
 MIN_PHASE_STEPS = 10
 
 
-def step_row(n, seconds, record):
-    """The per-step numbers a phase sums, from the step's record."""
+def step_row(n, seconds, record, level):
+    """The per-step numbers a phase sums, from the step's record and the
+    median cell level ``level`` of its mesh."""
     first = record.first_solve or {"inner_iterations": 0,
                                    "wave_iterations": 0, "pf_iterations": 0}
     kind = ("intact" if record.shortcut
             else "adapted" if record.adapt is not None else "kept mesh")
     return {"step": n, "seconds": seconds, "dofs": record.report.n_dofs,
-            "kind": kind, "inner": record.inner_iterations,
+            "kind": kind, "inner": record.inner_iterations, "level": level,
             "staggered": record.inner_iterations + first["inner_iterations"],
             "wave": record.wave_iterations + first["wave_iterations"],
             "pf": record.pf_iterations + first["pf_iterations"]}
 
 
 def phases(rows, min_steps):
-    """Group consecutive rows by (kind, inner iterations); a group shorter
-    than ``min_steps`` is merged into the group before it."""
+    """Group consecutive rows by (kind, inner iterations, median cell
+    level).  A run of consecutive groups shorter than ``min_steps``, such
+    as a refinement burst that passes a level every few steps, is pooled
+    into one group; a pool still shorter than ``min_steps`` is merged into
+    the group before it, and so is a group with the same key as that one."""
     groups = []
     for row in rows:
-        key = (row["kind"], row["inner"])
+        key = (row["kind"], row["inner"], row["level"])
         if groups and groups[-1][0] == key:
             groups[-1][1].append(row)
         else:
             groups.append((key, [row]))
-    merged = []
+    pooled = []                 # a pool has no key
     for key, members in groups:
-        if merged and len(members) < min_steps:
-            merged[-1][1].extend(members)
-        elif merged and merged[-1][0] == key:
+        if len(members) < min_steps:
+            if pooled and pooled[-1][0] is None:
+                pooled[-1][1].extend(members)
+            else:
+                pooled.append((None, list(members)))
+        else:
+            pooled.append((key, members))
+    merged = []
+    for key, members in pooled:
+        if merged and (len(members) < min_steps or merged[-1][0] == key):
             merged[-1][1].extend(members)
         else:
             merged.append((key, list(members)))
     return [members for _, members in merged]
 
 
+def _span(values):
+    values = sorted(set(values))
+    return (f"{values[0]}" if len(values) == 1
+            else f"{values[0]}-{values[-1]}")
+
+
 def describe(members):
     kinds = sorted({m["kind"] for m in members})
-    inner = sorted({m["inner"] for m in members})
-    span = (f"{inner[0]}" if len(inner) == 1
-            else f"{inner[0]}-{inner[-1]}")
-    return f"{'/'.join(kinds)}, {span} inner"
+    return (f"{'/'.join(kinds)}, {_span(m['inner'] for m in members)} "
+            f"inner, level {_span(m['level'] for m in members)}")
 
 
 def main(argv=None):
@@ -90,7 +109,8 @@ def main(argv=None):
 
     def on_step(state, est, report, record):
         now = time.perf_counter()
-        rows.append(step_row(report.step, now - stamp[0], record))
+        rows.append(step_row(report.step, now - stamp[0], record,
+                             int(np.median(state.mesh.levels))))
         stamp[0] = now
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -99,17 +119,18 @@ def main(argv=None):
         result = run(cfg, on_step=on_step)
 
     print(f"{'steps':>11} {'dofs':>15} {'wall s':>8} {'s/step':>7} "
-          f"{'wave CG':>8} {'damage CG':>9} {'per stag':>8}  phase")
+          f"{'wave CG':>8} {'damage CG':>9} {'wave/st':>7} {'dmg/st':>6}"
+          f"  phase")
     for members in phases(rows, MIN_PHASE_STEPS):
         first, last = members[0], members[-1]
         wall = sum(m["seconds"] for m in members)
+        wave = sum(m["wave"] for m in members)
         pf = sum(m["pf"] for m in members)
+        staggered = sum(m["staggered"] for m in members)
         print(f"{first['step']:>5}-{last['step']:<5} "
               f"{first['dofs']:>7}-{last['dofs']:<7} {wall:>8.2f} "
-              f"{wall / len(members):>7.3f} "
-              f"{sum(m['wave'] for m in members):>8} "
-              f"{pf:>9} "
-              f"{pf / sum(m['staggered'] for m in members):>8.1f}  "
+              f"{wall / len(members):>7.3f} {wave:>8} {pf:>9} "
+              f"{wave / staggered:>7.1f} {pf / staggered:>6.1f}  "
               f"{describe(members)}")
     s = result.summary
     print(f"total {sum(m['seconds'] for m in rows):.2f} s over steps 2-{n}; "

@@ -389,16 +389,22 @@ def staggered_step(state, t_n, cfg):
     ds = build_dirichlet(mesh, t_n, cfg.loading)
     rec = StepRecord()
 
+    # The first inner iteration starts from the predictor and the state's
+    # damage field; a later one from the last iteration's displacement and
+    # unclamped damage, with the damage V-cycle's coarse levels kept, since
+    # the mesh, the Dirichlet set and the crack set do not change.
     v_iter = state.v
+    u_start, v_start, cycle = None, v_iter.values, None
     stat_worst = None
     for j in range(1, tol.max_inner + 1):
         u_new, reactions, urep = step_displacement(
-            state, k, ds, params=cfg.material, v=v_iter,
+            state, k, ds, params=cfg.material, v=v_iter, x0=u_start,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter)
         rec.wave_iterations += urep.iterations
         v_raw, vrep = solve_phasefield(
-            u_new, cfg.material, state.crack, mesh, x0=v_iter.values,
-            tol=tol.solver_tol, max_iter=tol.solver_max_iter)
+            u_new, cfg.material, state.crack, mesh, x0=v_start,
+            tol=tol.solver_tol, max_iter=tol.solver_max_iter, cycle=cycle)
+        u_start, v_start, cycle = u_new.values, v_raw.values, vrep["cycle"]
         v_new = clamp_and_threshold(v_raw, tol.xi_v)
         if vrep["stationarity"] is not None:
             stat_worst = max(stat_worst or 0.0, vrep["stationarity"])

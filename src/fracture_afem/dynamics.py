@@ -129,18 +129,18 @@ def degradation(v, params):
 
 
 def step_displacement(state, k, g_values, f=None, *, params, v=None,
-                      tol=1e-12, max_iter=None):
+                      x0=None, tol=1e-12, max_iter=None):
     """Advance the displacement one implicit step of size ``k``.
 
     ``params`` are the :class:`MaterialParams`, a keyword without default.
     ``v`` overrides the damage field used for the degradation coefficient
     (the staggered loop passes its latest iterate); by default the state's
-    own field is used.  The conjugate-gradient solve starts from the
-    predictor ``u_old + k du_old``.  Returns ``(u_new, reactions, report)``:
-    the reactions are the residual ``S u_new - rhs`` of the system before
-    the Dirichlet rows are imposed, and ``report`` is the solver's
-    :class:`SolveReport`.  After the step the caller owns the update
-    ``du = (u_new - u_old) / k``.
+    own field is used.  The conjugate-gradient solve starts from the nodal
+    array ``x0``, by default the predictor ``u_old + k du_old``.  Returns
+    ``(u_new, reactions, report)``: the reactions are the residual
+    ``S u_new - rhs`` of the system before the Dirichlet rows are imposed,
+    and ``report`` is the solver's :class:`SolveReport`.  After the step
+    the caller owns the update ``du = (u_new - u_old) / k``.
     """
     if k <= 0:
         raise ValueError("time step must be positive")
@@ -164,8 +164,9 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
         rhs = rhs + assemble_load(mesh, f)
 
     Sc, rhsc = apply_dirichlet(S, rhs, g_values)
-    x, report = solve_spd(Sc, rhsc, tol=tol, max_iter=max_iter,
-                          x0=u_old + k * du_old,
+    if x0 is None:
+        x0 = u_old + k * du_old
+    x, report = solve_spd(Sc, rhsc, tol=tol, max_iter=max_iter, x0=x0,
                           context=f"wave step n={state.n + 1}")
     if not report.converged:
         raise RuntimeError(

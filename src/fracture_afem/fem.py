@@ -307,7 +307,17 @@ def _walk_provenance(values, src_mesh, dst_mesh, midpoint):
 
 
 def element_gradients(u, mesh):
-    """Constant gradient of a P1 field on each triangle, shape (nt, 2)."""
+    """Constant gradient of a P1 field on each triangle, shape (nt, 2).
+
+    Each component is ``g0 u0 + g1 u1 + g2 u2`` over the corners, the
+    order in which ``einsum('nik,ni->nk')`` sums, so the bits are the same
+    at less than half its cost.
+    """
     u.check_bound(mesh)
-    ed = element_data(mesh)
-    return np.einsum('nik,ni->nk', ed["grads"], u.values[mesh.triangles])
+    g = element_data(mesh)["grads"]
+    uc = u.values[mesh.triangles]
+    out = np.empty((len(uc), 2))
+    for c in range(2):
+        out[:, c] = (g[:, 0, c] * uc[:, 0] + g[:, 1, c] * uc[:, 1]
+                     + g[:, 2, c] * uc[:, 2])
+    return out

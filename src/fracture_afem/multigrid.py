@@ -23,14 +23,22 @@ takes the cell on its own face, the upper one if a triangle above the slit
 line uses it.  Interpolation from a continuous coarse space gives an SPD
 preconditioner whether or not the spaces nest.
 
-Per system the coarse operators are Galerkin products ``P^T A P``, with the
-rows of ``P`` that belong to pinned dofs zeroed, and the coarsest grid is
-inverted densely through a Cholesky factorisation (an eigenvalue
-pseudo-inverse where pins make it singular).  One damped-Jacobi sweep
-before and one after the coarse correction on every level keep the cycle
-symmetric; see Xu, *Iterative methods by space decomposition and subspace
-correction*, SIAM Review 34 (1992), and Chen, Nochetto & Xu, *Optimal
-multilevel methods for graded bisection grids*, Numer. Math. 120 (2012).
+The coarse operators are Galerkin products ``P^T A P``, with the rows of
+``P`` that belong to pinned dofs zeroed, and the coarsest grid is inverted
+densely through a Cholesky factorisation (an eigenvalue pseudo-inverse
+where pins make it singular).  They are built once per staggered time
+step, from the first damage system of the step: the mesh and the pins do
+not change within a step, and :meth:`VCycle.refit` gives a later system of
+the step the same coarse levels with only the finest operator and its
+Jacobi weights replaced.  One damped-Jacobi sweep before and one after the
+coarse correction on every level keep the cycle symmetric.  A symmetric
+V(1,1) cycle whose smoother converges for the current ``A``, around any
+symmetric positive semidefinite coarse correction, is symmetric positive
+definite, so a refit cycle still preconditions CG although its coarse
+levels come from an earlier ``A``; see Xu, *Iterative methods by space
+decomposition and subspace correction*, SIAM Review 34 (1992), and Chen,
+Nochetto & Xu, *Optimal multilevel methods for graded bisection grids*,
+Numer. Math. 120 (2012).
 """
 
 from __future__ import annotations
@@ -176,6 +184,13 @@ def _spd_inverse(a):
     return out
 
 
+def _jacobi_weights(A):
+    """Damped-Jacobi weights ``OMEGA / diag(A)``; a coarse dof whose whole
+    support is pinned has an empty row and gets weight ``OMEGA``."""
+    d = A.diagonal()
+    return OMEGA / np.where(d > 0.0, d, 1.0)
+
+
 class VCycle:
     """One symmetric V-cycle for ``A``, applied as ``z = cycle(r)``.
 
@@ -193,15 +208,22 @@ class VCycle:
         self.R = [R for _, R in levels]
         for P, R in levels:
             self.ops.append((R @ (self.ops[-1] @ P)).tocsr())
-        # a coarse dof whose whole support is pinned has an empty row
-        self.weights = [OMEGA / np.where(d > 0.0, d, 1.0)
-                        for d in (op.diagonal() for op in self.ops)]
+        self.weights = [_jacobi_weights(op) for op in self.ops]
         self.coarse_inv = None
         if levels and self.ops[-1].shape[0] <= DENSE_MAX:
             self.coarse_inv = _spd_inverse(self.ops[-1].toarray())
         # the coarse levels' right-hand sides, and a work array per level
         self.rhs = [np.empty(op.shape[0]) for op in self.ops[1:]]
         self.work = [np.empty(op.shape[0]) for op in self.ops]
+
+    def refit(self, A):
+        """Make this the cycle of ``A``, a matrix on the same mesh with the
+        same pins, and return it.  Only the finest operator and its Jacobi
+        weights change; the prolongations, the Galerkin operators and the
+        coarsest inverse are kept."""
+        self.ops[0] = A
+        self.weights[0] = _jacobi_weights(A)
+        return self
 
     def __call__(self, r):
         rhs, work = [r] + self.rhs, self.work

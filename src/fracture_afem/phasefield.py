@@ -100,16 +100,19 @@ def phasefield_system(u, params, mesh):
 
 
 def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
-                     max_iter=None):
+                     max_iter=None, cycle=None):
     """Solve the damage critical-point system with crack dofs pinned to 0.
 
     The conjugate gradients are preconditioned by one multigrid V-cycle
     (:mod:`.multigrid`) and start from the nodal array ``x0`` (zero by
-    default) with the crack dofs set to 0.  Returns ``(v, info)``: the raw
-    (unclamped) solution, to pair with :func:`clamp_and_threshold`, and a
-    dict with the solver report, the stationarity residual relative to the
-    right-hand side norm, and whether the intact shortcut fired (report and
-    residual are ``None`` then).
+    default) with the crack dofs set to 0.  ``cycle`` is the V-cycle an
+    earlier solve on the same mesh and crack set returned; it is refit to
+    this system, keeping its coarse levels, instead of building new ones.
+    Returns ``(v, info)``: the raw (unclamped) solution, to pair with
+    :func:`clamp_and_threshold`, and a dict with the solver report, the
+    stationarity residual relative to the right-hand side norm, whether the
+    intact shortcut fired (report and residual are ``None`` then), and the
+    V-cycle to pass to the next solve (``cycle`` itself after a shortcut).
     """
     u.check_bound(mesh)
     if crack.generation != mesh.generation:
@@ -119,7 +122,8 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     if crack.ids.size == 0 and reaction.max(initial=0.0) \
             <= SHORTCUT_FACTOR * params.nu_pf:
         v = FeFunction.constant(mesh, 1.0)
-        return v, {"report": None, "stationarity": None, "shortcut": True}
+        return v, {"report": None, "stationarity": None, "shortcut": True,
+                   "cycle": cycle}
 
     A, b = _system(reaction, params, mesh)
     ds = DirichletSet(crack.ids, np.zeros(len(crack.ids)))
@@ -127,9 +131,9 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     if x0 is not None:
         x0 = x0.copy()
         x0[crack.ids] = 0.0
+    cycle = vcycle(Ac, mesh, crack.ids) if cycle is None else cycle.refit(Ac)
     sol, report = solve_spd(Ac, bc, tol=tol, max_iter=max_iter, x0=x0,
-                            context="phase-field solve",
-                            precond=vcycle(Ac, mesh, crack.ids))
+                            context="phase-field solve", precond=cycle)
     if not report.converged:
         raise RuntimeError(
             f"phase-field solve failed to converge "
@@ -139,7 +143,8 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     free[crack.ids] = False
     stat = np.abs(resid[free]).max(initial=0.0) / np.linalg.norm(bc)
     v = FeFunction(sol, mesh.generation)
-    return v, {"report": report, "stationarity": stat, "shortcut": False}
+    return v, {"report": report, "stationarity": stat, "shortcut": False,
+               "cycle": cycle}
 
 
 def clamp_and_threshold(v, xi_v):

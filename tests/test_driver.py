@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 
 import fracture_afem.driver as driver
 import fracture_afem.dynamics as dynamics
+import fracture_afem.multigrid as multigrid
 import fracture_afem.phasefield as phasefield
 from fracture_afem.driver import (RunConfig, adapt_step, build_dirichlet,
                                   energies, mark_for_adaptation, run,
                                   staggered_step, transfer_state)
 from fracture_afem.dynamics import (DynamicState, MaterialParams, degradation,
-                                    init_state)
+                                    init_state, step_displacement)
 from fracture_afem.estimator import EstimatorField, estimate
 from fracture_afem.fem import FeFunction, assemble_stiffness
 from fracture_afem.mesh import BoundaryLabel, adapt
-from fracture_afem.phasefield import CrackSet
+from fracture_afem.phasefield import (CrackSet, clamp_and_threshold,
+                                      solve_phasefield)
 
 from test_fem import adapted_meshes
 
@@ -88,6 +90,115 @@ def test_inner_loop_converges_on_strained_fixture(tmp_path):
     assert rec.converged
     assert rec.inner_iterations <= 50
     assert 0.0 <= new.v.values.min() and new.v.values.max() <= 1.0
+
+
+def strained_state(cfg, amplitude=1.0):
+    """A rest state on the initial mesh with a strong gradient band in
+    ``u``, advanced by one staggered step, so that the next step starts
+    from a consistent displacement, velocity and damage field."""
+    mesh = cfg.build_mesh()
+    st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
+                    cfg.time.k)
+    band = FeFunction.from_callable(
+        mesh, lambda x, y: amplitude * np.tanh(8.0 * (y - 1.4)))
+    st = DynamicState(n=st.n, u_curr=band, du=st.du, v=st.v, crack=st.crack,
+                      mesh=mesh)
+    return staggered_step(st, 2 * cfg.time.k, cfg)[0]
+
+
+def count_solves(monkeypatch):
+    """Record the CG iterations of every wave and damage solve, and count
+    the coarse-grid inversions of the damage V-cycle."""
+    counts = {"wave": [], "damage": [], "coarse": 0}
+
+    def counting(module, key):
+        original = module.solve_spd
+
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            counts[key].append(out[1].iterations)
+            return out
+        monkeypatch.setattr(module, "solve_spd", wrapped)
+
+    counting(dynamics, "wave")
+    counting(phasefield, "damage")
+    inverse = multigrid._spd_inverse
+
+    def counted_inverse(a):
+        counts["coarse"] += 1
+        return inverse(a)
+    monkeypatch.setattr(multigrid, "_spd_inverse", counted_inverse)
+    return counts
+
+
+def test_inner_iterations_reuse_coarse_levels_and_warm_start(
+        tmp_path, monkeypatch):
+    cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
+    st = strained_state(cfg)
+    counts = count_solves(monkeypatch)
+    _, rec = staggered_step(st, 3 * cfg.time.k, cfg)
+    assert rec.converged and rec.inner_iterations >= 3
+    assert counts["coarse"] == 1
+    wave, damage = counts["wave"], counts["damage"]
+    assert len(wave) == len(damage) == rec.inner_iterations
+    assert all(n < wave[0] for n in wave[1:])
+    assert all(n < damage[0] for n in damage[1:])
+    assert rec.wave_iterations == sum(wave)
+    assert rec.pf_iterations == sum(damage)
+
+
+def test_later_inner_iterations_start_from_the_last_iterate(
+        tmp_path, monkeypatch):
+    # the wave solve of iteration j >= 2 starts from iteration j-1's u_new
+    # and the damage solve from its unclamped v; iteration 1 from the
+    # predictor (x0 None) and the state's v
+    cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
+    st = strained_state(cfg)
+    calls = []
+
+    def recording(name):
+        original = getattr(driver, name)
+
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append((name, kwargs["x0"], out[0].values))
+            return out
+        monkeypatch.setattr(driver, name, wrapped)
+
+    recording("step_displacement")
+    recording("solve_phasefield")
+    _, rec = staggered_step(st, 3 * cfg.time.k, cfg)
+    assert rec.inner_iterations >= 3
+    wave = [c for c in calls if c[0] == "step_displacement"]
+    damage = [c for c in calls if c[0] == "solve_phasefield"]
+    assert wave[0][1] is None and damage[0][1] is st.v.values
+    for prev, this in zip(wave, wave[1:]):
+        assert this[1] is prev[2]
+    for prev, this in zip(damage, damage[1:]):
+        assert this[1] is prev[2]
+
+
+def test_one_inner_iteration_equals_direct_solves(tmp_path):
+    # the first inner iteration starts from the predictor and the state's
+    # damage field, so a step of one inner iteration is these two solves
+    cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
+    st = strained_state(cfg)
+    cfg.tolerances.xi_vn = np.inf
+    t = 3 * cfg.time.k
+    new, rec = staggered_step(st, t, cfg)
+    assert rec.inner_iterations == 1
+    tol = cfg.tolerances
+    u, _, _ = step_displacement(
+        st, cfg.time.k, build_dirichlet(st.mesh, t, cfg.loading),
+        params=cfg.material, v=st.v, tol=tol.solver_tol,
+        max_iter=tol.solver_max_iter)
+    v_raw, info = solve_phasefield(
+        u, cfg.material, st.crack, st.mesh, x0=st.v.values,
+        tol=tol.solver_tol, max_iter=tol.solver_max_iter)
+    assert not info["shortcut"]
+    assert np.array_equal(new.u_curr.values, u.values)
+    assert np.array_equal(new.v.values,
+                          clamp_and_threshold(v_raw, tol.xi_v).values)
 
 
 def test_dirichlet_signs_respect_slit_faces(tmp_path):

@@ -153,6 +153,25 @@ def test_wave_solve_starts_from_the_predictor():
     assert np.allclose(u.values, predicted, rtol=0.0, atol=1e-13)
 
 
+def test_wave_solve_from_the_exact_solution_takes_no_iteration():
+    # x0 replaces the predictor: a start at the converged solution of the
+    # same system needs no iteration and is returned as it is
+    mesh = build_initial_mesh((1.0, 1.0), None, 6)
+    mp = MaterialParams(epsilon=0.2)
+    x, y = mesh.vertices.T
+    st = init_state(mesh, FeFunction(np.sin(3.0 * x) * y, mesh.generation),
+                    FeFunction(np.cos(2.0 * y) * x, mesh.generation), 0.05)
+    st.v = FeFunction(0.5 + 0.4 * np.sin(5.0 * x * y), mesh.generation)
+    bnd = boundary_dofs(mesh)
+    ds = DirichletSet(bnd, np.zeros(len(bnd)))
+    exact, _, first = step_displacement(st, 0.05, ds, params=mp, tol=1e-14)
+    assert first.converged and first.iterations > 0
+    u, _, report = step_displacement(st, 0.05, ds, params=mp,
+                                     x0=exact.values)
+    assert report.iterations == 0
+    assert np.array_equal(u.values, exact.values)
+
+
 def test_step_displacement_requires_material_params():
     # without a default the call fails at the call, not deep inside the
     # degradation with an AttributeError of None

@@ -441,6 +441,17 @@ def test_gradients_of_coordinate_and_constant():
     assert np.abs(g0).max() < 1e-14
 
 
+@settings(max_examples=30, deadline=None)
+@given(adapted_meshes(), st.integers(0, 2 ** 32 - 1))
+def test_gradients_equal_einsum_bit_for_bit(mesh, seed):
+    rng = np.random.default_rng(seed)
+    u = FeFunction(rng.standard_normal(mesh.n_vertices)
+                   * 10.0 ** rng.uniform(-8, 8), mesh.generation)
+    ref = np.einsum('nik,ni->nk', element_data(mesh)["grads"],
+                    u.values[mesh.triangles])
+    assert np.array_equal(element_gradients(u, mesh), ref)
+
+
 def test_gradients_match_directional_difference_oracle():
     mesh = adapt(unit_square(3), [0, 5, 7])
     rng = np.random.default_rng(6)

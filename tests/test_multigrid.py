@@ -179,9 +179,12 @@ def block_pins(mesh):
                           | ((x > 2.2) & (y < 0.8)))
 
 
-def assert_symmetric_positive(mesh, pins):
-    Ac, _ = pinned_system(mesh, pins)
-    B = mg.vcycle(Ac, mesh, pins)
+def assert_symmetric_positive(mesh, pins, B=None):
+    """The cycle ``B`` (by default a new one for the system of
+    ``pinned_system``) is symmetric, positive and leaves pins at zero."""
+    if B is None:
+        Ac, _ = pinned_system(mesh, pins)
+        B = mg.vcycle(Ac, mesh, pins)
     rng = np.random.default_rng(4)
     for _ in range(5):
         p, q = rng.standard_normal((2, mesh.n_vertices))
@@ -199,6 +202,27 @@ def assert_symmetric_positive(mesh, pins):
 def test_vcycle_is_symmetric_and_positive_with_pins():
     mesh = adapted_slit_mesh()
     assert_symmetric_positive(mesh, block_pins(mesh))
+
+
+def test_refit_cycle_keeps_coarse_levels_and_stays_positive():
+    mesh = adapted_slit_mesh()
+    pins = block_pins(mesh)
+    A1, _ = pinned_system(mesh, pins)
+    B = mg.vcycle(A1, mesh, pins)
+    coarse_ops, coarse_weights = B.ops[1:], B.weights[1:]
+    P, R, coarse_inv = B.P, B.R, B.coarse_inv
+    A2, b2 = pinned_system(mesh, pins, amplitude=1.0)
+    assert B.refit(A2) is B
+    assert B.ops[0] is A2
+    assert all(x is y for x, y in zip(B.ops[1:], coarse_ops))
+    assert all(x is y for x, y in zip(B.weights[1:], coarse_weights))
+    assert B.P is P and B.R is R and B.coarse_inv is coarse_inv
+    assert np.array_equal(B.weights[0], mg.OMEGA / A2.diagonal())
+    assert_symmetric_positive(mesh, pins, B)
+    # the coarse levels of a reaction nine times stronger still beat Jacobi
+    _, rep = solve_spd(A2, b2, tol=1e-10, precond=B)
+    _, jacobi = solve_spd(A2, b2, tol=1e-10)
+    assert rep.converged and 3 * rep.iterations < jacobi.iterations
 
 
 def reference_cycle(B, r):
