@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from fracture_afem.driver import RunConfig, run
+from fracture_afem.driver import RunConfig, StepRecord, run
 
 PUBLISHED_STEPS = 1600
 PUBLISHED_T_FINAL = 5.0
@@ -41,15 +41,14 @@ MIN_PHASE_STEPS = 10
 def step_row(n, seconds, record, level):
     """The per-step numbers a phase sums, from the step's record and the
     median cell level ``level`` of its mesh."""
-    first = record.first_solve or {"inner_iterations": 0,
-                                   "wave_iterations": 0, "pf_iterations": 0}
+    first = record.first_solve or StepRecord()
     kind = ("intact" if record.shortcut
             else "adapted" if record.adapt is not None else "kept mesh")
     return {"step": n, "seconds": seconds, "dofs": record.report.n_dofs,
             "kind": kind, "inner": record.inner_iterations, "level": level,
-            "staggered": record.inner_iterations + first["inner_iterations"],
-            "wave": record.wave_iterations + first["wave_iterations"],
-            "pf": record.pf_iterations + first["pf_iterations"]}
+            "staggered": record.inner_iterations + first.inner_iterations,
+            "wave": record.wave_iterations + first.wave_iterations,
+            "pf": record.pf_iterations + first.pf_iterations}
 
 
 def phases(rows, min_steps):

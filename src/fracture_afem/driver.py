@@ -347,8 +347,9 @@ def _loaded_boundary(mesh):
 
 @dataclass
 class StepRecord:
-    """What one time step did, kept for the whole run: scalars and the
-    adaptation summary only, never a mesh, a state or a per-dof array."""
+    """What one time step did, kept for the whole run: scalars, the
+    adaptation summary and the record of a solve an adaptation replaced,
+    never a mesh, a state or a per-dof array."""
 
     # filled by staggered_step
     inner_iterations: int = 0
@@ -370,14 +371,8 @@ class StepRecord:
     pinned_violation: bool = False  # a pinned dof is away from 0
     ledger_slack: float = np.nan    # E_n - E_{n-1} - boundary work
     adapt: AdaptSummary = None      # None if the step kept its mesh
-    first_solve: dict = None        # on a step that adapted: the scalars
-                                    # of its solve on the old mesh, by name
-
-
-# the scalar fields staggered_step fills, kept in ``first_solve``
-_SOLVE_FIELDS = ("inner_iterations", "converged", "stationarity",
-                 "clamp_changes", "new_pins", "shortcut", "pf_iterations",
-                 "wave_iterations", "boundary_work")
+    first_solve: StepRecord = None  # on a step that adapted: the record
+                                    # of its solve on the old mesh
 
 
 def staggered_step(state, t_n, cfg):
@@ -429,6 +424,8 @@ def staggered_step(state, t_n, cfg):
 
     crack_new = update_crack_set(v_iter, mesh, tol.xi_cr, state.crack)
     rec.new_pins = len(crack_new.ids) - len(state.crack.ids)
+    # a dof pinned now holds at most xi_cr, which may exceed xi_v
+    v_iter.values[crack_new.ids] = 0.0
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
     new_state = DynamicState(n=state.n + 1, u_curr=u_new, du=du, v=v_iter,
                              crack=crack_new, mesh=mesh)
@@ -576,8 +573,7 @@ def run(cfg, on_step=None):
                 first = rec
                 state, rec = staggered_step(prev, t_n, cfg)
                 rec.adapt = prev.mesh.adapt_summary
-                rec.first_solve = {name: getattr(first, name)
-                                   for name in _SOLVE_FIELDS}
+                rec.first_solve = first
                 rec.warnings[:0] = [f"before adaptation: {w}"
                                     for w in first.warnings]
                 est = estimate(state.u_curr, state.v, state.mesh,

@@ -4,9 +4,12 @@ The mesh is a triangulation of an axis-aligned rectangle, optionally cut by
 a horizontal slit whose vertices are duplicated so that nodal fields may
 jump across the two crack faces.  Refinement is newest-vertex bisection with
 conformity closure; coarsening merges complete sibling pairs back into their
-parent.  Meshes are immutable after construction: :func:`adapt` returns a new
-generation and records enough provenance for nodal transfer between
-generations.
+parent, found in one scan that pairs each triangle around a removable peak
+with its counterclockwise successor there.  Meshes are immutable after
+construction: :func:`adapt` returns a new generation and records enough
+provenance for nodal transfer between generations.  :func:`grid_weights`
+reads the P1 interpolation from a grid mesh at the vertices of another mesh
+off their grid coordinates.
 
 Triangle storage convention: the vertex at local position 0 is the "peak"
 (newest vertex) and the refinement edge is the opposite edge, i.e. the one
@@ -29,6 +32,7 @@ __all__ = [
     "MeshGeometry",
     "AdaptSummary",
     "build_initial_mesh",
+    "grid_weights",
     "adapt",
     "geometry",
     "derived",
@@ -394,6 +398,46 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
                 max_levels=max_levels, grid=grid)
 
 
+def grid_weights(coarse, fine):
+    """The P1 interpolation from the mesh ``coarse`` that
+    :func:`build_initial_mesh` gives for its grid, at the vertices of the
+    mesh ``fine`` on the same layout: per vertex of ``fine``, the three
+    corners of the ``coarse`` triangle that holds it and their weights.
+
+    A vertex at ``(i + s, j + t)`` grid steps lies in cell ``c = j n0 + i``.
+    The cell's diagonal, ``s = t`` in an even cell and ``s + t = 1`` in an
+    odd one, splits it into triangle ``2c``, which holds the cell's right
+    side, and ``2c + 1``; in the corner order written above, the weights
+    are linear in ``(s, t)``.  ``s`` and ``t`` are clipped to ``[0, 1]``,
+    so a coordinate rounded past a grid line gets no negative weight.  A
+    vertex on the slit takes the cell on its own face: the upper one if a
+    triangle above the slit line uses it.
+    """
+    grid, pts = coarse.grid, fine.vertices
+    n, (lx, ly) = grid.n0, grid.domain
+    # for n a power of two only the division rounds, so on the dyadic grid
+    # points of a 3 x 3 domain the grid coordinates come out exact
+    xn, yn = pts[:, 0] * n / lx, pts[:, 1] * n / ly
+    i = np.clip(np.floor(xn), 0, n - 1).astype(np.int64)
+    j = np.clip(np.floor(yn), 0, n - 1).astype(np.int64)
+    if grid.slit is not None:
+        tri = fine.triangles
+        upper = np.zeros(len(pts), dtype=bool)
+        upper[tri[grid.above(pts[tri].mean(axis=1))].ravel()] = True
+        jy = grid.slit_index[2]
+        j = np.where(grid.on_slit(pts), np.where(upper, jy, jy - 1), j)
+    s, t = np.clip(xn - i, 0.0, 1.0), np.clip(yn - j, 0.0, 1.0)
+    even = (i + j) % 2 == 0
+    d = np.where(even, s - t, s + t - 1.0)  # >= 0 on the right side
+    left = d < 0.0
+    # even 2c (lr, ur, ll), 2c + 1 (ul, ll, ur); odd 2c (ur, ul, lr),
+    # 2c + 1 (ll, lr, ul): the right angle first, weighted |d|
+    case = [even & ~left, even & left, ~even & ~left, ~even & left]
+    w = np.column_stack([np.abs(d), np.select(case, [t, 1.0 - t, 1.0 - s, s]),
+                         np.select(case, [1.0 - s, s, 1.0 - t, t])])
+    return coarse.triangles[2 * (j * n + i) + left], w
+
+
 def _label_boundary(mesh):
     """Boundary edges of ``mesh`` and the index in ``_LABELS`` of each one's
     label, read off the endpoint coordinates.
@@ -555,11 +599,13 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     """Merge eligible sibling pairs; returns intermediate mesh pieces.
 
     A peak is removed only if every triangle around it is an eligible child
-    with that peak and all of them pair up.  Pairs are found in two passes
-    per peak: siblings that share a pair tag, then, in ascending triangle
-    order, each leftover right child with its counterclockwise neighbour.
-    Merged parents are appended by ascending peak, tagged pairs first (by
-    tag), then structural ones (by right child).
+    with that peak and all of them pair up.  One scan pairs each triangle
+    around a peak with its counterclockwise successor there.  A pair that
+    shares a pair tag is a true sibling pair and is claimed first; then,
+    in ascending triangle order per peak, each leftover right child takes
+    its successor if that is left over too.  Merged parents are appended
+    by ascending peak, sibling pairs first (by tag), then the others (by
+    right child).
     """
     v = mesh.vertices
     t = mesh.triangles
@@ -583,40 +629,31 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     first = _run_starts(peak)
     group = np.cumsum(first) - 1
     rank = np.arange(len(star)) - np.flatnonzero(first)[group]
-    claimed = np.zeros(nt, dtype=bool)
 
-    # first pass: a tag shared by exactly two triangles around one peak
-    tagged = star[tags[star] >= 0]
-    tagged = tagged[np.lexsort((tagged, tags[tagged], t[tagged, 0]))]
-    starts = np.flatnonzero(_run_starts(t[tagged, 0], tags[tagged]))
-    lead = starts[np.diff(np.append(starts, len(tagged))) == 2]
-    i, j = tagged[lead], tagged[lead + 1]
-    ok_ij = _can_merge(v, t, lev, i, j)
-    ok_ji = _can_merge(v, t, lev, j, i)
-    hit = ok_ij | ok_ji
-    right1 = np.where(ok_ij, i, j)[hit]
-    left1 = np.where(ok_ij, j, i)[hit]
-    claimed[right1] = claimed[left1] = True
-
-    # second pass: the left sibling of a right child (m, b, c) is the
-    # triangle (m, c, .) around the same peak
+    # the left sibling of a right child (m, b, c) is its counterclockwise
+    # successor, the triangle (m, c, .) around the same peak
     succ = _find_keys(peak * nv + t[star, 1], peak * nv + t[star, 2])
     succ = np.where(succ >= 0, star[succ], -1)
     has = succ >= 0
     pair_ok = np.zeros(len(star), dtype=bool)
     pair_ok[has] = _can_merge(v, t, lev, star[has], succ[has])
-    right2, left2 = [], []
+    # a pair that shares a pair tag is a true sibling pair and is claimed
+    # first; then, rank by rank, each unclaimed right child takes its
+    # successor if that is unclaimed too
+    sib = pair_ok & (tags[star] >= 0) & (tags[star] == tags[succ])
+    right, left = [star[sib]], [succ[sib]]
+    claimed = np.zeros(nt, dtype=bool)
+    claimed[right[0]] = claimed[left[0]] = True
     for r in range(rank.max(initial=-1) + 1):
         at = np.flatnonzero(rank == r)
         i, j = star[at], succ[at]
         go = pair_ok[at] & ~claimed[i]
         go[go] &= ~claimed[j[go]]
         claimed[i[go]] = claimed[j[go]] = True
-        right2.append(i[go])
-        left2.append(j[go])
-    right = np.concatenate([right1] + right2)
-    left = np.concatenate([left1] + left2)
-    second = np.arange(len(right)) >= len(right1)
+        right.append(i[go])
+        left.append(j[go])
+    right, left = np.concatenate(right), np.concatenate(left)
+    second = np.arange(len(right)) >= sib.sum()
     sort_key = np.where(second, right, tags[right])
 
     # a peak goes only when every triangle around it was claimed

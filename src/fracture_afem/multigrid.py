@@ -17,10 +17,9 @@ layout of the split quads and of the slit copies has one source; each
 hierarchy is built once per entry grid.  The grids are nested.  The
 current mesh need not be nested in them (the structural coarsening pass
 can merge same-level triangles of different initial triangles), so every
-prolongation is P1 interpolation at the finer vertices: each vertex is
-located in the two triangles of its grid cell, and a vertex on the slit
-takes the cell on its own face, the upper one if a triangle above the slit
-line uses it.  Interpolation from a continuous coarse space gives an SPD
+prolongation is P1 interpolation at the finer vertices, with the weights
+that :func:`~fracture_afem.mesh.grid_weights` reads off each vertex's grid
+coordinates.  Interpolation from a continuous coarse space gives an SPD
 preconditioner whether or not the spaces nest.
 
 The coarse operators are Galerkin products ``P^T A P``, with the rows of
@@ -47,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linsolve import csr_matvec
-from .mesh import build_initial_mesh, derived
+from .mesh import build_initial_mesh, derived, grid_weights
 
 __all__ = ["VCycle", "vcycle", "entry_level", "mesh_prolongation",
            "grid_prolongations"]
@@ -57,52 +56,15 @@ DENSE_MAX = 400         # largest coarsest grid that is inverted densely
 OMEGA = 0.7             # Jacobi damping
 
 
-def _corner_areas(mesh, tris, x, y):
-    """For each point ``(x, y)`` and each corner of its triangle in
-    ``tris``, twice the signed area spanned by the point and the two other
-    corners: the barycentric weights of the point times a common factor."""
-    dx = mesh.vertices[:, 0][tris] - x[:, None]
-    dy = mesh.vertices[:, 1][tris] - y[:, None]
-    return (dx[:, [1, 2, 0]] * dy[:, [2, 0, 1]]
-            - dy[:, [1, 2, 0]] * dx[:, [2, 0, 1]])
-
-
 def _prolongation(coarse, fine):
     """``(P, P^T)``, CSR, where ``P`` is the P1 interpolation from the grid
-    mesh ``coarse`` at the vertices of the mesh ``fine``.
-
-    Each vertex is located in the two triangles ``2c`` and ``2c + 1`` of its
-    grid cell ``c`` and weighted by its barycentric coordinates in the one
-    that holds it.  A vertex on the slit takes the cell on its own face:
-    the upper one if a triangle above the slit line uses it.
-    """
-    grid, pts = coarse.grid, fine.vertices
-    n, (lx, ly) = grid.n0, grid.domain
-    x, y = pts.T
-    i = np.clip(np.floor(x * (n / lx)), 0, n - 1).astype(np.int64)
-    j = np.clip(np.floor(y * (n / ly)), 0, n - 1).astype(np.int64)
-    if grid.slit is not None:
-        t = fine.triangles
-        upper = np.zeros(len(pts), dtype=bool)
-        upper[t[grid.above(pts[t].mean(axis=1))].ravel()] = True
-        jy = grid.slit_index[2]
-        j = np.where(grid.on_slit(pts), np.where(upper, jy, jy - 1), j)
-    pair = coarse.triangles.reshape(-1, 2, 3)[j * n + i]      # (np, 2, 3)
-    cols = pair[:, 0]
-    w = _corner_areas(coarse, cols, x, y)
-    # a point outside the first triangle goes to the second where that one
-    # holds it better, the least corner area being the larger
-    out = np.flatnonzero(w.min(axis=1) < 0.0)
-    w2 = _corner_areas(coarse, pair[out, 1], x[out], y[out])
-    better = w2.min(axis=1) > w[out].min(axis=1)
-    out = out[better]
-    cols[out], w[out] = pair[out, 1], w2[better]
-    np.maximum(w, 0.0, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    mesh ``coarse`` at the vertices of the mesh ``fine``, with the weights
+    of :func:`~fracture_afem.mesh.grid_weights`."""
+    cols, w = grid_weights(coarse, fine)
     keep = w > 0.0
-    rows = np.repeat(np.arange(len(pts)), 3).reshape(-1, 3)
+    rows = np.repeat(np.arange(fine.n_vertices), 3).reshape(-1, 3)
     P = sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
-                      shape=(len(pts), coarse.n_vertices))
+                      shape=(fine.n_vertices, coarse.n_vertices))
     return P, P.T.tocsr()
 
 

@@ -106,6 +106,17 @@ def strained_state(cfg, amplitude=1.0):
     return staggered_step(st, 2 * cfg.time.k, cfg)[0]
 
 
+def test_dofs_pinned_in_a_step_are_zero_in_its_state(tmp_path):
+    # xi_cr above xi_v pins edges whose clamped v is still positive; the
+    # state the step returns must hold 0 there, as the next solve would
+    cfg = quiet_cfg(tmp_path, n0=4, n_steps=10, t_final=1.0, xi_cr=0.3)
+    assert cfg.tolerances.xi_cr > cfg.tolerances.xi_v
+    new = strained_state(cfg)
+    assert new.crack.ids.size
+    assert (new.v.values[new.crack.ids] == 0.0).all()
+    assert (new.v.values > 0.0).any()
+
+
 def count_solves(monkeypatch):
     """Record the CG iterations of every wave and damage solve, and count
     the coarse-grid inversions of the damage V-cycle."""
@@ -458,14 +469,15 @@ def test_records_count_every_solve_of_an_adapted_step(tmp_path,
     monkeypatch.setattr(phasefield, "solve_spd",
                         counting("pf", phasefield.solve_spd))
     res = run(quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0))
-    firsts = [rec.first_solve for rec in res.records if rec.first_solve]
+    firsts = [rec.first_solve for rec in res.records
+              if rec.first_solve is not None]
     assert firsts
     assert all(rec.first_solve is None for rec in res.records
                if rec.adapt is None)
     for kind in ("wave", "pf"):
         name = f"{kind}_iterations"
         assert sum(getattr(rec, name) for rec in res.records) \
-            + sum(first[name] for first in firsts) == done[kind]
+            + sum(getattr(first, name) for first in firsts) == done[kind]
     assert done["pf"] > 0
 
 

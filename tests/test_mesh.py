@@ -575,6 +575,34 @@ def test_adapt_sequence_keeps_mesh_conforming(mesh, data):
         assert np.isclose(mesh.signed_areas().sum(), 9.0, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(initial_meshes(), st.data())
+def test_pair_tag_siblings_are_successors_around_their_peak(mesh, data):
+    # coarsening finds true siblings in its successor scan: the two
+    # triangles of a tag >= 0 share their peak m, and one, (m, c, .),
+    # follows the other, (m, b, c), counterclockwise
+    pairs = 0
+    for _ in range(data.draw(st.integers(1, 6))):
+        refine = draw_ids(data.draw, mesh.n_triangles)
+        if data.draw(st.booleans()):
+            peaks = draw_ids(data.draw, mesh.n_vertices)
+            coarsen = np.flatnonzero(np.isin(mesh.triangles[:, 0], peaks))
+        else:
+            coarsen = np.arange(mesh.n_triangles)
+        mesh = adapt(mesh, refine, np.setdiff1d(coarsen, refine))
+        by_tag = {}
+        for i in np.flatnonzero(mesh.pair_tags >= 0).tolist():
+            by_tag.setdefault(int(mesh.pair_tags[i]), []).append(i)
+        for ids in by_tag.values():
+            assert len(ids) <= 2
+            if len(ids) == 2:
+                a, b = mesh.triangles[ids].tolist()
+                assert a[0] == b[0]
+                assert (a[2] == b[1]) != (b[2] == a[1])
+                pairs += 1
+    assume(pairs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(initial_meshes(), st.data(),
        st.tuples(*[st.integers(-5, 5)] * 3))
