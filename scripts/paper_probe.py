@@ -8,7 +8,9 @@ the published ``n0 = 64`` mesh with ``max_levels = 4`` at the published
 time step ``k = 5/1600`` (default ``N = 1600``, the whole run).  Every
 derived parameter follows the mesh alone, and the ramp end ``t_g =
 t_final`` is never passed inside the window, so the run is an exact prefix
-of the 1600-step one.
+of the 1600-step one.  The window must reach past the ramp's switch time
+``t_s = 0.5``, so ``N`` must exceed 160; a smaller ``N`` is a usage error
+(exit status 2), as is any other ``N`` the run config refuses.
 
 Consecutive steps of the same kind (intact shortcut, adapted, or kept
 mesh), the same number of staggered iterations and the same median cell
@@ -96,13 +98,17 @@ def describe(members):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("n_steps", nargs="?", type=int,
-                        default=PUBLISHED_STEPS)
+    parser.add_argument("n_steps", nargs="?", type=int, metavar="N",
+                        default=PUBLISHED_STEPS,
+                        help="steps to run, more than 160 (default 1600)")
     args = parser.parse_args(argv)
 
     n = args.n_steps
-    cfg = RunConfig.with_defaults(
-        n_steps=n, t_final=n * PUBLISHED_T_FINAL / PUBLISHED_STEPS)
+    try:
+        cfg = RunConfig.with_defaults(
+            n_steps=n, t_final=n * PUBLISHED_T_FINAL / PUBLISHED_STEPS)
+    except ValueError as exc:
+        parser.error(f"N = {n} steps give no valid run: {exc}")
     rows = []
     stamp = [0.0]
 

@@ -19,8 +19,8 @@ from .dynamics import (DynamicState, LoadingParams, MaterialParams,
                        boundary_ramp, degradation, init_state,
                        step_displacement)
 from .estimator import dorfler_mark, estimate, fraction_mark
-from .fem import (DirichletSet, FeFunction, element_gradients, transfer,
-                  unit_mass)
+from .fem import (DirichletSet, FeFunction, element_gradients, element_means,
+                  transfer, unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .fem import assemble_stiffness  # noqa: F401  (a perfbench/tracer.py site)
 from .mesh import (AdaptSummary, BoundaryLabel, InitialGrid, adapt,
@@ -295,12 +295,12 @@ def energies(state, params, est=None, time=0.0, step=0):
     M = unit_mass(mesh)
     du = state.du.values
     kinetic = 0.5 * params.varrho * (du @ (M @ du))
-    c = degradation(state.v, params).values[mesh.triangles].mean(axis=1)
+    c = element_means(degradation(state.v, params).values, mesh.triangles)
     gu = element_gradients(state.u_curr, mesh)
     strain = 0.5 * params.mu * (c * area * (gu ** 2).sum(axis=1)).sum()
 
     gv = element_gradients(state.v, mesh)
-    vbar = state.v.values[mesh.triangles].mean(axis=1)
+    vbar = element_means(state.v.values, mesh.triangles)
     h_of_v = (area.sum() - (area * vbar).sum()) / params.epsilon \
         + params.epsilon * (area * (gv ** 2).sum(axis=1)).sum()
     surface = params.lambda_c / params.c_w * h_of_v
@@ -427,8 +427,9 @@ def staggered_step(state, t_n, cfg):
     # a dof pinned now holds at most xi_cr, which may exceed xi_v
     v_iter.values[crack_new.ids] = 0.0
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
+    # the wave system of the last inner iteration goes on with the mesh
     new_state = DynamicState(n=state.n + 1, u_curr=u_new, du=du, v=v_iter,
-                             crack=crack_new, mesh=mesh)
+                             crack=crack_new, mesh=mesh, wave=state.wave)
     return new_state, rec
 
 
@@ -566,7 +567,9 @@ def run(cfg, on_step=None):
             adapted = None if rec.shortcut \
                 else adapt_step(prev, state, est, cfg)
             if adapted is not None:
-                prev = adapted
+                # the first solve's state holds the old mesh, its caches
+                # and its wave system; free them before the re-solve
+                prev, state, est = adapted, None, None
                 prev_energy = energies(prev, cfg.material, time=t_n - k,
                                        step=n - 1).total
                 phase = "re-solve after adaptation"

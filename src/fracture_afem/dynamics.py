@@ -8,28 +8,57 @@ Given the damage field ``v`` frozen at its latest iterate, one step solves
 with the degradation coefficient ``a = (1 - kappa) v^2 + kappa`` entering
 the stiffness, and Dirichlet data applied on the loaded boundary parts.
 The system matrix is symmetric positive definite for any admissible data.
+
+The matrix depends on the mesh, ``k``, the material and ``v`` only, and in
+a run these repeat for many solves: ``v`` stays exactly 1 until damage
+starts.  So a state keeps the assembled system of its last solve, with its
+Dirichlet elimination and its preconditioner, as a :class:`WaveOperator`,
+and the next solve on the state with the same inputs reuses it bit for
+bit.  Where stiffness dominates the system (see :data:`VCYCLE_RATIO`) the
+preconditioner is the multigrid V-cycle of :mod:`.multigrid`, with the
+loaded-boundary dofs as pins; elsewhere it is Jacobi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+import numpy as np
 import scipy.sparse as sp
 
 from .fem import (FeFunction, apply_dirichlet, assemble_load,
-                  assemble_stiffness, unit_mass)
+                  assemble_stiffness, dirichlet_rhs, unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
+from .multigrid import vcycle
 
 __all__ = [
     "MaterialParams",
     "LoadingParams",
     "DynamicState",
+    "WaveOperator",
     "init_state",
     "degradation",
     "step_displacement",
     "boundary_ramp",
+    "VCYCLE_RATIO",
 ]
+
+# The wave system is preconditioned by the V-cycle when the median over
+# dofs of (mu + eta/k) A_ii / ((varrho/k^2) M_ii), the stiffness-to-mass
+# ratio of its diagonal (the squared CFL number of the step), is at least
+# this, and by Jacobi below it.  Jacobi CG iterations grow like
+# sqrt(ratio), the V-cycle's stay at 7-14, and the cycle has a set-up.
+# Measured with timeit (min of 5, one BLAS thread, 2-vCPU x86-64 VM) on
+# the seed-0 meshes of paper64 steps 20 and 38 (4,257 and 18,802 dofs)
+# and desk16 step 60 (3,797 dofs), k scaled to sweep the ratio: the solves
+# alone break even near 11.  With the set-up (1.8-5.9 ms) paid once per two
+# solves, as when a mesh serves its re-solve and the next step's first
+# solve, the V-cycle wins from a ratio between 21 and 42 on the paper64
+# step-20 mesh, between 23 and 52 on the desk16 one, and at 41 on the
+# finer mesh; with a set-up per solve, from between 88 and 186 on the two
+# small meshes.
+VCYCLE_RATIO = 32.0
 
 
 @dataclass
@@ -96,7 +125,9 @@ class DynamicState:
 
     ``u_curr`` and ``du`` are the displacement and its backward difference at
     time index ``n``, ``v`` the damage field and ``crack`` the pinned dofs.
-    All fields are bound to ``mesh``.
+    All fields are bound to ``mesh``.  ``wave`` is the system of the last
+    wave solve on this state or on the state it came from on the same mesh
+    (``None`` on a new mesh), kept for reuse by :func:`step_displacement`.
     """
 
     n: int
@@ -105,6 +136,40 @@ class DynamicState:
     v: FeFunction
     crack: "CrackSet"
     mesh: "Mesh"
+    wave: "WaveOperator" = field(default=None, repr=False)
+
+
+@dataclass(eq=False)
+class WaveOperator:
+    """The assembled system of one wave solve and what it was built from.
+
+    ``A`` is the degraded stiffness of the damage values ``v`` on
+    ``mesh``, ``Sc`` the system matrix for the step ``k`` and the material
+    ``coefficients`` ``(mu, varrho, eta, kappa)`` with the Dirichlet
+    ``dofs`` eliminated, and ``cycle`` its
+    :class:`~fracture_afem.multigrid.VCycle`, or ``None`` for Jacobi.  The
+    system matrix itself is a sum of the data arrays of ``A`` and the
+    mesh's cached mass matrix, so it is not kept.  The same inputs give the
+    same system, bit for bit.
+    """
+
+    mesh: "Mesh"
+    k: float
+    coefficients: tuple
+    dofs: np.ndarray
+    v: np.ndarray
+    A: sp.csr_matrix
+    Sc: sp.csr_matrix
+    cycle: object = None
+
+    def built_from(self, mesh, k, coefficients, dofs, v):
+        """Whether this system was built on ``mesh`` with the step ``k``,
+        the material ``coefficients``, the constrained ``dofs`` and the
+        damage values ``v``."""
+        return (self.mesh is mesh and self.k == k
+                and self.coefficients == coefficients
+                and np.array_equal(self.dofs, dofs)
+                and np.array_equal(self.v, v))
 
 
 def init_state(mesh, u0, u1, k1):
@@ -141,6 +206,12 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
     ``S u_new - rhs`` of the system before the Dirichlet rows are imposed,
     and ``report`` is the solver's :class:`SolveReport`.  After the step
     the caller owns the update ``du = (u_new - u_old) / k``.
+
+    The system is kept in ``state.wave``.  A solve on ``state`` whose mesh,
+    ``k``, material coefficients, constrained dofs and damage values equal
+    those of the kept system assembles nothing and eliminates only the
+    right-hand side; any other builds the system and its preconditioner
+    anew.
     """
     if k <= 0:
         raise ValueError("time step must be positive")
@@ -150,7 +221,11 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
     mp = params
 
     M = unit_mass(mesh)
-    A = assemble_stiffness(mesh, degradation(v_eff, mp))
+    coefficients = (mp.mu, mp.varrho, mp.eta, mp.kappa)
+    op = state.wave
+    reuse = op is not None and op.built_from(mesh, k, coefficients,
+                                             g_values.dofs, v_eff.values)
+    A = op.A if reuse else assemble_stiffness(mesh, degradation(v_eff, mp))
     # M and A share the mesh's pattern, so S is a sum of their data arrays
     S = sp.csr_matrix(((mp.varrho / k ** 2) * M.data
                        + (mp.mu + mp.eta / k) * A.data, A.indices, A.indptr),
@@ -163,13 +238,28 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
     if f is not None:
         rhs = rhs + assemble_load(mesh, f)
 
-    Sc, rhsc = apply_dirichlet(S, rhs, g_values)
+    if reuse:
+        rhsc = dirichlet_rhs(S, rhs, g_values)
+    else:
+        Sc, rhsc = apply_dirichlet(S, rhs, g_values)
+        cycle = vcycle(Sc, mesh, g_values.dofs) \
+            if _stiffness_ratio(A, M, k, mp) >= VCYCLE_RATIO else None
+        op = state.wave = WaveOperator(
+            mesh, k, coefficients, g_values.dofs.copy(), v_eff.values.copy(),
+            A, Sc, cycle)
     if x0 is None:
         x0 = u_old + k * du_old
-    x, report = solve_spd(Sc, rhsc, tol=tol, max_iter=max_iter, x0=x0,
-                          context=f"wave step n={state.n + 1}")
+    x, report = solve_spd(op.Sc, rhsc, tol=tol, max_iter=max_iter, x0=x0,
+                          context=f"wave step n={state.n + 1}",
+                          precond=op.cycle)
     if not report.converged:
         raise RuntimeError(
             f"wave solve failed to converge at step n={state.n + 1} "
             f"(residual {report.relative_residual:.3e})")
     return FeFunction(x, mesh.generation), S @ x - rhs, report
+
+
+def _stiffness_ratio(A, M, k, params):
+    """Median over dofs of ``(mu + eta/k) A_ii / ((varrho/k^2) M_ii)``."""
+    return np.median((params.mu + params.eta / k) * A.diagonal()
+                     / ((params.varrho / k ** 2) * M.diagonal()))

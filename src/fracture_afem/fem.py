@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import derived
+from .mesh import derived, element_means
 
 __all__ = [
     "FeFunction",
@@ -23,9 +23,11 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "apply_dirichlet",
+    "dirichlet_rhs",
     "unit_mass",
     "transfer",
     "element_gradients",
+    "element_means",
 ]
 
 
@@ -203,7 +205,7 @@ def assemble_stiffness(mesh, coeff):
     ed = element_data(mesh)
     if isinstance(coeff, FeFunction):
         coeff.check_bound(mesh)
-        c = coeff.values[mesh.triangles].mean(axis=1)
+        c = element_means(coeff.values, mesh.triangles)
     else:
         c = np.asarray(coeff, dtype=np.float64)
         if c.ndim == 0:
@@ -248,14 +250,10 @@ def apply_dirichlet(A, b, ds):
         return A, b
     if ds.dofs.min() < 0 or ds.dofs.max() >= n:
         raise ValueError("Dirichlet dof out of range")
-    g = np.zeros(n)
-    g[ds.dofs] = ds.values
-    free = np.ones(n)
-    free[ds.dofs] = 0.0
-    b2 = free * (b - A @ g)
-    b2[ds.dofs] = ds.values
+    b2 = dirichlet_rhs(A, b, ds)
     A = A.tocsr()
-    pinned = free == 0.0
+    pinned = np.zeros(n, dtype=bool)
+    pinned[ds.dofs] = True
     counts = np.diff(A.indptr)
     in_row = np.repeat(pinned, counts)
     data = A.data.copy()
@@ -270,6 +268,22 @@ def apply_dirichlet(A, b, ds):
     data[diag] = 1.0
     return sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
                          shape=A.shape), b2
+
+
+def dirichlet_rhs(A, b, ds):
+    """The right-hand side that :func:`apply_dirichlet` returns, without the
+    matrix: ``b - A g`` on the free rows, for ``g`` the prescribed values
+    extended by zero, and the prescribed values on the constrained rows.
+    A matrix eliminated once serves every right-hand side with the same
+    constrained dofs."""
+    n = b.shape[0]
+    g = np.zeros(n)
+    g[ds.dofs] = ds.values
+    free = np.ones(n)
+    free[ds.dofs] = 0.0
+    b2 = free * (b - A @ g)
+    b2[ds.dofs] = ds.values
+    return b2
 
 
 def transfer(src, src_mesh, dst_mesh):

@@ -36,6 +36,7 @@ __all__ = [
     "adapt",
     "geometry",
     "derived",
+    "element_means",
 ]
 
 
@@ -87,6 +88,16 @@ def derived(owner, key, build):
     if value is None:
         value = owner._cache[key] = build(owner)
     return value
+
+
+def element_means(values, triangles):
+    """Per-triangle mean of nodal ``values`` (one row per vertex: a field,
+    or the coordinates), ``(x0 + x1 + x2) / 3`` over the corners.  These
+    are the additions and the division of ``values[triangles].mean(axis=1)``
+    in its order, so the bits are the same, at about a quarter of its cost;
+    :mod:`.fem` exports it."""
+    x = values[triangles]
+    return (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0
 
 
 @dataclass(eq=False)
@@ -391,7 +402,7 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
         upper_of = np.arange(len(verts))
         upper_of[dup] = len(verts) + np.arange(len(dup))
         verts = np.vstack([verts, verts[dup]])
-        above = grid.above(verts[tris].mean(axis=1))
+        above = grid.above(element_means(verts, tris))
         tris[above] = upper_of[tris[above]]
 
     return Mesh(verts, tris, np.zeros(len(tris), dtype=np.int64),
@@ -423,7 +434,7 @@ def grid_weights(coarse, fine):
     if grid.slit is not None:
         tri = fine.triangles
         upper = np.zeros(len(pts), dtype=bool)
-        upper[tri[grid.above(pts[tri].mean(axis=1))].ravel()] = True
+        upper[tri[grid.above(element_means(pts, tri))].ravel()] = True
         jy = grid.slit_index[2]
         j = np.where(grid.on_slit(pts), np.where(upper, jy, jy - 1), j)
     s, t = np.clip(xn - i, 0.0, 1.0), np.clip(yn - j, 0.0, 1.0)

@@ -1,5 +1,11 @@
 """Geometric multigrid V-cycle on the structured grids of the initial mesh.
 
+It preconditions two systems: the damage system, with the crack dofs as
+pins, and the wave system where its stiffness outweighs its mass (see
+:data:`~fracture_afem.dynamics.VCYCLE_RATIO`), with the loaded-boundary
+dofs as pins.  Both build their cycles through :func:`vcycle` on the same
+per-mesh prolongation and per-grid hierarchies.
+
 The levels are the current mesh, then the entry grid ``n0 2^j``, then
 ``n0 2^(j-1)``, ..., ``n0``, ``n0/2``, ... down to the first grid with at
 most ``COARSE_DOFS`` dofs, or to the last one whose grid lines still carry
@@ -25,12 +31,14 @@ preconditioner whether or not the spaces nest.
 The coarse operators are Galerkin products ``P^T A P``, with the rows of
 ``P`` that belong to pinned dofs zeroed, and the coarsest grid is inverted
 densely through a Cholesky factorisation (an eigenvalue pseudo-inverse
-where pins make it singular).  They are built once per staggered time
-step, from the first damage system of the step: the mesh and the pins do
-not change within a step, and :meth:`VCycle.refit` gives a later system of
-the step the same coarse levels with only the finest operator and its
-Jacobi weights replaced.  One damped-Jacobi sweep before and one after the
-coarse correction on every level keep the cycle symmetric.  A symmetric
+where pins make it singular).  The damage solve builds them once per
+staggered time step, from the first damage system of the step: the mesh
+and the pins do not change within a step, and :meth:`VCycle.refit` gives a
+later system of the step the same coarse levels with only the finest
+operator and its Jacobi weights replaced.  The wave solve builds them with
+each system it assembles, and keeps the cycle while the system is reused.
+One damped-Jacobi sweep before and one after the coarse correction on
+every level keep the cycle symmetric.  A symmetric
 V(1,1) cycle whose smoother converges for the current ``A``, around any
 symmetric positive semidefinite coarse correction, is symmetric positive
 definite, so a refit cycle still preconditions CG although its coarse
@@ -211,7 +219,8 @@ class VCycle:
 def vcycle(A, mesh, pinned=()):
     """The V-cycle preconditioner of ``A`` on ``mesh``.
 
-    ``A`` has the rows and columns of the ``pinned`` dofs eliminated; the
+    ``A`` is a damage or a wave system with the rows and columns of the
+    ``pinned`` dofs (crack or loaded-boundary dofs) eliminated; the
     prolongation rows of those dofs are zeroed, so the cycle leaves them at
     zero.  A mesh without an initial grid has no coarse level.
     """

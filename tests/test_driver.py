@@ -502,6 +502,28 @@ def test_initial_mesh_is_released_after_first_adaptation(tmp_path):
     assert alive == [False]
 
 
+def test_first_solve_state_is_released_before_the_resolve(tmp_path,
+                                                          monkeypatch):
+    # the re-solve of an adapted step is the second staggered_step call at
+    # the same time; by then the old mesh, held by the first solve's state,
+    # its wave system and the state it came from, must be gone
+    cfg = quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0)
+    last = {}
+    released = []
+    solve = driver.staggered_step
+
+    def watched(state, t_n, cfg):
+        if last.get("t") == t_n:
+            released.append(last["mesh"]() is None)
+        out = solve(state, t_n, cfg)
+        last.update(t=t_n, mesh=weakref.ref(state.mesh))
+        return out
+
+    monkeypatch.setattr(driver, "staggered_step", watched)
+    run(cfg)
+    assert released and all(released)
+
+
 @pytest.mark.parametrize("section, key, value, message", [
     ("marking", "strategy", "Dorfler", "marking strategy"),
     ("tolerances", "max_inner", 0, "iteration limits")])

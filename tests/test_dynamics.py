@@ -1,16 +1,23 @@
-"""Implicit wave stepping: initialization, dissipation, loading ramp, MMS."""
+"""Implicit wave stepping: initialization, dissipation, loading ramp, the
+kept wave system and its preconditioner, MMS."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+import fracture_afem.dynamics as dynamics
 from fracture_afem.driver import build_dirichlet
 from fracture_afem.dynamics import (DynamicState, LoadingParams,
                                     MaterialParams, boundary_ramp,
                                     degradation, init_state,
                                     step_displacement)
-from fracture_afem.fem import (DirichletSet, FeFunction, assemble_mass,
-                               assemble_stiffness)
+from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
+                               assemble_mass, assemble_stiffness, unit_mass)
+from fracture_afem.linsolve import solve_spd
 from fracture_afem.mesh import build_initial_mesh
+
+from test_multigrid import assert_symmetric_positive
 
 
 def advance(state, u_new, k):
@@ -229,6 +236,138 @@ def test_ramp_signs_and_window():
     assert (ds.values[y < 1.5] == -g0).all() and (y < 1.5).any()
     with pytest.raises(ValueError):
         boundary_ramp(2.5, lp)
+
+
+# ----------------------------------------------------------------------
+# the kept wave system and its preconditioner
+# ----------------------------------------------------------------------
+
+# on the n0 = 16 slit grid of a 3 x 3 domain, with the damage of
+# wave_state, the median stiffness-to-mass ratio is 2.8 at k = 0.02 and
+# 102 at k = 0.5
+MASS_K, STIFF_K = 0.02, 0.5
+WAVE_MP = MaterialParams(epsilon=0.2)
+LOAD = LoadingParams(eps_v=0.9, t_s=0.5, t_g=2.0)
+
+
+def wave_state():
+    """A moving state on a new n0 = 16 slit grid, partly damaged, with the
+    loaded boundary's Dirichlet data."""
+    mesh = build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 16)
+    x, y = mesh.vertices.T
+    st = init_state(mesh, FeFunction(0.1 * np.sin(2.0 * x) * y,
+                                     mesh.generation),
+                    FeFunction(0.2 * np.cos(y) * x, mesh.generation), 0.05)
+    st.v = FeFunction(0.6 + 0.4 * np.cos(x * y), mesh.generation)
+    return st, build_dirichlet(mesh, 1.0, LOAD)
+
+
+def ratio(st, k):
+    A = assemble_stiffness(st.mesh, degradation(st.v, WAVE_MP))
+    return dynamics._stiffness_ratio(A, unit_mass(st.mesh), k, WAVE_MP)
+
+
+def count_builds(monkeypatch):
+    counts = {"assemble_stiffness": 0, "apply_dirichlet": 0}
+    for name in counts:
+        original = getattr(dynamics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, counted)
+    return counts
+
+
+def test_regimes_of_the_test_systems():
+    st, _ = wave_state()
+    assert ratio(st, MASS_K) < dynamics.VCYCLE_RATIO / 4
+    assert ratio(st, STIFF_K) > dynamics.VCYCLE_RATIO * 3
+
+
+def test_wave_vcycle_with_dirichlet_pins_is_symmetric_positive():
+    st, ds = wave_state()
+    step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    assert st.wave.cycle is not None
+    assert_symmetric_positive(st.mesh, ds.dofs, st.wave.cycle)
+
+
+@pytest.mark.parametrize("k", [MASS_K, STIFF_K])
+def test_second_solve_with_equal_inputs_assembles_nothing(k, monkeypatch):
+    st, ds = wave_state()
+    counts = count_builds(monkeypatch)
+    step_displacement(st, k, ds, params=WAVE_MP)
+    assert counts == {"assemble_stiffness": 1, "apply_dirichlet": 1}
+    # a later state on the same mesh, with equal v (another array) and new
+    # Dirichlet values on the same dofs
+    later = DynamicState(n=st.n + 1, u_curr=st.du, du=st.u_curr,
+                         v=FeFunction(st.v.values.copy(), st.v.generation),
+                         crack=st.crack, mesh=st.mesh, wave=st.wave)
+    ds2 = build_dirichlet(st.mesh, 1.5, LOAD)
+    u, reactions, rep = step_displacement(later, k, ds2, params=WAVE_MP)
+    assert counts == {"assemble_stiffness": 1, "apply_dirichlet": 1}
+    assert later.wave is st.wave
+    assert rep.converged and rep.iterations > 0
+    fresh = dataclasses.replace(later, wave=None)
+    u_ref, reactions_ref, rep_ref = step_displacement(fresh, k, ds2,
+                                                      params=WAVE_MP)
+    assert np.array_equal(u.values, u_ref.values)
+    assert np.array_equal(reactions, reactions_ref)
+    assert rep.iterations == rep_ref.iterations
+
+
+@pytest.mark.parametrize("change", ["v", "k", "mesh"])
+def test_changed_v_k_or_mesh_rebuilds_the_operator(change, monkeypatch):
+    st, ds = wave_state()
+    step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    kept = st.wave
+    k = STIFF_K
+    if change == "v":
+        st.v.values[:5] *= 0.5
+    elif change == "k":
+        k = 0.8 * STIFF_K
+    else:
+        twin, ds = wave_state()
+        st = dataclasses.replace(twin, wave=kept)
+    counts = count_builds(monkeypatch)
+    step_displacement(st, k, ds, params=WAVE_MP)
+    assert counts == {"assemble_stiffness": 1, "apply_dirichlet": 1}
+    assert st.wave is not kept
+    assert np.array_equal(st.wave.v, st.v.values)
+    assert st.wave.cycle is not None
+    assert st.wave.cycle is not kept.cycle
+    assert st.wave.cycle.ops[0] is st.wave.Sc
+
+
+def jacobi_solve(st, k, ds, mp=WAVE_MP):
+    """The wave step assembled by hand and solved by Jacobi CG from the
+    predictor."""
+    M = unit_mass(st.mesh)
+    A = assemble_stiffness(st.mesh, degradation(st.v, mp))
+    S = (mp.varrho / k ** 2) * M + (mp.mu + mp.eta / k) * A
+    u_old, du_old = st.u_curr.values, st.du.values
+    rhs = (mp.varrho / k ** 2) * (M @ u_old) + (mp.varrho / k) * (M @ du_old) \
+        + (mp.eta / k) * (A @ u_old)
+    Sc, rhsc = apply_dirichlet(S, rhs, ds)
+    return solve_spd(Sc, rhsc, x0=u_old + k * du_old)
+
+
+def test_mass_dominated_system_solves_like_plain_jacobi():
+    st, ds = wave_state()
+    u, _, rep = step_displacement(st, MASS_K, ds, params=WAVE_MP)
+    assert st.wave.cycle is None
+    x, jacobi = jacobi_solve(st, MASS_K, ds)
+    assert np.array_equal(u.values, x)
+    assert rep.iterations == jacobi.iterations
+
+
+def test_stiffness_dominated_system_takes_the_vcycle():
+    st, ds = wave_state()
+    u, _, rep = step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    assert st.wave.cycle is not None
+    x, jacobi = jacobi_solve(st, STIFF_K, ds)
+    assert rep.converged and 4 * rep.iterations < jacobi.iterations
+    assert np.abs(u.values - x).max() <= 1e-9 * np.abs(x).max()
 
 
 # ----------------------------------------------------------------------

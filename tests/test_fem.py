@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
                                assemble_load, assemble_mass,
-                               assemble_stiffness, element_data,
-                               element_gradients, transfer, weighted_mass)
+                               assemble_stiffness, dirichlet_rhs,
+                               element_data, element_gradients,
+                               element_means, transfer, weighted_mass)
 from fracture_afem.mesh import adapt, build_initial_mesh, geometry
 
 
@@ -344,6 +345,8 @@ def test_dirichlet_matches_dense_elimination(mesh, data):
     b_ref = (1.0 - pin) * (b - Ad @ g)
     b_ref[dofs] = vals
     assert np.allclose(b2, b_ref, rtol=1e-14, atol=1e-14 * np.abs(b).max())
+    # the right-hand side alone, for a matrix eliminated once, is the same
+    assert np.array_equal(dirichlet_rhs(A, b, DirichletSet(dofs, vals)), b2)
     # the input is untouched and the pattern is kept
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A, name), getattr(before, name))
@@ -450,6 +453,18 @@ def test_gradients_equal_einsum_bit_for_bit(mesh, seed):
     ref = np.einsum('nik,ni->nk', element_data(mesh)["grads"],
                     u.values[mesh.triangles])
     assert np.array_equal(element_gradients(u, mesh), ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(adapted_meshes(), st.integers(0, 2 ** 32 - 1))
+def test_element_means_equal_numpy_mean_bit_for_bit(mesh, seed):
+    # a nodal field and the (n, 2) coordinates, as the callers pass them
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.uniform(-8, 8)
+    for values in (u, mesh.vertices):
+        ref = values[mesh.triangles].mean(axis=1)
+        got = element_means(values, mesh.triangles)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_gradients_match_directional_difference_oracle():
