@@ -109,9 +109,12 @@ class Tolerances:
     max_inner: int = 100
 
     def __post_init__(self):
-        for name in ("xi_v", "xi_cr", "xi_vn", "xi_rf", "solver_tol"):
+        for name in ("xi_v", "xi_cr", "xi_vn", "xi_rf"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # the range of linsolve.solve_spd's relative tolerance
+        if not 0.0 < self.solver_tol < 1.0:
+            raise ValueError("solver_tol must lie in (0, 1)")
         if self.max_inner < 1 or self.solver_max_iter < 1:
             raise ValueError("iteration limits must be at least 1")
 
@@ -246,11 +249,27 @@ class RunConfig:
             provenance=provenance).validate()
 
     def validate(self):
-        """Every check of the run settings: each section's own, run again
-        so that a value assigned after construction is checked too, then
-        the rule across sections, ``t_g <= t_final``.  Returns ``self``."""
+        """Every check of the run settings: no float key is NaN, and those
+        of the material, loading and time sections are finite; each
+        section's own, run again so that a value assigned after
+        construction is checked too; then the rule across sections, ``t_g
+        <= t_final``.  Returns ``self``.
+
+        The thresholds ``xi_vn``, ``xi_rf`` and ``cell_threshold`` may be
+        infinite: ``xi_vn = inf`` ends the staggered iteration after one
+        pass, ``xi_rf = inf`` switches adaptation off, and so does
+        ``cell_threshold = inf`` under the threshold strategy."""
         for section in self.sections():
-            getattr(self, section).__post_init__()
+            obj = getattr(self, section)
+            finite = section in ("material", "loading", "time")
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, float) and (
+                        np.isnan(value) or finite and np.isinf(value)):
+                    raise ValueError(f"{section}.{f.name} must be "
+                                     f"{'finite' if finite else 'a number'}"
+                                     f", got {value}")
+            obj.__post_init__()
         if self.loading.t_g > self.time.t_final:
             raise ValueError(
                 f"loading window needs t_g <= t_final, got "

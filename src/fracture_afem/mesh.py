@@ -193,15 +193,16 @@ class Mesh:
         Monotone id, incremented by every adapt call.
     max_levels : int
         Cap on ``levels``; refinement beyond it is silently skipped.
-    grid : InitialGrid or None
-        The initial grid of the adapt chain; None for a hand-built mesh,
-        which has no boundary labels.
+    grid : InitialGrid
+        The initial grid of the adapt chain, a required keyword: every mesh
+        has one.  Its sides and slit label the boundary edges, and its
+        grids carry the V-cycle's coarse levels.
     """
 
     def __init__(self, vertices, triangles, levels, generation=0,
                  max_levels=4, source_generation=-1, vertex_prov=None,
-                 adapt_summary=None, pair_tags=None, tag_counter=0,
-                 grid=None):
+                 adapt_summary=None, pair_tags=None, tag_counter=0, *,
+                 grid):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.levels = np.ascontiguousarray(levels, dtype=np.int64)
@@ -455,7 +456,7 @@ def _label_boundary(mesh):
 
     A bisection midpoint of a boundary edge lies exactly on that edge's line,
     so every boundary edge has both endpoints on a side of the rectangle or
-    on the slit.  A mesh without an initial grid has no labels.
+    on the slit.
 
     Raises
     ------
@@ -464,8 +465,6 @@ def _label_boundary(mesh):
         one-triangle edge at a hanging node does.
     """
     edges = mesh.edges[mesh.boundary_edge_mask]
-    if mesh.grid is None:
-        return edges[:0], np.empty(0, dtype=np.int64)
     grid, (lx, ly) = mesh.grid, mesh.grid.domain
     ends = mesh.vertices[edges]                 # (k, 2, 2)
     x, y = ends[:, :, 0], ends[:, :, 1]

@@ -9,10 +9,12 @@ per-mesh prolongation and per-grid hierarchies.
 The levels are the current mesh, then the entry grid ``n0 2^j``, then
 ``n0 2^(j-1)``, ..., ``n0``, ``n0/2``, ... down to the first grid with at
 most ``COARSE_DOFS`` dofs, or to the last one whose grid lines still carry
-the slit.  The entry grid follows the mesh: for a median cell level ``L``
-(two bisections halve ``h``) it is ``j = max(0, L // 2 - 1)``, the finest
-grid whose cells are at least one halving of ``h`` coarser than the median
-cell, as in the one-halving-per-level hierarchies of Chen, Nochetto & Xu.
+the slit.  Every mesh carries its initial grid, so every cycle has these
+levels; on an unrefined mesh the first prolongation is the identity, and
+that level stays as a second smoothing sweep.  The entry grid follows the
+mesh: for a median cell level ``L`` (two bisections halve ``h``) it is
+``j = max(0, L // 2 - 1)``, the finest grid whose cells are at least one
+halving of ``h`` coarser than the median cell, as in the one-halving-per-level hierarchies of Chen, Nochetto & Xu.
 A grid is halved only while its size and the slit's grid indices ``(i0,
 i1, jy)`` that :class:`~fracture_afem.mesh.InitialGrid` keeps (the columns
 of its ends and its row) are all even, so every coarser grid passes the
@@ -30,21 +32,21 @@ preconditioner whether or not the spaces nest.
 
 The coarse operators are Galerkin products ``P^T A P``, with the rows of
 ``P`` that belong to pinned dofs zeroed, and the coarsest grid is inverted
-densely through a Cholesky factorisation (an eigenvalue pseudo-inverse
-where pins make it singular).  The damage solve builds them once per
-staggered time step, from the first damage system of the step: the mesh
-and the pins do not change within a step, and :meth:`VCycle.refit` gives a
-later system of the step the same coarse levels with only the finest
-operator and its Jacobi weights replaced.  The wave solve builds them with
-each system it assembles, and keeps the cycle while the system is reused.
-One damped-Jacobi sweep before and one after the coarse correction on
-every level keep the cycle symmetric.  A symmetric
-V(1,1) cycle whose smoother converges for the current ``A``, around any
-symmetric positive semidefinite coarse correction, is symmetric positive
-definite, so a refit cycle still preconditions CG although its coarse
-levels come from an earlier ``A``; see Xu, *Iterative methods by space
-decomposition and subspace correction*, SIAM Review 34 (1992), and Chen,
-Nochetto & Xu, *Optimal multilevel methods for graded bisection grids*,
+densely by its eigenvalue pseudo-inverse, which is its inverse where pins
+leave it regular.  The damage solve builds them once per staggered time
+step, from the first damage system of the step: the mesh and the pins do
+not change within a step, and :meth:`VCycle.refit` gives a later system of
+the step the same coarse levels with only the finest operator and its
+Jacobi weights replaced.  The wave solve builds them with each system it
+assembles, and keeps the cycle while the system is reused.  One
+damped-Jacobi sweep before and one after the coarse correction on every
+level keep the cycle symmetric.  A symmetric V(1,1) cycle whose smoother
+converges for the current ``A``, around any symmetric positive
+semidefinite coarse correction, is symmetric positive definite, so a refit
+cycle still preconditions CG although its coarse levels come from an
+earlier ``A``; see Xu, *Iterative methods by space decomposition and
+subspace correction*, SIAM Review 34 (1992), and Chen, Nochetto & Xu,
+*Optimal multilevel methods for graded bisection grids*,
 Numer. Math. 120 (2012).
 """
 
@@ -116,42 +118,23 @@ def mesh_prolongation(mesh):
 
 
 def _spd_inverse(a):
-    """Inverse of a small symmetric positive semidefinite float64 array.
+    """Pseudo-inverse of a small symmetric positive semidefinite float64
+    array, from ``numpy.linalg.eigh`` without the eigenvalues of at most
+    ``1e-12`` times the largest.
 
-    A dof with a zero diagonal entry, such as a coarse dof whose whole
-    support is pinned, gets a zero row and column.  The rest is factored by
-    ``numpy.linalg.cholesky`` and inverted as ``L^-T L^-1``.  If the
-    factorisation fails or a pivot ``L_kk^2`` falls to rounding size (at
-    most ``1e-12 a_kk``), the block is singular, as when pins leave two
-    coarse hats the same free support; then the result is its
-    pseudo-inverse from ``numpy.linalg.eigh``, without the eigenvalues of at
-    most ``1e-12`` times the largest.  Either way the result is symmetric
-    positive semidefinite.
-
-    ``scipy.linalg`` would offer triangular solves, but importing it after
-    the package adds 7-8 MB of resident memory and 0.06-0.18 s of import
-    time.  On the 85-dof coarsest grid of an ``n0 = 16`` run the numpy
-    route takes about 0.4 ms, against 1.6-1.8 ms for a Gauss-Jordan loop
-    over the pivots (2-vCPU x86-64 VM, BLAS 1 thread).
+    The result is symmetric positive semidefinite, and it is the inverse
+    where ``a`` is regular.  A dof with a zero row, such as a coarse dof
+    whose whole support is pinned, gets a row and column that are zero to
+    rounding; two coarse hats that pins leave the same free support get the
+    pseudo-inverse of their singular block.  On the 85-dof coarsest grid of
+    an ``n0 = 16`` run this takes about 0.6 ms, against 0.3 ms for a
+    Cholesky factorisation of a regular grid (2-vCPU x86-64 VM, BLAS 1
+    thread): at most 160 coarse builds per benchmark run do not repay a
+    second path.
     """
-    diag = np.diagonal(a)
-    seen = np.flatnonzero(diag > 0.0)
-    block = a[np.ix_(seen, seen)]
-    try:
-        low = np.linalg.cholesky(block)
-        singular = (np.diagonal(low) ** 2 <= 1e-12 * diag[seen]).any()
-    except np.linalg.LinAlgError:
-        singular = True
-    if singular:
-        w, v = np.linalg.eigh(block)
-        keep = w > 1e-12 * w.max()
-        inv = (v[:, keep] / w[keep]) @ v[:, keep].T
-    else:
-        low_inv = np.linalg.inv(low)
-        inv = low_inv.T @ low_inv
-    out = np.zeros_like(a)
-    out[np.ix_(seen, seen)] = inv
-    return out
+    w, v = np.linalg.eigh(a)
+    keep = w > 1e-12 * w.max()
+    return (v[:, keep] / w[keep]) @ v[:, keep].T
 
 
 def _jacobi_weights(A):
@@ -165,11 +148,10 @@ class VCycle:
     """One symmetric V-cycle for ``A``, applied as ``z = cycle(r)``.
 
     ``levels`` lists ``(P, P^T)`` from each level to the next finer one,
-    finest first.  The coarsest level is solved exactly if it is a grid
-    level with at most ``DENSE_MAX`` dofs; otherwise, and when there are no
-    coarse levels, it gets one damped-Jacobi sweep.  Every sparse product
-    goes through :func:`~fracture_afem.linsolve.csr_matvec` into work
-    arrays the cycle owns; each call returns a new array.
+    finest first.  The coarsest level is solved exactly if it has at most
+    ``DENSE_MAX`` dofs; otherwise it gets one damped-Jacobi sweep.  Every
+    sparse product goes through :func:`~fracture_afem.linsolve.csr_matvec`
+    into work arrays the cycle owns; each call returns a new array.
     """
 
     def __init__(self, A, levels):
@@ -180,7 +162,7 @@ class VCycle:
             self.ops.append((R @ (self.ops[-1] @ P)).tocsr())
         self.weights = [_jacobi_weights(op) for op in self.ops]
         self.coarse_inv = None
-        if levels and self.ops[-1].shape[0] <= DENSE_MAX:
+        if self.ops[-1].shape[0] <= DENSE_MAX:
             self.coarse_inv = _spd_inverse(self.ops[-1].toarray())
         # the coarse levels' right-hand sides, and a work array per level
         self.rhs = [np.empty(op.shape[0]) for op in self.ops[1:]]
@@ -222,10 +204,9 @@ def vcycle(A, mesh, pinned=()):
     ``A`` is a damage or a wave system with the rows and columns of the
     ``pinned`` dofs (crack or loaded-boundary dofs) eliminated; the
     prolongation rows of those dofs are zeroed, so the cycle leaves them at
-    zero.  A mesh without an initial grid has no coarse level.
+    zero.
     """
-    if mesh.grid is None:
-        return VCycle(A, [])
+    # an unrefined mesh keeps its P = I level: a second sweep, fewer CG steps
     P, R = mesh_prolongation(mesh)
     pinned = np.asarray(pinned, dtype=np.int64)
     if pinned.size:

@@ -150,12 +150,13 @@ def test_returned_matrices_do_not_alias_the_pattern():
 # ----------------------------------------------------------------------
 
 def test_element_mass_single_triangle():
-    import fracture_afem.mesh as M
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    tris = np.array([[0, 1, 2]])
-    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int))
+    # the unit square of two right triangles of area 1/2 each
+    mesh = unit_square(1)
     Mm = assemble_mass(mesh, 1.0).toarray()
-    expected = (0.5 / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
+    element = (0.5 / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
+    expected = np.zeros((4, 4))
+    for tri in mesh.triangles:
+        expected[np.ix_(tri, tri)] += element
     assert np.allclose(Mm, expected)
 
 

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -594,6 +595,37 @@ def test_cli_config_errors_exit_2_without_traceback(tmp_path, capsys):
 ])
 def test_cli_layout_and_cadence_errors_exit_2(tmp_path, capsys, name, text):
     assert_config_error(tmp_path, capsys, name, text, [])
+
+
+# values a run cannot use, which passed check-config: each of the first
+# six made run exit 1 at step 2 or later, and a NaN xi_rf ran to the end,
+# adapting whatever the indicator, since r_h <= nan is never true.  xi_vn,
+# xi_rf and cell_threshold stay legal at inf
+# (test_infinite_tolerance_single_iteration runs xi_vn = inf).
+@pytest.mark.parametrize("section, line", [
+    ("tolerances", "solver_tol = 1.0"), ("tolerances", "solver_tol = 5"),
+    ("loading", "eps_v = nan"), ("material", "mu = inf"),
+    ("material", "epsilon = inf"), ("time", "t_final = inf"),
+    ("tolerances", "xi_rf = nan"),
+])
+def test_cli_values_a_run_cannot_use_exit_2(tmp_path, capsys, section, line):
+    text = f"[mesh]\nn0 = 8\n[time]\nn_steps = 30\n[{section}]\n{line}\n"
+    assert_config_error(tmp_path, capsys, line, text, [])
+
+
+def test_nan_refused_in_every_float_key():
+    floats = [f.name for typ in RunConfig.sections().values()
+              for f in fields(typ) if type(f.default) is float]
+    assert len(floats) == 24
+    for key in floats:
+        with pytest.raises(ValueError):
+            RunConfig.with_defaults(n0=8, slit=False, **{key: float("nan")})
+
+
+@pytest.mark.parametrize("key", ["xi_vn", "xi_rf", "cell_threshold"])
+def test_infinite_thresholds_load(key):
+    cfg = RunConfig.with_defaults(n0=8, **{key: float("inf")})
+    assert cfg.validate() is cfg
 
 
 def test_cli_rejects_removed_seed_flag(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracture_afem.fem import FeFunction, transfer, transfer_pinned
-from fracture_afem.mesh import (BoundaryLabel, InitialGrid, adapt,
+from fracture_afem.mesh import (BoundaryLabel, InitialGrid, Mesh, adapt,
                                 build_initial_mesh, geometry)
 from test_multigrid import adapted_slit_meshes
 
@@ -384,20 +384,40 @@ def test_geometry_right_triangle():
 
 
 def test_geometry_equilateral_shape_ratio():
-    import fracture_afem.mesh as M
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    tris = np.array([[0, 1, 2]])
-    mesh = M.Mesh(verts, tris, np.zeros(1, dtype=int))
+    # an equilateral triangle 0 and two right triangles that fill the rest
+    # of the rectangle [0, 1] x [0, sqrt(3) / 2]
+    h = np.sqrt(3) / 2
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h], [0.0, h], [1.0, h]])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [1, 4, 2]])
+    mesh = Mesh(verts, tris, np.zeros(3, dtype=int),
+                grid=InitialGrid((1.0, h), None, 1))
     g = geometry(mesh)
     assert np.isclose(g.shape_ratio[0], np.sqrt(3.0))
 
 
 def test_mesh_rejects_degenerate_triangle():
-    import fracture_afem.mesh as M
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     tris = np.array([[0, 1, 2]])
     with pytest.raises(ValueError, match="triangle 0 has non-positive area"):
-        M.Mesh(verts, tris, np.zeros(1, dtype=int))
+        Mesh(verts, tris, np.zeros(1, dtype=int),
+             grid=InitialGrid((2.0, 1.0), None, 1))
+
+
+def test_mesh_requires_its_initial_grid():
+    ref = build_initial_mesh((1.0, 1.0), None, 2)
+    with pytest.raises(TypeError, match="grid"):
+        Mesh(ref.vertices, ref.triangles, ref.levels)
+
+
+def test_mesh_refuses_a_hanging_node():
+    # the lower triangle of the unit square bisected at the diagonal's
+    # midpoint 4, the upper one not: its diagonal has a hanging node
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [0.5, 0.5]])
+    tris = np.array([[4, 1, 3], [4, 0, 1], [2, 0, 3]])
+    with pytest.raises(ValueError, match="cannot label boundary edge"):
+        Mesh(verts, tris, np.array([1, 1, 0]),
+             grid=InitialGrid((1.0, 1.0), None, 1))
 
 
 def test_geometry_normal_closure():

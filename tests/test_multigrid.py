@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from fracture_afem import multigrid as mg
 from fracture_afem.dynamics import MaterialParams
-from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
-                               assemble_stiffness)
+from fracture_afem.fem import DirichletSet, FeFunction, apply_dirichlet
 from fracture_afem.linsolve import solve_spd
-from fracture_afem.mesh import Mesh, adapt, build_initial_mesh
+from fracture_afem.mesh import adapt, build_initial_mesh
 from fracture_afem.phasefield import phasefield_system
 
 DOMAIN3 = (3.0, 3.0)
@@ -328,17 +327,6 @@ def test_large_coarsest_grid_is_smoothed_not_inverted():
     assert rep.converged
 
 
-def test_mesh_without_grid_gets_one_jacobi_sweep():
-    ref = build_initial_mesh((1.0, 1.0), None, 3)
-    mesh = Mesh(ref.vertices, ref.triangles, ref.levels)
-    assert mesh.grid is None
-    A = (assemble_stiffness(mesh, 1.0)
-         + sp.identity(mesh.n_vertices, format="csr"))
-    r = np.random.default_rng(5).standard_normal(mesh.n_vertices)
-    assert np.array_equal(mg.vcycle(A, mesh)(r),
-                          mg.OMEGA / A.diagonal() * r)
-
-
 def test_dense_inverse_matches_lapack():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((40, 40))
@@ -370,6 +358,37 @@ def test_dense_inverse_of_equal_columns_is_the_pseudo_inverse():
     assert np.allclose(x, np.linalg.pinv(a, rcond=1e-10, hermitian=True),
                        rtol=0.0, atol=1e-10 * abs(x).max())
     assert np.allclose(a @ x @ a, a, rtol=0.0, atol=1e-10 * abs(a).max())
+
+
+@st.composite
+def psd_with_zero_rows_and_repeats(draw):
+    """``(a, zero)``: a symmetric positive semidefinite ``a = S b S^T`` for
+    a well-conditioned SPD ``b`` and a selection ``S`` whose rows pick
+    entries of ``b`` with repeats (equal columns of ``a``) or nothing (the
+    zero rows flagged by ``zero``), as pins make of a coarse system."""
+    k = draw(st.integers(1, 6))
+    m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k,
+                               max_size=k * k))).reshape(k, k)
+    b = m @ m.T + np.eye(k)
+    pick = np.array(draw(st.lists(st.integers(-1, k - 1), min_size=1,
+                                  max_size=10)))
+    zero = pick < 0
+    a = b[np.ix_(pick, pick)]
+    a[zero] = 0.0
+    a[:, zero] = 0.0
+    return a, zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(psd_with_zero_rows_and_repeats())
+def test_dense_inverse_is_a_symmetric_pseudo_inverse(case):
+    a, zero = case
+    x = mg._spd_inverse(a)
+    scale = max(abs(x).max(), 1e-300)
+    assert np.allclose(a @ x @ a, a, rtol=0.0, atol=1e-10 * abs(a).max())
+    assert np.allclose(x @ a @ x, x, rtol=0.0, atol=1e-10 * scale)
+    assert np.allclose(x, x.T, rtol=0.0, atol=1e-12 * scale)
+    assert abs(x[zero]).max(initial=0.0) <= 1e-12 * scale
 
 
 def test_damage_solve_does_not_import_scipy_linalg(tmp_path, src_env):

@@ -1,10 +1,12 @@
 """The checked-in scripts: their command lines."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_paper_probe_refuses_a_run_too_short_to_load(src_env):
@@ -16,3 +18,26 @@ def test_paper_probe_refuses_a_run_too_short_to_load(src_env):
     assert out.returncode == 2
     assert "usage:" in out.stderr and "N = 3 steps" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_output_digest_prints_one_digest_per_file(src_env):
+    out = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py"),
+                          "determinism"], env=src_env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split("  ") for line in out.stdout.splitlines()]
+    assert [path for _, path in rows] == ["determinism/energies.csv"] + [
+        f"determinism/snapshot_{step:06d}.vtk" for step in (1, 4, 8, 12)]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in rows)
+
+
+def test_code_lines_total_is_the_sum_of_its_rows():
+    out = subprocess.run([sys.executable, str(SCRIPTS / "code_lines.py"),
+                          "-v"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    *rows, total = out.stdout.splitlines()
+    names = [row.split()[1] for row in rows]
+    assert names == sorted(p.name for p in
+                           (ROOT / "src" / "fracture_afem").glob("*.py"))
+    counts = [int(row.split()[0].replace(",", "")) for row in rows]
+    assert int(total.replace(",", "")) == sum(counts) > 0
