@@ -299,8 +299,11 @@ class Mesh:
         # conformity: a hanging node leaves a one-triangle edge inside the
         # domain, which has no label
         self._boundary()
-        if (self.levels > self.max_levels).any():
-            raise ValueError("refinement level exceeds cap")
+        for name in ("levels", "pair_tags"):
+            if getattr(self, name).shape != (self.n_triangles,):
+                raise ValueError(f"{name} needs one entry per triangle")
+        if (self.levels < 0).any() or (self.levels > self.max_levels).any():
+            raise ValueError("refinement level outside [0, max_levels]")
 
 
 def _signed_areas(mesh):
@@ -495,7 +498,8 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
     pairs or whose removal would leave a hanging node.  The result is a new
     conforming :class:`Mesh` one generation later, carrying the vertex
     provenance needed by nodal transfer.  The id sets may be any iterables
-    of triangle ids, generators included.
+    of integer triangle ids, generators included; a boolean mask, floats or
+    a nested array raise ``ValueError``.
     """
     refine_ids = _id_array(refine_ids)
     coarsen_ids = _id_array(coarsen_ids)
@@ -522,57 +526,56 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
 
 
 def _id_array(ids):
-    """Sorted unique int64 triangle ids from any iterable, read once."""
-    if not isinstance(ids, np.ndarray):
-        ids = list(ids)
-    return np.unique(np.asarray(ids, dtype=np.int64))
+    """Sorted unique int64 triangle ids from any iterable, read once; an
+    empty one may have any dtype, a mask or floats are refused."""
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError("triangle ids must be a 1-D set of integers")
+    return np.unique(ids.astype(np.int64))
 
 
 def _closure(mesh, refine_ids, summary):
-    """Edge-marking fixpoint: compatible-chain closure with level veto.
+    """Edge marks of newest-vertex bisection under the level cap: the veto,
+    read off the levels alone, then the conformity closure over the edges
+    it allows.
 
-    An edge may only be marked if every incident triangle can legally split
-    it: capped triangles forbid all their edges, triangles one bisection
-    below the cap forbid their non-refinement edges (a second bisection
-    would overshoot), and a triangle whose refinement edge is forbidden
-    cannot bisect at all, which cascades to its own edges.
+    Capped triangles forbid all their edges, triangles one bisection below
+    the cap forbid their non-refinement edges (a second bisection would
+    overshoot), and a triangle whose refinement edge is forbidden cannot
+    bisect at all, so it forbids its own edges too, up to the fixpoint.
+    The closure marks the requested refinement edges the veto allows, then
+    the refinement edge of every triangle with a marked edge.  A triangle
+    with an allowed edge has an allowed refinement edge, so the closure
+    never reaches a forbidden edge.  Forbidding first gives the marks of a
+    closure that forbids as it goes: both keep every allowed request and
+    are closed.  Marks land on refinement edges only, so an edge that is
+    marked and forbidden is forbidden through the refinement edges of both
+    its triangles, and all the closure reaches from it is forbidden too;
+    forbidding as one goes unmarks all of that again.
     """
     T = mesh.tri_edges
     lev = mesh.levels
     cap = mesh.max_levels
-    marked = np.zeros(mesh.n_edges, dtype=bool)
     forbidden = np.zeros(mesh.n_edges, dtype=bool)
-
     forbidden[T[lev >= cap].ravel()] = True
-    at_rim = lev == cap - 1
-    if at_rim.any():
-        forbidden[T[at_rim][:, 1:].ravel()] = True
+    forbidden[T[lev == cap - 1, 1:].ravel()] = True
+    while True:
+        stuck = forbidden[T[:, 0]] & ~forbidden[T].all(axis=1)
+        if not stuck.any():
+            break
+        forbidden[T[stuck].ravel()] = True
 
     want = T[refine_ids, 0]
+    marked = np.zeros(mesh.n_edges, dtype=bool)
     marked[want[~forbidden[want]]] = True
-
     while True:
-        changed = False
         m3 = marked[T]
-        blocked = m3.any(axis=1) & forbidden[T[:, 0]]
-        if blocked.any():
-            bad = T[blocked].ravel()
-            if marked[bad].any() or (~forbidden[bad]).any():
-                changed = True
-            forbidden[bad] = True
-            marked[bad] = False
-            m3 = marked[T]
-        need = m3.any(axis=1) & ~m3[:, 0]
-        add = T[need, 0]
-        add = add[~forbidden[add]]
-        if add.size:
-            changed = True
-            marked[add] = True
-        if not changed:
+        add = T[m3.any(axis=1) & ~m3[:, 0], 0]
+        if not add.size:
             break
+        marked[add] = True
 
-    done = marked[T[refine_ids, 0]] if refine_ids.size else np.empty(0, bool)
-    summary.skipped_capped = int((~done).sum())
+    summary.skipped_capped = int(forbidden[want].sum())
     summary.refined = int(marked[T[:, 0]].sum())
     return marked
 

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracture_afem.fem import FeFunction, transfer, transfer_pinned
-from fracture_afem.mesh import (BoundaryLabel, InitialGrid, Mesh, adapt,
-                                build_initial_mesh, geometry)
+from fracture_afem.mesh import (AdaptSummary, BoundaryLabel, InitialGrid,
+                                Mesh, _closure, adapt, build_initial_mesh,
+                                element_means, geometry)
 from test_multigrid import adapted_slit_meshes
 
 DOMAIN3 = (3.0, 3.0)
@@ -56,6 +57,56 @@ def hand_bisect(verts, tri):
     v0, v1, v2 = tri
     m = 0.5 * (verts[v1] + verts[v2])
     return m, [(v0, v1), (v2, v0)]
+
+
+def vetoing_closure(mesh, refine_ids):
+    """Edge marks and skipped requests of a closure that applies the level
+    veto as it goes: each pass forbids and unmarks every edge of a triangle
+    that holds a marked edge but cannot bisect, then adds the refinement
+    edges the marks need, until neither changes anything."""
+    T = mesh.tri_edges
+    lev = mesh.levels
+    cap = mesh.max_levels
+    marked = np.zeros(mesh.n_edges, dtype=bool)
+    forbidden = np.zeros(mesh.n_edges, dtype=bool)
+    forbidden[T[lev >= cap].ravel()] = True
+    at_rim = lev == cap - 1
+    if at_rim.any():
+        forbidden[T[at_rim][:, 1:].ravel()] = True
+    want = T[refine_ids, 0]
+    marked[want[~forbidden[want]]] = True
+    while True:
+        changed = False
+        m3 = marked[T]
+        blocked = m3.any(axis=1) & forbidden[T[:, 0]]
+        if blocked.any():
+            bad = T[blocked].ravel()
+            if marked[bad].any() or (~forbidden[bad]).any():
+                changed = True
+            forbidden[bad] = True
+            marked[bad] = False
+            m3 = marked[T]
+        need = m3.any(axis=1) & ~m3[:, 0]
+        add = T[need, 0]
+        add = add[~forbidden[add]]
+        if add.size:
+            changed = True
+            marked[add] = True
+        if not changed:
+            break
+    return marked, int((~marked[want]).sum())
+
+
+def check_closure(mesh, refine_ids):
+    """``_closure`` against :func:`vetoing_closure`; returns the summary."""
+    ids = np.unique(np.asarray(refine_ids, dtype=np.int64))
+    summary = AdaptSummary()
+    marked = _closure(mesh, ids, summary)
+    want, skipped = vetoing_closure(mesh, ids)
+    assert np.array_equal(marked, want)
+    assert summary.skipped_capped == skipped
+    assert summary.refined == int(want[mesh.tri_edges[:, 0]].sum())
+    return summary
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +303,32 @@ def test_refine_overlapping_sets_rejected():
         adapt(m, [99])
 
 
+@pytest.mark.parametrize("ids", [
+    np.array([True, False]),                   # a mask, not ids 1 and 0
+    [1.7],
+    np.array([0.0, 1.0]),
+    np.array([[0, 1]]),
+    [[0], [1]],
+])
+def test_adapt_refuses_ids_that_are_not_triangle_ids(ids):
+    m = build_initial_mesh((1.0, 1.0), None, 2)
+    with pytest.raises(ValueError, match="1-D set of integers"):
+        adapt(m, ids)
+    with pytest.raises(ValueError, match="1-D set of integers"):
+        adapt(m, [], ids)
+
+
+def test_adapt_accepts_any_empty_set_and_integer_iterables():
+    m = build_initial_mesh((1.0, 1.0), None, 2)
+    for empty in ([], (), set(), np.empty(0), np.empty(0, dtype=bool),
+                  (i for i in ())):
+        assert adapt(m, empty, empty).n_triangles == m.n_triangles
+    ref = adapt(m, [0, 2])
+    for ids in ({2, 0}, range(0, 3, 2), np.array([2, 0], dtype=np.uint8),
+                (i for i in (0, 2, 0)), [np.int32(0), 2]):
+        assert np.array_equal(adapt(m, ids).triangles, ref.triangles)
+
+
 def test_level_cap_skips_and_reports():
     m = build_initial_mesh((1.0, 1.0), None, 2, max_levels=2)
     m = adapt(m, range(m.n_triangles))
@@ -420,6 +497,21 @@ def test_mesh_refuses_a_hanging_node():
              grid=InitialGrid((1.0, 1.0), None, 1))
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(levels=np.zeros(7, dtype=int)), "levels needs one entry per"),
+    (dict(levels=np.zeros((8, 1), dtype=int)), "levels needs one entry per"),
+    (dict(pair_tags=np.full(9, -1)), "pair_tags needs one entry per"),
+    (dict(levels=[0, 0, 0, -1, 0, 0, 0, 0]), "outside \\[0, max_levels\\]"),
+    (dict(levels=np.full(8, 5)), "outside \\[0, max_levels\\]"),
+])
+def test_mesh_refuses_per_triangle_arrays_that_do_not_fit(change, message):
+    ref = build_initial_mesh((1.0, 1.0), None, 2)
+    args = dict(levels=ref.levels, pair_tags=ref.pair_tags)
+    with pytest.raises(ValueError, match=message):
+        Mesh(ref.vertices, ref.triangles, grid=ref.grid,
+             **{**args, **change})
+
+
 def test_geometry_normal_closure():
     m = build_initial_mesh(DOMAIN3, SLIT, 8)
     m = adapt(m, range(0, m.n_triangles, 3))
@@ -551,6 +643,93 @@ def initial_meshes(draw):
 
 def draw_ids(draw, n):
     return sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 40))))
+
+
+# ----------------------------------------------------------------------
+# adapt: the level-cap veto
+# ----------------------------------------------------------------------
+
+def two_square_mesh(levels, max_levels):
+    """``[0, 1] x [0, 2]`` as two unit squares of two triangles each:
+    A = (ur, ll, lr) and B = (ul, ll, ur) below, C = (tl, ul, ur) and
+    D = (tr, tl, ur) above.  B's refinement edge is A's diagonal, C's is
+    B's top side and D's is C's diagonal, so a veto on A's edges cascades
+    through B and C to D."""
+    ll, lr, ul, ur, tl, tr = range(6)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [0.0, 2.0], [1.0, 2.0]])
+    tris = np.array([[ur, ll, lr], [ul, ll, ur], [tl, ul, ur], [tr, tl, ur]])
+    return Mesh(verts, tris, levels, max_levels=max_levels,
+                grid=InitialGrid((1.0, 2.0), None, 1))
+
+
+def test_cap_zero_vetoes_every_request():
+    m = build_initial_mesh(DOMAIN3, SLIT, 4, max_levels=0)
+    s = check_closure(m, range(m.n_triangles))
+    assert s.refined == 0 and s.skipped_capped == m.n_triangles
+    assert np.array_equal(adapt(m, range(m.n_triangles)).triangles,
+                          m.triangles)
+
+
+def test_triangle_one_level_below_the_cap_bisects_once():
+    # B's refinement edge is A's diagonal, which A, one level below the
+    # cap, could only split by bisecting twice: B is skipped, A bisects
+    m = two_square_mesh([1, 0, 0, 0], 2)
+    s = check_closure(m, [0, 1])
+    assert s.refined == 1 and s.skipped_capped == 1
+    assert adapt(m, [0, 1]).levels.tolist() == [0, 0, 0, 2, 2]
+
+
+def test_request_whose_edge_a_capped_neighbour_holds_is_skipped():
+    # A is capped and holds B's refinement edge; the veto cascades from B
+    # to C and from C to D, so every request is skipped
+    m = two_square_mesh([2, 0, 0, 0], 2)
+    for ids in ([1], [2], [3], [1, 2, 3]):
+        s = check_closure(m, ids)
+        assert s.refined == 0 and s.skipped_capped == len(ids)
+    # below the cap, D's request bisects all four, A and B and C twice
+    s = check_closure(two_square_mesh([0, 0, 0, 0], 2), [3])
+    assert s.refined == 4 and s.skipped_capped == 0
+
+
+LAYOUTS = {(3.0, 3.0): SLIT, (1.0, 0.7): (0.0, 0.5, 0.35)}
+
+
+def draw_requests(draw, mesh):
+    """Random ids, ids of capped triangles only, or a cluster: every
+    triangle whose centroid lies within a drawn radius of one triangle's."""
+    kind = draw(st.sampled_from(["random", "capped", "clustered"]))
+    if kind == "random":
+        return draw_ids(draw, mesh.n_triangles)
+    if kind == "capped":
+        pool = np.flatnonzero(mesh.levels == mesh.max_levels)
+        return pool[draw_ids(draw, len(pool))] if len(pool) else pool
+    centre = element_means(mesh.vertices, mesh.triangles)
+    seed = centre[draw(st.integers(0, mesh.n_triangles - 1))]
+    radius = draw(st.floats(0.0, 0.5)) * max(mesh.grid.domain)
+    return np.flatnonzero(np.linalg.norm(centre - seed, axis=1) <= radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LAYOUTS)), st.integers(1, 4),
+       st.integers(0, 6), st.data())
+def test_closure_gives_the_marks_of_the_vetoing_closure(domain, n0, cap,
+                                                        data):
+    slit = LAYOUTS[domain] if n0 % 2 == 0 and data.draw(st.booleans()) \
+        else None
+    mesh = build_initial_mesh(domain, slit, n0, max_levels=cap)
+    for _ in range(data.draw(st.integers(1, 6))):
+        refine = draw_requests(data.draw, mesh)
+        check_closure(mesh, refine)
+        # the levels of bisection chains have not been seen to give the
+        # veto cascade an edge to add; drawn levels on the same triangles do
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        levels = rng.integers(0, cap + 1, mesh.n_triangles)
+        check_closure(Mesh(mesh.vertices, mesh.triangles, levels,
+                           max_levels=cap, grid=mesh.grid), refine)
+        coarsen = np.arange(mesh.n_triangles) if data.draw(st.booleans()) \
+            else []
+        mesh = adapt(mesh, refine, np.setdiff1d(coarsen, refine))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture_afem.dynamics import MaterialParams
-from fracture_afem.fem import FeFunction, element_gradients, transfer
+from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
+                               element_gradients, transfer)
 from fracture_afem.mesh import adapt, build_initial_mesh
 from fracture_afem.phasefield import (CrackSet, clamp_and_threshold,
                                       phasefield_system, solve_phasefield,
@@ -107,6 +108,32 @@ def test_multigrid_solve_matches_oracle_on_adapted_slit_mesh():
     assert rep["report"].iterations < 40
     assert np.allclose(v.values, ref, rtol=1e-8, atol=1e-10)
     assert (v.values[pins] == 0.0).all()
+
+
+def test_pinned_entries_and_residual_rows_are_exactly_zero():
+    # the stationarity reads the whole residual: its pinned rows are 0, so
+    # it equals the maximum over the free rows bit for bit
+    mesh = build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 16)
+    mesh = adapt(mesh, range(0, mesh.n_triangles, 3))
+    rng = np.random.default_rng(17)
+    u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
+    x, y = mesh.vertices.T
+    pins = np.flatnonzero((np.abs(y - 1.5) < 0.4) & (x > 1.2) & (x < 2.0))
+    crack = CrackSet(pins, mesh.generation)
+    A, b, _ = phasefield_system(u, MP, mesh)
+    Ac, bc = apply_dirichlet(A, b, DirichletSet(pins, np.zeros(len(pins))))
+    free = ~crack.mask(mesh.n_vertices)
+    cycle = x0 = None
+    for _ in range(2):
+        # the second solve starts from a field that is not 0 on the pins
+        # and refits the first solve's V-cycle
+        v, rep = solve_phasefield(u, MP, crack, mesh, x0=x0, cycle=cycle)
+        assert (v.values[pins] == 0.0).all()
+        resid = bc - Ac @ v.values
+        assert (resid[pins] == 0.0).all()
+        assert rep["stationarity"] == (np.abs(resid[free]).max()
+                                       / np.linalg.norm(bc))
+        cycle, x0 = rep["cycle"], v.values + rng.uniform(0.1, 1.0, len(free))
 
 
 def test_balanced_gradient_yields_exactly_one():
