@@ -21,8 +21,10 @@ step, the wall time between ``on_step`` callbacks (the first row also
 holds the set-up and step 1), the wave and damage conjugate-gradient
 iterations, including the solves an adaptation replaced, and the wave and
 damage iterations per staggered iteration (each staggered iteration makes
-one wave solve and one damage solve, or takes the intact shortcut).  The
-run's output files go to a temporary directory.
+one wave solve and one damage solve, or takes the intact shortcut), and
+the V-cycles built per step (``StepRecord.cycle_builds``, damage and wave,
+both solves of an adapted step).  The run's output files go to a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def step_row(n, seconds, record, level):
             "kind": kind, "inner": record.inner_iterations, "level": level,
             "staggered": record.inner_iterations + first.inner_iterations,
             "wave": record.wave_iterations + first.wave_iterations,
-            "pf": record.pf_iterations + first.pf_iterations}
+            "pf": record.pf_iterations + first.pf_iterations,
+            "builds": record.cycle_builds + first.cycle_builds}
 
 
 def phases(rows, min_steps):
@@ -124,19 +127,20 @@ def main(argv=None):
         result = run(cfg, on_step=on_step)
 
     print(f"{'steps':>11} {'dofs':>15} {'wall s':>8} {'s/step':>7} "
-          f"{'wave CG':>8} {'damage CG':>9} {'wave/st':>7} {'dmg/st':>6}"
-          f"  phase")
+          f"{'wave CG':>8} {'damage CG':>9} {'wave/st':>7} {'dmg/st':>6} "
+          f"{'cyc/step':>8}  phase")
     for members in phases(rows, MIN_PHASE_STEPS):
         first, last = members[0], members[-1]
         wall = sum(m["seconds"] for m in members)
         wave = sum(m["wave"] for m in members)
         pf = sum(m["pf"] for m in members)
         staggered = sum(m["staggered"] for m in members)
+        builds = sum(m["builds"] for m in members)
         print(f"{first['step']:>5}-{last['step']:<5} "
               f"{first['dofs']:>7}-{last['dofs']:<7} {wall:>8.2f} "
               f"{wall / len(members):>7.3f} {wave:>8} {pf:>9} "
-              f"{wave / staggered:>7.1f} {pf / staggered:>6.1f}  "
-              f"{describe(members)}")
+              f"{wave / staggered:>7.1f} {pf / staggered:>6.1f} "
+              f"{builds / len(members):>8.2f}  {describe(members)}")
     s = result.summary
     print(f"total {sum(m['seconds'] for m in rows):.2f} s over steps 2-{n}; "
           f"{s['final_dofs']} dofs and {s['pinned_dofs']} pinned dofs at "

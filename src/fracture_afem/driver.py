@@ -380,6 +380,7 @@ class StepRecord:
     shortcut: bool = False          # final damage solve hit the intact guard
     pf_iterations: int = 0          # damage-solve CG iterations, all solves
     wave_iterations: int = 0        # wave-solve CG iterations, all solves
+    cycle_builds: int = 0           # V-cycles built, damage and wave
     boundary_work: float = 0.0      # reactions times the boundary increment
     warnings: list = field(default_factory=list)
     # filled by run
@@ -396,28 +397,42 @@ class StepRecord:
 
 def staggered_step(state, t_n, cfg):
     """One full staggered solve at time ``t_n`` from the state at the
-    previous index.  Returns the new state and its :class:`StepRecord`."""
+    previous index.  Returns the new state and its :class:`StepRecord`.
+
+    The new state carries the last damage solve's unclamped iterate and its
+    V-cycle (see :class:`~fracture_afem.dynamics.DynamicState`); the cycle
+    only if the crack set did not grow, since it leaves the old pins free."""
     mesh = state.mesh
     tol = cfg.tolerances
     k = cfg.time.k
     ds = build_dirichlet(mesh, t_n, cfg.loading)
     rec = StepRecord()
 
-    # The first inner iteration starts from the predictor and the state's
-    # damage field; a later one from the last iteration's displacement and
-    # unclamped damage, with the damage V-cycle's coarse levels kept, since
-    # the mesh, the Dirichlet set and the crack set do not change.
-    v_iter = state.v
-    u_start, v_start, cycle = None, v_iter.values, None
+    # The first inner iteration starts from what the state carries: the
+    # displacement and damage field of a first solve moved to this mesh
+    # (else the predictor and the state's damage field), the last unclamped
+    # damage iterate and the damage V-cycle, whose coarse levels are kept.
+    # A later one starts from the last iteration's displacement and
+    # unclamped damage, with the same cycle, since the mesh, the Dirichlet
+    # set and the crack set do not change.
+    if state.start is None:
+        u_start, v_iter = None, state.v
+    else:
+        u_start, v_iter = state.start[0].values, state.start[1]
+    v_start = (v_iter if state.v_raw is None else state.v_raw).values
+    cycle = state.cycle
     stat_worst = None
     for j in range(1, tol.max_inner + 1):
+        wave = state.wave
         u_new, reactions, urep = step_displacement(
             state, k, ds, params=cfg.material, v=v_iter, x0=u_start,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter)
         rec.wave_iterations += urep.iterations
+        rec.cycle_builds += _new_cycle(wave and wave.cycle, state.wave.cycle)
         v_raw, vrep = solve_phasefield(
             u_new, cfg.material, state.crack, mesh, x0=v_start,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter, cycle=cycle)
+        rec.cycle_builds += _new_cycle(cycle, vrep["cycle"])
         u_start, v_start, cycle = u_new.values, v_raw.values, vrep["cycle"]
         v_new = clamp_and_threshold(v_raw, tol.xi_v)
         if vrep["stationarity"] is not None:
@@ -445,11 +460,24 @@ def staggered_step(state, t_n, cfg):
     rec.new_pins = len(crack_new.ids) - len(state.crack.ids)
     # a dof pinned now holds at most xi_cr, which may exceed xi_v
     v_iter.values[crack_new.ids] = 0.0
+    v_raw.values[crack_new.ids] = 0.0
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
-    # the wave system of the last inner iteration goes on with the mesh
+    # the wave system of the last inner iteration goes on with the mesh, and
+    # so do the damage V-cycle's coarse levels while the pins stay
+    if cycle is not None and rec.new_pins == 0:
+        cycle = cycle.release()
+    else:
+        cycle = None
     new_state = DynamicState(n=state.n + 1, u_curr=u_new, du=du, v=v_iter,
-                             crack=crack_new, mesh=mesh, wave=state.wave)
+                             crack=crack_new, mesh=mesh, wave=state.wave,
+                             v_raw=v_raw, cycle=cycle)
     return new_state, rec
+
+
+def _new_cycle(before, after):
+    """1 if a solve that was handed the V-cycle ``before`` left ``after``,
+    a cycle it built, and 0 if it kept, refit or had none."""
+    return int(after is not None and after is not before)
 
 
 def transfer_state(state, src_mesh, dst_mesh, crack_from):
@@ -482,7 +510,11 @@ def adapt_step(prev_state, post_state, est, cfg):
     ``None`` if the indicator is at or below the threshold, nothing is
     marked, or the adaptation refined nothing and merged no pair (every
     mark hit the level cap or an unmergeable pair), which leaves the mesh
-    as it was.
+    as it was.  The returned state carries the first solve's answer
+    ``post_state`` moved to the new mesh, where the re-solve starts: its
+    ``u`` and ``v`` as ``start``, its unclamped damage as ``v_raw``.  Once
+    something is marked, the damage V-cycles of both states are dropped,
+    before the new mesh is built.
     """
     if est.r_h <= cfg.tolerances.xi_rf:
         return None
@@ -490,12 +522,21 @@ def adapt_step(prev_state, post_state, est, cfg):
     if refine.size == 0 and coarsen.size == 0:
         return None
     mesh = prev_state.mesh
+    # what the states carry for a next solve on the old mesh goes before
+    # the new mesh is built: the re-solve builds its own damage V-cycle, and
+    # after an adaptation that changes nothing the next step builds one
+    prev_state.cycle = post_state.cycle = None
     new_mesh = adapt(mesh, refine, coarsen)
     done = new_mesh.adapt_summary
     if done.refined == 0 and done.coarsened_pairs == 0:
         return None
-    return transfer_state(prev_state, mesh, new_mesh,
-                          crack_from=post_state.crack)
+    moved = transfer_state(prev_state, mesh, new_mesh,
+                           crack_from=post_state.crack)
+    moved.start = (transfer(post_state.u_curr, mesh, new_mesh),
+                   transfer(post_state.v, mesh, new_mesh))
+    if post_state.v_raw is not None:
+        moved.v_raw = transfer(post_state.v_raw, mesh, new_mesh)
+    return moved
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +635,9 @@ def run(cfg, on_step=None):
                 phase = "re-solve after adaptation"
                 first = rec
                 state, rec = staggered_step(prev, t_n, cfg)
-                rec.adapt = prev.mesh.adapt_summary
+                # the moved state, with the start it carried, is spent
+                prev = adapted = None
+                rec.adapt = state.mesh.adapt_summary
                 rec.first_solve = first
                 rec.warnings[:0] = [f"before adaptation: {w}"
                                     for w in first.warnings]

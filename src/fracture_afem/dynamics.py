@@ -128,6 +128,16 @@ class DynamicState:
     All fields are bound to ``mesh``.  ``wave`` is the system of the last
     wave solve on this state or on the state it came from on the same mesh
     (``None`` on a new mesh), kept for reuse by :func:`step_displacement`.
+
+    What the next staggered solve starts from goes with the state too.
+    ``v_raw`` is the unclamped damage iterate of the last damage solve, 0
+    on the crack dofs; the next damage CG starts there.  ``cycle`` is that
+    solve's damage V-cycle, held only while it fits ``mesh`` and ``crack``,
+    so that the next solve refits it instead of building one.  ``start``,
+    on a state moved to a new mesh for a re-solve, is the ``(u, v)`` the
+    first solve of the step found, transferred: the re-solve starts its
+    wave CG and its staggered iteration there.  Each is ``None`` when
+    there is nothing to carry.
     """
 
     n: int
@@ -137,6 +147,9 @@ class DynamicState:
     crack: "CrackSet"
     mesh: "Mesh"
     wave: "WaveOperator" = field(default=None, repr=False)
+    v_raw: FeFunction = field(default=None, repr=False)
+    cycle: "VCycle" = field(default=None, repr=False)
+    start: tuple = field(default=None, repr=False)
 
 
 @dataclass(eq=False)

@@ -33,14 +33,16 @@ preconditioner whether or not the spaces nest.
 The coarse operators are Galerkin products ``P^T A P``, with the rows of
 ``P`` that belong to pinned dofs zeroed, and the coarsest grid is inverted
 densely by its eigenvalue pseudo-inverse, which is its inverse where pins
-leave it regular.  The damage solve builds them once per staggered time
-step, from the first damage system of the step: the mesh and the pins do
-not change within a step, and :meth:`VCycle.refit` gives a later system of
-the step the same coarse levels with only the finest operator and its
-Jacobi weights replaced.  The wave solve builds them with each system it
-assembles, and keeps the cycle while the system is reused.  One
-damped-Jacobi sweep before and one after the coarse correction on every
-level keep the cycle symmetric.  A symmetric V(1,1) cycle whose smoother
+leave it regular.  The damage solve builds them once per mesh and crack
+set, from the first damage system solved on them: a state carries its last
+damage cycle into the next time step while the mesh and the pins stay (see
+:class:`~fracture_afem.dynamics.DynamicState`), without its finest operator
+(:meth:`VCycle.release`), and :meth:`VCycle.refit` gives every later system
+the same coarse levels with only the finest operator and its Jacobi weights
+replaced.  The wave solve builds them with each system it assembles, and
+keeps the cycle while the system is reused.  One damped-Jacobi sweep before
+and one after the coarse correction on every level keep the cycle
+symmetric.  A symmetric V(1,1) cycle whose smoother
 converges for the current ``A``, around any symmetric positive
 semidefinite coarse correction, is symmetric positive definite, so a refit
 cycle still preconditions CG although its coarse levels come from an
@@ -175,6 +177,14 @@ class VCycle:
         coarsest inverse are kept."""
         self.ops[0] = A
         self.weights[0] = _jacobi_weights(A)
+        return self
+
+    def release(self):
+        """Drop the finest operator and its Jacobi weights, which the next
+        :meth:`refit` replaces, and return the cycle: kept between solves,
+        it holds its coarse levels only.  It must be refit before it is
+        applied again."""
+        self.ops[0] = self.weights[0] = None
         return self
 
     def __call__(self, r):

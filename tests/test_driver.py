@@ -19,7 +19,7 @@ from fracture_afem.driver import (RunConfig, adapt_step, build_dirichlet,
 from fracture_afem.dynamics import (DynamicState, MaterialParams, degradation,
                                     init_state, step_displacement)
 from fracture_afem.estimator import EstimatorField, estimate
-from fracture_afem.fem import FeFunction, assemble_stiffness
+from fracture_afem.fem import FeFunction, assemble_stiffness, transfer
 from fracture_afem.mesh import BoundaryLabel, adapt
 from fracture_afem.phasefield import (CrackSet, clamp_and_threshold,
                                       solve_phasefield)
@@ -92,18 +92,24 @@ def test_inner_loop_converges_on_strained_fixture(tmp_path):
     assert 0.0 <= new.v.values.min() and new.v.values.max() <= 1.0
 
 
-def strained_state(cfg, amplitude=1.0):
+def banded_state(cfg, amplitude=1.0):
     """A rest state on the initial mesh with a strong gradient band in
-    ``u``, advanced by one staggered step, so that the next step starts
-    from a consistent displacement, velocity and damage field."""
+    ``u``."""
     mesh = cfg.build_mesh()
     st = init_state(mesh, FeFunction.zeros(mesh), FeFunction.zeros(mesh),
                     cfg.time.k)
     band = FeFunction.from_callable(
         mesh, lambda x, y: amplitude * np.tanh(8.0 * (y - 1.4)))
-    st = DynamicState(n=st.n, u_curr=band, du=st.du, v=st.v, crack=st.crack,
-                      mesh=mesh)
-    return staggered_step(st, 2 * cfg.time.k, cfg)[0]
+    return DynamicState(n=st.n, u_curr=band, du=st.du, v=st.v,
+                        crack=st.crack, mesh=mesh)
+
+
+def strained_state(cfg, amplitude=1.0):
+    """The banded state advanced by one staggered step, so that the next
+    step starts from a consistent displacement, velocity and damage
+    field."""
+    return staggered_step(banded_state(cfg, amplitude), 2 * cfg.time.k,
+                          cfg)[0]
 
 
 def test_dofs_pinned_in_a_step_are_zero_in_its_state(tmp_path):
@@ -144,12 +150,16 @@ def count_solves(monkeypatch):
 
 def test_inner_iterations_reuse_coarse_levels_and_warm_start(
         tmp_path, monkeypatch):
+    # the state carries the damage V-cycle of its step, on the same mesh and
+    # pins: every inner iteration refits it and none builds a cycle
     cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
     st = strained_state(cfg)
+    assert st.cycle is not None
     counts = count_solves(monkeypatch)
-    _, rec = staggered_step(st, 3 * cfg.time.k, cfg)
+    new, rec = staggered_step(st, 3 * cfg.time.k, cfg)
     assert rec.converged and rec.inner_iterations >= 3
-    assert counts["coarse"] == 1
+    assert counts["coarse"] == rec.cycle_builds == 0
+    assert new.cycle is st.cycle
     wave, damage = counts["wave"], counts["damage"]
     assert len(wave) == len(damage) == rec.inner_iterations
     assert all(n < wave[0] for n in wave[1:])
@@ -158,11 +168,92 @@ def test_inner_iterations_reuse_coarse_levels_and_warm_start(
     assert rec.pf_iterations == sum(damage)
 
 
+def test_carried_cycle_fits_its_mesh_and_pins_only(tmp_path, monkeypatch):
+    # xi_cr above xi_v pins dofs in the first banded step: its state drops
+    # the cycle, which left those dofs free, and the next step builds one;
+    # a state moved to a new mesh carries none either
+    cfg = quiet_cfg(tmp_path, n0=8, n_steps=10, t_final=1.0, xi_cr=0.1)
+    st = banded_state(cfg)
+    mesh = st.mesh
+    grown, rec = staggered_step(st, 2 * cfg.time.k, cfg)
+    assert rec.new_pins > 0 and rec.cycle_builds >= 1
+    assert grown.cycle is None
+    assert (grown.v_raw.values[grown.crack.ids] == 0.0).all()
+
+    counts = count_solves(monkeypatch)
+    kept, rec = staggered_step(grown, 3 * cfg.time.k, cfg)
+    assert counts["coarse"] == rec.cycle_builds >= 1
+    assert rec.new_pins == 0 and kept.cycle is not None
+    assert (kept.v_raw.values[kept.crack.ids] == 0.0).all()
+    # the same mesh and pins: the next step refits the cycle it was handed
+    again, rec = staggered_step(kept, 4 * cfg.time.k, cfg)
+    assert rec.new_pins == 0 and rec.cycle_builds == 0
+    assert again.cycle is kept.cycle
+
+    r2 = np.zeros(mesh.n_triangles)
+    r2[0] = 1.0
+    moved = adapt_step(kept, kept, EstimatorField(r2, 1.0), cfg)
+    assert moved.mesh is not mesh
+    assert moved.cycle is None and moved.wave is None
+    assert kept.cycle is None       # dropped before the new mesh is built
+    assert (moved.v_raw.values[moved.crack.ids] == 0.0).all()
+
+
+def test_resolve_starts_from_the_first_solve(tmp_path, monkeypatch):
+    # adapt_step moves the first solve's u, clamped v and unclamped v to the
+    # new mesh; the re-solve's first wave CG, staggered iterate and damage
+    # CG start there, while its equations keep the previous step's state
+    cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
+    prev = strained_state(cfg)
+    t = 3 * cfg.time.k
+    post, _ = staggered_step(prev, t, cfg)
+    mesh = prev.mesh
+    r2 = np.zeros(mesh.n_triangles)
+    r2[:40] = 1.0
+    moved = adapt_step(prev, post, EstimatorField(r2, 1.0), cfg)
+    new_mesh = moved.mesh
+    for got, want in [(moved.start[0], post.u_curr), (moved.start[1], post.v),
+                      (moved.v_raw, post.v_raw), (moved.u_curr, prev.u_curr),
+                      (moved.v, prev.v)]:
+        assert np.array_equal(got.values,
+                              transfer(want, mesh, new_mesh).values)
+    calls = []
+
+    def recording(name):
+        original = getattr(driver, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(driver, name, wrapped)
+
+    recording("step_displacement")
+    recording("solve_phasefield")
+    new, rec = staggered_step(moved, t, cfg)
+    (_, args, wave), (_, _, damage) = calls[:2]
+    assert args[0] is moved and wave["v"] is moved.start[1]
+    assert wave["x0"] is moved.start[0].values
+    assert damage["x0"] is moved.v_raw.values
+    assert new.start is None and new.mesh is new_mesh
+
+
+def test_cycle_builds_count_every_coarse_inversion(tmp_path, monkeypatch):
+    # the records, with the solves an adaptation replaced, count every
+    # V-cycle the run builds, damage and wave: each inverts its coarsest
+    # grid once
+    counts = count_solves(monkeypatch)
+    res = run(quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0))
+    records = res.records + [rec.first_solve for rec in res.records
+                             if rec.first_solve is not None]
+    assert counts["coarse"] > 0
+    assert sum(rec.cycle_builds for rec in records) == counts["coarse"]
+
+
 def test_later_inner_iterations_start_from_the_last_iterate(
         tmp_path, monkeypatch):
     # the wave solve of iteration j >= 2 starts from iteration j-1's u_new
     # and the damage solve from its unclamped v; iteration 1 from the
-    # predictor (x0 None) and the state's v
+    # predictor (x0 None) and the unclamped v the state carries
     cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
     st = strained_state(cfg)
     calls = []
@@ -182,7 +273,7 @@ def test_later_inner_iterations_start_from_the_last_iterate(
     assert rec.inner_iterations >= 3
     wave = [c for c in calls if c[0] == "step_displacement"]
     damage = [c for c in calls if c[0] == "solve_phasefield"]
-    assert wave[0][1] is None and damage[0][1] is st.v.values
+    assert wave[0][1] is None and damage[0][1] is st.v_raw.values
     for prev, this in zip(wave, wave[1:]):
         assert this[1] is prev[2]
     for prev, this in zip(damage, damage[1:]):
@@ -190,8 +281,9 @@ def test_later_inner_iterations_start_from_the_last_iterate(
 
 
 def test_one_inner_iteration_equals_direct_solves(tmp_path):
-    # the first inner iteration starts from the predictor and the state's
-    # damage field, so a step of one inner iteration is these two solves
+    # the first inner iteration starts from the predictor, the state's
+    # damage field, its unclamped iterate and its V-cycle, so a step of one
+    # inner iteration is these two solves
     cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
     st = strained_state(cfg)
     cfg.tolerances.xi_vn = np.inf
@@ -204,8 +296,8 @@ def test_one_inner_iteration_equals_direct_solves(tmp_path):
         params=cfg.material, v=st.v, tol=tol.solver_tol,
         max_iter=tol.solver_max_iter)
     v_raw, info = solve_phasefield(
-        u, cfg.material, st.crack, st.mesh, x0=st.v.values,
-        tol=tol.solver_tol, max_iter=tol.solver_max_iter)
+        u, cfg.material, st.crack, st.mesh, x0=st.v_raw.values,
+        tol=tol.solver_tol, max_iter=tol.solver_max_iter, cycle=st.cycle)
     assert not info["shortcut"]
     assert np.array_equal(new.u_curr.values, u.values)
     assert np.array_equal(new.v.values,

@@ -16,6 +16,8 @@ from fracture_afem.linsolve import solve_spd
 from fracture_afem.mesh import adapt, build_initial_mesh
 from fracture_afem.phasefield import phasefield_system
 
+from test_fem import adapted_meshes
+
 DOMAIN3 = (3.0, 3.0)
 EDGE_SLIT = (0.0, 1.5, 1.5)       # from the left boundary to an interior tip
 INNER_SLIT = (0.75, 2.25, 1.5)    # two interior tips
@@ -222,6 +224,43 @@ def test_refit_cycle_keeps_coarse_levels_and_stays_positive():
     _, rep = solve_spd(A2, b2, tol=1e-10, precond=B)
     _, jacobi = solve_spd(A2, b2, tol=1e-10)
     assert rep.converged and 3 * rep.iterations < jacobi.iterations
+
+
+@settings(max_examples=40, deadline=None)
+@given(adapted_meshes(), st.data())
+def test_refit_cycle_on_the_same_mesh_and_pins_solves_like_a_new_one(
+        mesh, data):
+    # what a state carries across time steps: the cycle built for one
+    # damage system, released and refit to a later system on the same mesh
+    # and pins
+    n = mesh.n_vertices
+    pins = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                             max_size=n - 1))),
+                    dtype=np.int64)
+    first, later = data.draw(st.tuples(st.floats(0.1, 5.0),
+                                       st.floats(0.1, 5.0)))
+    A1, _ = pinned_system(mesh, pins, first)
+    A2, b2 = pinned_system(mesh, pins, later)
+    B = mg.vcycle(A1, mesh, pins).release().refit(A2)
+    free = np.ones(n, dtype=bool)
+    free[pins] = False
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(3):
+        p, q = np.where(free, rng.standard_normal((2, n)), 0.0)
+        Bp, Bq = B(p), B(q)
+        assert abs(p @ Bq - q @ Bp) <= 1e-12 * np.linalg.norm(p) \
+            * np.linalg.norm(Bq)
+        assert p @ Bp > 0.0
+        assert (Bp[pins] == 0.0).all()
+    tol = 1e-12
+    x, rep = solve_spd(A2, b2, tol=tol, precond=B)
+    y, new = solve_spd(A2, b2, tol=tol, precond=mg.vcycle(A2, mesh, pins))
+    assert rep.converged and new.converged
+    assert (x[pins] == 0.0).all()
+    assert np.linalg.norm(b2 - A2 @ x) <= tol * np.linalg.norm(b2)
+    # both answers meet the tolerance, so they differ by at most the
+    # tolerance times the condition of A2; measured: at most 2.3e-12
+    assert np.abs(x - y).max() <= 1e3 * tol * np.abs(y).max()
 
 
 def reference_cycle(B, r):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracture_afem.phasefield as pf
+from fracture_afem.driver import RunConfig
 from fracture_afem.dynamics import MaterialParams
 from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
                                element_gradients, transfer)
 from fracture_afem.mesh import adapt, build_initial_mesh
-from fracture_afem.phasefield import (CrackSet, clamp_and_threshold,
-                                      phasefield_system, solve_phasefield,
-                                      update_crack_set)
+from fracture_afem.phasefield import (SHORTCUT_FACTOR, CrackSet,
+                                      clamp_and_threshold, phasefield_system,
+                                      solve_phasefield, update_crack_set)
 
 from test_mesh import draw_ids, initial_meshes
 
@@ -175,6 +177,53 @@ def test_shortcut_matches_solve_plus_clamp():
     assert np.allclose(clamped, 1.0)
     v, _ = solve_phasefield(u, MP, CrackSet.empty(mesh), mesh)
     assert np.allclose(v.values, 1.0)
+
+
+def adapted_tip_mesh():
+    """The ``n0 = 16`` edge-slit mesh refined three times around the tip."""
+    mesh = build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 16, max_levels=4)
+    for _ in range(3):
+        centre = mesh.vertices[mesh.triangles].mean(axis=1)
+        near = np.hypot(centre[:, 0] - 1.5, centre[:, 1] - 1.5) < 0.6
+        mesh = adapt(mesh, np.flatnonzero(near))
+    return mesh
+
+
+def reaction_field(kind, mesh, rng):
+    """A cell reaction field of the kind ``random`` (every cell),
+    ``sparse`` (a few cells) or ``localized`` (a Gaussian bump), with
+    largest value 1."""
+    nt = mesh.n_triangles
+    if kind == "random":
+        r = rng.uniform(0.0, 1.0, nt)
+    elif kind == "sparse":
+        r = np.zeros(nt)
+        r[rng.choice(nt, rng.integers(1, 6), replace=False)] = \
+            rng.uniform(0.1, 1.0)
+    else:
+        centre = mesh.vertices[mesh.triangles].mean(axis=1)
+        d2 = ((centre - rng.uniform(0.0, 3.0, 2)) ** 2).sum(axis=1)
+        r = np.exp(-d2 / (2.0 * rng.uniform(0.05, 0.5) ** 2))
+    return r / r.max()
+
+
+@pytest.mark.parametrize("kind", ["random", "sparse", "localized"])
+def test_unclamped_solution_under_the_shortcut_guard_is_at_least_one(kind):
+    # the intact shortcut returns 1 without solving once the reaction is at
+    # most SHORTCUT_FACTOR * nu_pf; solving would give v_raw >= 1 at every
+    # node there, so the clamp makes the same field (smallest v_raw seen
+    # over the 30 fields: 3.47, for a random one)
+    import scipy.sparse.linalg as sla
+    params = RunConfig.with_defaults(n0=16).material
+    mesh = adapted_tip_mesh()
+    rng = np.random.default_rng(["random", "sparse", "localized"].index(kind))
+    worst = np.inf
+    for _ in range(10):
+        reaction = (1.0 - 1e-9) * SHORTCUT_FACTOR * params.nu_pf \
+            * reaction_field(kind, mesh, rng)
+        A, b = pf._system(reaction, params, mesh)
+        worst = min(worst, sla.spsolve(A.tocsc(), b).min())
+    assert worst >= 1.0
 
 
 def test_shortcut_assembles_nothing(monkeypatch):

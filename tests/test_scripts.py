@@ -41,3 +41,27 @@ def test_code_lines_total_is_the_sum_of_its_rows():
                            (ROOT / "src" / "fracture_afem").glob("*.py"))
     counts = [int(row.split()[0].replace(",", "")) for row in rows]
     assert int(total.replace(",", "")) == sum(counts) > 0
+
+
+def test_trace_moves_prints_each_column_move_over_its_peak(tmp_path):
+    header = "step,time,kinetic,ndofs\n"
+    old = tmp_path / "old.csv"
+    new = tmp_path / "new.csv"
+    old.write_text(header + "1,0.5,0.0,10\n2,1.0,-4.0,10\n")
+    new.write_text(header + "1,0.5,0.002,10\n2,1.0,-3.99,10\n")
+    out = subprocess.run([sys.executable, str(SCRIPTS / "trace_moves.py"),
+                          str(old), str(new)], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    moves = {name: float(move) for name, move in
+             (line.split() for line in out.stdout.splitlines())}
+    assert moves.keys() == {"time", "kinetic", "ndofs"}
+    assert moves["time"] == moves["ndofs"] == 0.0
+    # the largest move, 0.01 at step 2, over the peak magnitude 4
+    assert abs(moves["kinetic"] - 0.0025) <= 1e-12
+
+    new.write_text(header + "1,0.5,0.0,10\n3,1.0,-4.0,10\n")
+    out = subprocess.run([sys.executable, str(SCRIPTS / "trace_moves.py"),
+                          str(old), str(new)], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 2 and "different steps" in out.stderr
