@@ -1,7 +1,7 @@
 """Run the first N steps of the published edge-crack experiment and print
 where the time goes, phase by phase.
 
-    PYTHONPATH=src python3 scripts/paper_probe.py [N]
+    PYTHONPATH=src python3 scripts/paper_probe.py [--uniform] [N]
 
 The run is ``RunConfig.with_defaults(n_steps=N, t_final=N * 5 / 1600)``:
 the published ``n0 = 64`` mesh with ``max_levels = 4`` at the published
@@ -11,6 +11,12 @@ t_final`` is never passed inside the window, so the run is an exact prefix
 of the 1600-step one.  The window must reach past the ramp's switch time
 ``t_s = 0.5``, so ``N`` must exceed 160; a smaller ``N`` is a usage error
 (exit status 2), as is any other ``N`` the run config refuses.
+
+``--uniform`` runs the uniform reference over the same window instead:
+``UNIFORM``, the ``n0 = 256`` grid at the adaptive run's finest mesh size
+``h_min`` (so the same regularization length, density and viscosity),
+never refined (``max_levels = 0``) and never coarsened (``xi_rf = 1e9``
+marks nothing).
 
 Consecutive steps of the same kind (intact shortcut, adapted, or kept
 mesh), the same number of staggered iterations and the same median cell
@@ -40,6 +46,8 @@ from fracture_afem.driver import RunConfig, StepRecord, run
 PUBLISHED_STEPS = 1600
 PUBLISHED_T_FINAL = 5.0
 MIN_PHASE_STEPS = 10
+# the uniform reference: the adaptive run's finest mesh everywhere
+UNIFORM = {"n0": 256, "max_levels": 0, "xi_rf": 1e9}
 
 
 def step_row(n, seconds, record, level):
@@ -104,12 +112,15 @@ def main(argv=None):
     parser.add_argument("n_steps", nargs="?", type=int, metavar="N",
                         default=PUBLISHED_STEPS,
                         help="steps to run, more than 160 (default 1600)")
+    parser.add_argument("--uniform", action="store_true",
+                        help="run the uniform n0 = 256 reference instead")
     args = parser.parse_args(argv)
 
     n = args.n_steps
     try:
         cfg = RunConfig.with_defaults(
-            n_steps=n, t_final=n * PUBLISHED_T_FINAL / PUBLISHED_STEPS)
+            n_steps=n, t_final=n * PUBLISHED_T_FINAL / PUBLISHED_STEPS,
+            **(UNIFORM if args.uniform else {}))
     except ValueError as exc:
         parser.error(f"N = {n} steps give no valid run: {exc}")
     rows = []

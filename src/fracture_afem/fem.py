@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .mesh import derived, element_means
 
@@ -93,14 +94,16 @@ _MASS_PATTERN = np.array([[2.0, 1.0, 1.0],
 
 
 def element_data(mesh):
-    """Per-element areas and shape-function gradients, and the CSR pattern
-    of the P1 matrices, cached on the mesh.
+    """Per-element areas, shape-function gradients and unit stiffness
+    entries, and the CSR pattern of the P1 matrices, cached on the mesh.
 
-    The areas are :meth:`Mesh.signed_areas`.  The pattern holds the
-    diagonal and both directions of every mesh edge, with sorted column
-    indices.  ``slot`` maps the ``9 nt`` element entries (row-major within
-    each triangle) to their positions in ``indices``, so assembly is one
-    ``bincount`` onto a fixed pattern.
+    The areas are :meth:`Mesh.signed_areas`.  ``stiffness`` holds the
+    ``9 nt`` entries ``gx_i gx_j + gy_i gy_j`` of each triangle (row-major
+    within it, read-only): the element stiffness without its area and
+    coefficient.  The pattern holds the diagonal and both directions of
+    every mesh edge, with sorted column indices; ``slot`` maps the element
+    entries to their positions in ``indices``, so that every matrix is one
+    element operator applied to per-element weights (:func:`_scatter`).
     """
     return derived(mesh, "elem", _element_data)
 
@@ -112,16 +115,26 @@ def _element_data(mesh):
     area = mesh.signed_areas()
     # rows of grads are the constant gradients of the three hat functions
     grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
-    return {"area": area, "grads": grads, **_pattern(mesh)}
+    # G G^T entry by entry: the products and sums of an einsum over the two
+    # gradient components
+    stiffness = grads[:, :, None, 0] * grads[:, None, :, 0]
+    stiffness += grads[:, :, None, 1] * grads[:, None, :, 1]
+    stiffness = stiffness.reshape(-1)
+    stiffness.flags.writeable = False
+    return {"area": area, "grads": grads, "stiffness": stiffness,
+            **_pattern(mesh)}
 
 
 def _pattern(mesh):
-    """CSR pattern and element slot map, built from the sorted edge list.
+    """CSR pattern and element operator, built from the sorted edge list.
 
     Row ``i`` holds its lower neighbours, then ``i``, then its upper
     neighbours.  ``mesh.edges`` is sorted by (min, max), so the upper
     neighbours of a vertex are consecutive edges, and a stable sort by the
-    larger endpoint lists the lower ones in column order.
+    larger endpoint lists the lower ones in column order.  ``slot`` and
+    ``colptr`` are the row indices and column pointers of the element
+    operator, the (nnz, nt) CSC matrix whose column ``e`` takes the 9
+    entries of triangle ``e`` to their positions in ``indices``.
     """
     n = mesh.n_vertices
     lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -150,19 +163,39 @@ def _pattern(mesh):
                 k = mesh.tri_edges[:, 3 - i - j]
                 slot[:, i, j] = np.where(t[:, i] < t[:, j], up[k], low[k])
     return {"indptr": indptr.astype(np.int32), "indices": indices,
-            "slot": slot.reshape(-1)}
+            "slot": slot.reshape(-1),
+            "colptr": np.arange(0, 9 * len(t) + 1, 9, dtype=np.int32)}
 
 
-def _scatter(mesh, local):
-    """Sum the (nt, 3, 3) element entries onto the mesh's pattern.
+def _scatter(mesh, scale, entries):
+    """The matrix on the mesh's pattern whose data sums
+    ``entries[9 e + k] * scale[e]`` over the elements ``e`` at the slot of
+    each element entry ``k``.
 
-    The matrix gets its own copy of the index arrays, so scipy methods that
-    work in place on it leave the cached pattern intact.
+    The data is the element operator applied to ``scale``, through the
+    kernel behind scipy's CSC ``B @ x`` (``csc_matvec`` of
+    ``scipy.sparse._sparsetools``, which adds ``B x`` to its output).  It
+    forms the same products and sums them per slot in ascending element
+    order, as a ``bincount`` of the ``(nt, 3, 3)`` element matrices does,
+    so the bits are the same.  The kernel checks no sizes, so they are
+    checked here.  The matrix gets its own copy of the index arrays, so
+    scipy methods that work in place on it leave the cached pattern intact.
+
+    Raises
+    ------
+    ValueError
+        If ``scale`` does not hold one weight per triangle, or ``entries``
+        not nine per triangle.
     """
     ed = element_data(mesh)
-    indptr, indices = ed["indptr"], ed["indices"]
-    data = np.bincount(ed["slot"], weights=local.reshape(-1),
-                       minlength=len(indices))
+    indptr, indices, slot = ed["indptr"], ed["indices"], ed["slot"]
+    nt = mesh.n_triangles
+    if np.shape(scale) != (nt,) or np.shape(entries) != slot.shape:
+        raise ValueError(f"element weights do not fit {nt} triangles: "
+                         f"{np.shape(scale)} and {np.shape(entries)}")
+    data = np.zeros(len(indices))
+    _sparsetools.csc_matvec(len(indices), nt, ed["colptr"], slot, entries,
+                            scale, data)
     n = len(indptr) - 1
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
@@ -188,11 +221,18 @@ def assemble_mass(mesh, density=1.0):
 
 
 def weighted_mass(mesh, per_element):
-    """Mass matrix with a nonnegative element-constant weight."""
+    """Mass matrix with a nonnegative element-constant weight.
+
+    Raises
+    ------
+    ValueError
+        If a weight is negative or NaN.
+    """
     w = np.asarray(per_element, dtype=np.float64)
-    ed = element_data(mesh)
-    local = (w * ed["area"])[:, None, None] * _MASS_PATTERN[None, :, :]
-    return _scatter(mesh, local)
+    if not (w >= 0).all():
+        raise ValueError("mass weight must be nonnegative")
+    entries = np.tile(_MASS_PATTERN.reshape(-1), mesh.n_triangles)
+    return _scatter(mesh, w * element_data(mesh)["area"], entries)
 
 
 def assemble_stiffness(mesh, coeff):
@@ -201,6 +241,11 @@ def assemble_stiffness(mesh, coeff):
     ``coeff`` may be a scalar, a per-element array, or a nodal
     :class:`FeFunction` (averaged per element, which integrates a linear
     coefficient exactly against the constant P1 gradients).
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is negative or NaN.
     """
     ed = element_data(mesh)
     if isinstance(coeff, FeFunction):
@@ -208,18 +253,9 @@ def assemble_stiffness(mesh, coeff):
         c = element_means(coeff.values, mesh.triangles)
     else:
         c = np.asarray(coeff, dtype=np.float64)
-        if c.ndim == 0:
-            c = np.full(mesh.n_triangles, float(c))
-    if (c < 0).any():
+    if not (c >= 0).all():
         raise ValueError("stiffness coefficient must be nonnegative")
-    # G G^T entry by entry: the products and sums of an einsum over the
-    # two gradient components, in half its time; in place, so that no more
-    # (nt, 3, 3) arrays are alive at once than with the einsum
-    gx, gy = ed["grads"][..., 0], ed["grads"][..., 1]
-    local = gx[:, :, None] * gx[:, None, :]
-    local += gy[:, :, None] * gy[:, None, :]
-    local *= (c * ed["area"])[:, None, None]
-    return _scatter(mesh, local)
+    return _scatter(mesh, c * ed["area"], ed["stiffness"])
 
 
 def assemble_load(mesh, f):

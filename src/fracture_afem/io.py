@@ -193,43 +193,55 @@ def _fmt(x):
     return f"{x:.9e}"
 
 
-def _rows(fmt, values):
-    """One ``fmt`` line per row of ``values``, formatted by a single ``%``
-    over the whole array (the same text as formatting each value alone)."""
+# rows formatted per write of a snapshot: a block's text and value tuple
+# are all that is held at once, not the whole file's
+ROW_BLOCK = 4096
+
+
+def _write_rows(fh, fmt, values):
+    """Write one ``fmt`` line per row of ``values``, ``ROW_BLOCK`` rows at a
+    time, each block formatted by a single ``%`` (the same text as
+    formatting each value alone)."""
     values = np.asarray(values)
-    return (fmt * len(values)) % tuple(values.ravel().tolist())
+    for start in range(0, len(values), ROW_BLOCK):
+        block = values[start:start + ROW_BLOCK]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_snapshot(snap, directory):
-    """Legacy-ASCII unstructured-grid file, byte-deterministic."""
+    """Legacy-ASCII unstructured-grid file, byte-deterministic.
+
+    Raises
+    ------
+    ValueError
+        If a field's length is not the vertex or triangle count of the
+        snapshot's mesh; checked before the file is opened.
+    """
     mesh = snap.mesh
     nv, nt = mesh.n_vertices, mesh.n_triangles
-    out = prepare_output(directory)
-    path = out / f"snapshot_{snap.step:06d}.vtk"
-    parts = [
-        "# vtk DataFile Version 3.0\n",
-        f"fracture state step {snap.step} time {_fmt(snap.time)}\n",
-        "ASCII\n",
-        "DATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {nv} double\n",
-        _rows("%.9e %.9e %.9e\n", np.column_stack([mesh.vertices,
-                                                  np.zeros(nv)])),
-        f"CELLS {nt} {4 * nt}\n",
-        _rows("3 %d %d %d\n", mesh.triangles),
-        f"CELL_TYPES {nt}\n",
-        "5\n" * nt,
-    ]
-    for kind, size, fields in (("POINT", nv, snap.point_fields),
-                               ("CELL", nt, snap.cell_fields)):
-        parts.append(f"{kind}_DATA {size}\n")
+    sections = (("POINT", nv, snap.point_fields),
+                ("CELL", nt, snap.cell_fields))
+    for kind, size, fields in sections:
         for name, values in fields.items():
             if len(values) != size:
                 raise ValueError(f"{kind.lower()} field {name!r} not bound "
                                  "to this mesh")
-            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            parts.append(_rows("%.9e\n", values))
+    path = prepare_output(directory) / f"snapshot_{snap.step:06d}.vtk"
     with path.open("w") as fh:
-        fh.writelines(parts)
+        fh.write("# vtk DataFile Version 3.0\n"
+                 f"fracture state step {snap.step} time {_fmt(snap.time)}\n"
+                 "ASCII\nDATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {nv} double\n")
+        _write_rows(fh, "%.9e %.9e %.9e\n",
+                    np.column_stack([mesh.vertices, np.zeros(nv)]))
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
+        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        for kind, size, fields in sections:
+            fh.write(f"{kind}_DATA {size}\n")
+            for name, values in fields.items():
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                _write_rows(fh, "%.9e\n", values)
     return path
 
 

@@ -139,8 +139,11 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
             f"phase-field solve failed to converge "
             f"(residual {report.relative_residual:.3e})")
     # the pinned rows of the residual are exactly 0: x0 and every V-cycle
-    # correction are 0 there, and those rows read 1 * 0 = 0
-    stat = np.abs(bc - Ac @ sol).max(initial=0.0) / np.linalg.norm(bc)
+    # correction are 0 there, and those rows read 1 * 0 = 0.  A zero
+    # right-hand side (every dof pinned) is solved by 0 exactly, so its
+    # stationarity is 0, not 0/0
+    norm_b = np.linalg.norm(bc)
+    stat = np.abs(bc - Ac @ sol).max(initial=0.0) / norm_b if norm_b else 0.0
     v = FeFunction(sol, mesh.generation)
     return v, {"report": report, "stationarity": stat, "shortcut": False,
                "cycle": cycle}

@@ -114,5 +114,6 @@ def test_cached_values_are_derived_from_primary_data_only(chain):
         # the cached arrays that callers share are read-only
         assert not mesh.signed_areas().flags.writeable
         assert not unit_mass(mesh).data.flags.writeable
+        assert not element_data(mesh)["stiffness"].flags.writeable
         assert not any(a.flags.writeable for a in mesh._cache["dirichlet"])
         assert element_data(mesh)["area"] is mesh.signed_areas()

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracture_afem.fem as fem
 from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
                                assemble_load, assemble_mass,
                                assemble_stiffness, dirichlet_rhs,
@@ -42,6 +43,14 @@ def coo_reference(mesh, local):
     n = mesh.n_vertices
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
                          shape=(n, n)).tocsr()
+
+
+def bincount_reference(mesh, local):
+    """The data of the matrix the (nt, 3, 3) element entries sum to, by one
+    ``bincount`` onto the mesh's slot map."""
+    ed = element_data(mesh)
+    return np.bincount(ed["slot"], weights=local.reshape(-1),
+                       minlength=len(ed["indices"]))
 
 
 def assert_close_to_reference(A, R, mesh):
@@ -124,6 +133,51 @@ def test_stiffness_data_equals_einsum_reference(mesh, seed):
     assert assemble_stiffness(mesh, c).data.tobytes() == want.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(adapted_meshes(), st.integers(0, 2 ** 32 - 1))
+def test_element_operator_equals_bincount_reference(mesh, seed):
+    # the (nt, 3, 3) element matrices, formed as the assembly formed them
+    # before it applied an element operator, and summed by bincount
+    rng = np.random.default_rng(seed)
+    nt = mesh.n_triangles
+    ed = element_data(mesh)
+    area, G = ed["area"], ed["grads"]
+    unit = G[..., 0][:, :, None] * G[..., 0][:, None, :]
+    unit += G[..., 1][:, :, None] * G[..., 1][:, None, :]
+
+    def weights():
+        w = rng.uniform(0.0, 10.0, nt) * 10.0 ** rng.uniform(-8, 8)
+        w[rng.random(nt) < 0.2] = 0.0
+        return w
+
+    c, w = weights(), weights()
+    nodal = FeFunction(rng.uniform(0.0, 2.0, mesh.n_vertices),
+                       mesh.generation)
+    c_nodal = element_means(nodal.values, mesh.triangles)
+    cases = [
+        (assemble_stiffness(mesh, 2.5), unit * (2.5 * area)[:, None, None]),
+        (assemble_stiffness(mesh, c), unit * (c * area)[:, None, None]),
+        (assemble_stiffness(mesh, nodal),
+         unit * (c_nodal * area)[:, None, None]),
+        (weighted_mass(mesh, w), (w * area)[:, None, None] * MASS_PATTERN),
+        (assemble_mass(mesh, 2.5),
+         (2.5 * area)[:, None, None] * MASS_PATTERN)]
+    for A, local in cases:
+        assert A.data.tobytes() == bincount_reference(mesh, local).tobytes()
+
+
+def test_scatter_refuses_weights_that_do_not_fit_the_mesh():
+    # the kernel reads one weight per triangle and nine entries per weight
+    # without checking, so a misfit must stop before it
+    mesh = unit_square(2)
+    entries = element_data(mesh)["stiffness"]
+    nt = mesh.n_triangles
+    for scale, ent in ((np.ones(nt - 1), entries), (np.ones(nt + 1), entries),
+                       (np.ones(nt), entries[:-9]), (np.ones((nt, 1)), entries)):
+        with pytest.raises(ValueError, match="do not fit"):
+            fem._scatter(mesh, scale, ent)
+
+
 def test_returned_matrices_do_not_alias_the_pattern():
     mesh = adapt(unit_square(3), [0, 4, 9])
     first = assemble_stiffness(mesh, 1.0)
@@ -183,6 +237,15 @@ def test_mass_rejects_nonpositive_density():
         assemble_mass(unit_square(), 0.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_weighted_mass_rejects_negative_or_nan_weight(bad):
+    mesh = unit_square(2)
+    w = np.ones(mesh.n_triangles)
+    w[3] = bad
+    with pytest.raises(ValueError, match="nonnegative"):
+        weighted_mass(mesh, w)
+
+
 # ----------------------------------------------------------------------
 # stiffness
 # ----------------------------------------------------------------------
@@ -237,6 +300,15 @@ def test_stiffness_rejects_negative_coefficient():
     coeff.values[0] = -4.0
     with pytest.raises(ValueError):
         assemble_stiffness(mesh, np.full(mesh.n_triangles, -1.0))
+
+
+def test_stiffness_rejects_nan_coefficient():
+    # a NaN is not below 0, yet it is no nonnegative coefficient
+    mesh = unit_square(2)
+    c = np.ones(mesh.n_triangles)
+    c[5] = np.nan
+    with pytest.raises(ValueError, match="nonnegative"):
+        assemble_stiffness(mesh, c)
 
 
 def test_patch_test_linear_dirichlet():

@@ -431,7 +431,10 @@ def test_whole_array_writer_equals_per_line_reference(tmp_path_factory, data):
                         time=float(floats(1)[0]), mesh=mesh,
                         point_fields={"u": floats(nv), "v": floats(nv)},
                         cell_fields={"estimator": floats(nt)})
-    path = fio.write_snapshot(snap, tmp_path_factory.mktemp("snap"))
+    # blocks of 3 rows, so that a field of up to 12 rows spans several
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fio, "ROW_BLOCK", 3)
+        path = fio.write_snapshot(snap, tmp_path_factory.mktemp("snap"))
     assert path.read_text() == per_line_snapshot(snap)
 
 

@@ -163,6 +163,19 @@ def test_stationarity_residual_small():
     assert rep["stationarity"] <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_every_dof_pinned_gives_zero_stationarity():
+    # a zero right-hand side is solved by 0 exactly: stationarity 0, not a
+    # 0/0 that warns and reads nan
+    mesh = build_initial_mesh((1.0, 1.0), None, 2)
+    u = FeFunction.from_callable(mesh, lambda x, y: 3.0 * x * (1 - x) * y)
+    crack = CrackSet(np.arange(mesh.n_vertices), mesh.generation)
+    v, rep = solve_phasefield(u, MP, crack, mesh)
+    assert not rep["shortcut"] and rep["report"].iterations == 0
+    assert rep["stationarity"] == 0.0
+    assert np.array_equal(v.values, np.zeros(mesh.n_vertices))
+
+
 def test_shortcut_matches_solve_plus_clamp():
     # moderate reaction, still below the source weight: solving and clamping
     # must agree with the shortcut output

@@ -20,6 +20,17 @@ def test_paper_probe_refuses_a_run_too_short_to_load(src_env):
     assert "Traceback" not in out.stderr
 
 
+def test_paper_probe_uniform_refuses_the_same_short_windows(src_env):
+    # N = 160 steps end exactly at t_s = 0.5: refused for the uniform
+    # reference too, before its n0 = 256 grid is built
+    out = subprocess.run([sys.executable, str(SCRIPTS / "paper_probe.py"),
+                          "--uniform", "160"], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "usage:" in out.stderr and "N = 160 steps" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_output_digest_prints_one_digest_per_file(src_env):
     out = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py"),
                           "determinism"], env=src_env, capture_output=True,
