@@ -400,8 +400,7 @@ def staggered_step(state, t_n, cfg):
     previous index.  Returns the new state and its :class:`StepRecord`.
 
     The new state carries the last damage solve's unclamped iterate and its
-    V-cycle (see :class:`~fracture_afem.dynamics.DynamicState`); the cycle
-    only if the crack set did not grow, since it leaves the old pins free."""
+    V-cycle (see :class:`~fracture_afem.dynamics.DynamicState`)."""
     mesh = state.mesh
     tol = cfg.tolerances
     k = cfg.time.k
@@ -411,10 +410,9 @@ def staggered_step(state, t_n, cfg):
     # The first inner iteration starts from what the state carries: the
     # displacement and damage field of a first solve moved to this mesh
     # (else the predictor and the state's damage field), the last unclamped
-    # damage iterate and the damage V-cycle, whose coarse levels are kept.
-    # A later one starts from the last iteration's displacement and
-    # unclamped damage, with the same cycle, since the mesh, the Dirichlet
-    # set and the crack set do not change.
+    # damage iterate and the damage V-cycle, which the solve refits if its
+    # mesh and pins are this step's.  A later one starts from the last
+    # iteration's displacement and unclamped damage, with the same cycle.
     if state.start is None:
         u_start, v_iter = None, state.v
     else:
@@ -463,11 +461,9 @@ def staggered_step(state, t_n, cfg):
     v_raw.values[crack_new.ids] = 0.0
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
     # the wave system of the last inner iteration goes on with the mesh, and
-    # so do the damage V-cycle's coarse levels while the pins stay
-    if cycle is not None and rec.new_pins == 0:
-        cycle = cycle.release()
-    else:
-        cycle = None
+    # so do the damage V-cycle's coarse levels, for the next solve to refit
+    # if its pins are the same
+    cycle = cycle and cycle.release()
     new_state = DynamicState(n=state.n + 1, u_curr=u_new, du=du, v=v_iter,
                              crack=crack_new, mesh=mesh, wave=state.wave,
                              v_raw=v_raw, cycle=cycle)
@@ -522,9 +518,9 @@ def adapt_step(prev_state, post_state, est, cfg):
     if refine.size == 0 and coarsen.size == 0:
         return None
     mesh = prev_state.mesh
-    # what the states carry for a next solve on the old mesh goes before
-    # the new mesh is built: the re-solve builds its own damage V-cycle, and
-    # after an adaptation that changes nothing the next step builds one
+    # no solve on the new mesh can refit the damage V-cycles the states
+    # carry; they go before the new mesh is built, to keep peak memory down,
+    # so after an adaptation that changes nothing the next step builds one
     prev_state.cycle = post_state.cycle = None
     new_mesh = adapt(mesh, refine, coarsen)
     done = new_mesh.adapt_summary

@@ -16,7 +16,9 @@ Dirichlet elimination and its preconditioner, as a :class:`WaveOperator`,
 and the next solve on the state with the same inputs reuses it bit for
 bit.  Where stiffness dominates the system (see :data:`VCYCLE_RATIO`) the
 preconditioner is the multigrid V-cycle of :mod:`.multigrid`, with the
-loaded-boundary dofs as pins; elsewhere it is Jacobi.
+loaded-boundary dofs as pins; elsewhere it is Jacobi.  A rebuilt system
+hands the kept cycle to :func:`~.multigrid.vcycle`, which refits it on the
+same mesh and pins, as for the damage solve.
 """
 
 from __future__ import annotations
@@ -132,9 +134,10 @@ class DynamicState:
     What the next staggered solve starts from goes with the state too.
     ``v_raw`` is the unclamped damage iterate of the last damage solve, 0
     on the crack dofs; the next damage CG starts there.  ``cycle`` is that
-    solve's damage V-cycle, held only while it fits ``mesh`` and ``crack``,
-    so that the next solve refits it instead of building one.  ``start``,
-    on a state moved to a new mesh for a re-solve, is the ``(u, v)`` the
+    solve's damage V-cycle without its finest operator; the next solve
+    hands it to :func:`~fracture_afem.multigrid.vcycle`, which refits it if
+    the mesh and the pins are those it was built for.  ``start``, on a
+    state moved to a new mesh for a re-solve, is the ``(u, v)`` the
     first solve of the step found, transferred: the re-solve starts its
     wave CG and its staggered iteration there.  Each is ``None`` when
     there is nothing to carry.
@@ -160,7 +163,8 @@ class WaveOperator:
     ``mesh``, ``Sc`` the system matrix for the step ``k`` and the material
     ``coefficients`` ``(mu, varrho, eta, kappa)`` with the Dirichlet
     ``dofs`` eliminated, and ``cycle`` its
-    :class:`~fracture_afem.multigrid.VCycle`, or ``None`` for Jacobi.  The
+    :class:`~fracture_afem.multigrid.VCycle`, whose coarse levels may come
+    from an earlier system on ``mesh``, or ``None`` for Jacobi.  The
     system matrix itself is a sum of the data arrays of ``A`` and the
     mesh's cached mass matrix, so it is not kept.  The same inputs give the
     same system, bit for bit.
@@ -223,8 +227,9 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
     The system is kept in ``state.wave``.  A solve on ``state`` whose mesh,
     ``k``, material coefficients, constrained dofs and damage values equal
     those of the kept system assembles nothing and eliminates only the
-    right-hand side; any other builds the system and its preconditioner
-    anew.
+    right-hand side; any other assembles the system anew and hands the kept
+    V-cycle to :func:`~fracture_afem.multigrid.vcycle`, which refits it on
+    the same mesh and constrained dofs and builds one otherwise.
     """
     if k <= 0:
         raise ValueError("time step must be positive")
@@ -255,7 +260,7 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
         rhsc = dirichlet_rhs(S, rhs, g_values)
     else:
         Sc, rhsc = apply_dirichlet(S, rhs, g_values)
-        cycle = vcycle(Sc, mesh, g_values.dofs) \
+        cycle = vcycle(Sc, mesh, g_values.dofs, reuse=op and op.cycle) \
             if _stiffness_ratio(A, M, k, mp) >= VCYCLE_RATIO else None
         op = state.wave = WaveOperator(
             mesh, k, coefficients, g_values.dofs.copy(), v_eff.values.copy(),

@@ -33,15 +33,18 @@ preconditioner whether or not the spaces nest.
 The coarse operators are Galerkin products ``P^T A P``, with the rows of
 ``P`` that belong to pinned dofs zeroed, and the coarsest grid is inverted
 densely by its eigenvalue pseudo-inverse, which is its inverse where pins
-leave it regular.  The damage solve builds them once per mesh and crack
-set, from the first damage system solved on them: a state carries its last
-damage cycle into the next time step while the mesh and the pins stay (see
-:class:`~fracture_afem.dynamics.DynamicState`), without its finest operator
-(:meth:`VCycle.release`), and :meth:`VCycle.refit` gives every later system
-the same coarse levels with only the finest operator and its Jacobi weights
-replaced.  The wave solve builds them with each system it assembles, and
-keeps the cycle while the system is reused.  One damped-Jacobi sweep before
-and one after the coarse correction on every level keep the cycle
+leave it regular.  Both solves reuse cycles by one rule, kept in
+:func:`vcycle` alone: a solve hands it the cycle it holds, and a cycle that
+:func:`vcycle` built on the same mesh object with the same pins is refit
+(:meth:`VCycle.refit`: the same coarse levels, with only the finest
+operator and its Jacobi weights replaced); any other is left alone and a
+new one is built.  So the coarse levels are built once per mesh and pin
+set, from the first system solved on them: the damage solve's with the
+crack set, carried from one time step to the next without its finest
+operator (:meth:`VCycle.release`; see
+:class:`~fracture_afem.dynamics.DynamicState`), and the wave solve's with
+the loaded-boundary dofs, kept with its system.  One damped-Jacobi sweep
+before and one after the coarse correction on every level keep the cycle
 symmetric.  A symmetric V(1,1) cycle whose smoother
 converges for the current ``A``, around any symmetric positive
 semidefinite coarse correction, is symmetric positive definite, so a refit
@@ -154,7 +157,11 @@ class VCycle:
     ``DENSE_MAX`` dofs; otherwise it gets one damped-Jacobi sweep.  Every
     sparse product goes through :func:`~fracture_afem.linsolve.csr_matvec`
     into work arrays the cycle owns; each call returns a new array.
+    ``mesh`` and ``pinned`` (sorted) are what :func:`vcycle` built it for;
+    a cycle made directly has neither, and :func:`vcycle` never refits it.
     """
+
+    mesh = pinned = None
 
     def __init__(self, A, levels):
         self.ops = [A]
@@ -171,10 +178,11 @@ class VCycle:
         self.work = [np.empty(op.shape[0]) for op in self.ops]
 
     def refit(self, A):
-        """Make this the cycle of ``A``, a matrix on the same mesh with the
-        same pins, and return it.  Only the finest operator and its Jacobi
-        weights change; the prolongations, the Galerkin operators and the
-        coarsest inverse are kept."""
+        """Make this the cycle of ``A`` and return it.  Only the finest
+        operator and its Jacobi weights change; the prolongations, the
+        Galerkin operators and the coarsest inverse are kept, so ``A`` must
+        be a system on the mesh and with the pins the cycle was built for,
+        which :func:`vcycle` checks before it calls this."""
         self.ops[0] = A
         self.weights[0] = _jacobi_weights(A)
         return self
@@ -208,17 +216,22 @@ class VCycle:
         return x
 
 
-def vcycle(A, mesh, pinned=()):
+def vcycle(A, mesh, pinned=(), reuse=None):
     """The V-cycle preconditioner of ``A`` on ``mesh``.
 
     ``A`` is a damage or a wave system with the rows and columns of the
     ``pinned`` dofs (crack or loaded-boundary dofs) eliminated; the
     prolongation rows of those dofs are zeroed, so the cycle leaves them at
-    zero.
+    zero.  ``reuse`` is a cycle an earlier solve got from here, or
+    ``None``: if it was built on this ``mesh`` object with the same pins,
+    it is refit to ``A`` and returned, and otherwise a new cycle is built.
     """
+    pinned = np.sort(np.asarray(pinned, dtype=np.int64))
+    if reuse is not None and reuse.mesh is mesh \
+            and np.array_equal(reuse.pinned, pinned):
+        return reuse.refit(A)
     # an unrefined mesh keeps its P = I level: a second sweep, fewer CG steps
     P, R = mesh_prolongation(mesh)
-    pinned = np.asarray(pinned, dtype=np.int64)
     if pinned.size:
         free = np.ones(mesh.n_vertices)
         free[pinned] = 0.0
@@ -226,5 +239,7 @@ def vcycle(A, mesh, pinned=()):
                            P.indices, P.indptr), shape=P.shape)
         R = sp.csr_matrix((R.data * free[R.indices], R.indices, R.indptr),
                           shape=R.shape)
-    return VCycle(A, [(P, R)]
-                  + grid_prolongations(mesh.grid, entry_level(mesh)))
+    cycle = VCycle(A, [(P, R)]
+                   + grid_prolongations(mesh.grid, entry_level(mesh)))
+    cycle.mesh, cycle.pinned = mesh, pinned
+    return cycle

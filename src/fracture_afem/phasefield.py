@@ -106,8 +106,8 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     The conjugate gradients are preconditioned by one multigrid V-cycle
     (:mod:`.multigrid`) and start from the nodal array ``x0`` (zero by
     default) with the crack dofs set to 0.  ``cycle`` is the V-cycle an
-    earlier solve on the same mesh and crack set returned; it is refit to
-    this system, keeping its coarse levels, instead of building new ones.
+    earlier solve returned, or ``None``; :func:`~.multigrid.vcycle` refits
+    it if it fits this mesh and crack set, and builds a new one otherwise.
     Returns ``(v, info)``: the raw (unclamped) solution, to pair with
     :func:`clamp_and_threshold`, and a dict with the solver report, the
     stationarity residual relative to the right-hand side norm, whether the
@@ -131,7 +131,7 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     if x0 is not None:
         x0 = x0.copy()
         x0[crack.ids] = 0.0
-    cycle = vcycle(Ac, mesh, crack.ids) if cycle is None else cycle.refit(Ac)
+    cycle = vcycle(Ac, mesh, crack.ids, reuse=cycle)
     sol, report = solve_spd(Ac, bc, tol=tol, max_iter=max_iter, x0=x0,
                             context="phase-field solve", precond=cycle)
     if not report.converged:

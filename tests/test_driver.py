@@ -125,7 +125,7 @@ def test_dofs_pinned_in_a_step_are_zero_in_its_state(tmp_path):
 
 def count_solves(monkeypatch):
     """Record the CG iterations of every wave and damage solve, and count
-    the coarse-grid inversions of the damage V-cycle."""
+    the coarse-grid inversions, one per V-cycle built."""
     counts = {"wave": [], "damage": [], "coarse": 0}
 
     def counting(module, key):
@@ -168,21 +168,38 @@ def test_inner_iterations_reuse_coarse_levels_and_warm_start(
     assert rec.pf_iterations == sum(damage)
 
 
+def test_stiff_wave_refits_its_cycle_while_mesh_and_pins_repeat(
+        tmp_path, monkeypatch):
+    # at k = 1 on the n0 = 16 grid stiffness dominates the wave system, so
+    # it takes the V-cycle; every inner iteration changes v and rebuilds
+    # the system, and the wave cycle is refit like the damage one
+    cfg = quiet_cfg(tmp_path, n0=16, n_steps=4, t_final=4.0)
+    st = strained_state(cfg)
+    wave_cycle = st.wave.cycle
+    assert wave_cycle is not None and st.cycle is not None
+    counts = count_solves(monkeypatch)
+    new, rec = staggered_step(st, 3 * cfg.time.k, cfg)
+    assert rec.new_pins == 0 and rec.inner_iterations >= 3
+    assert counts["coarse"] == rec.cycle_builds == 0
+    assert new.wave.cycle is wave_cycle and new.cycle is st.cycle
+
+
 def test_carried_cycle_fits_its_mesh_and_pins_only(tmp_path, monkeypatch):
-    # xi_cr above xi_v pins dofs in the first banded step: its state drops
+    # xi_cr above xi_v pins dofs in the first banded step: its state carries
     # the cycle, which left those dofs free, and the next step builds one;
-    # a state moved to a new mesh carries none either
+    # a state moved to a new mesh carries none
     cfg = quiet_cfg(tmp_path, n0=8, n_steps=10, t_final=1.0, xi_cr=0.1)
     st = banded_state(cfg)
     mesh = st.mesh
     grown, rec = staggered_step(st, 2 * cfg.time.k, cfg)
     assert rec.new_pins > 0 and rec.cycle_builds >= 1
-    assert grown.cycle is None
+    assert grown.cycle is not None
     assert (grown.v_raw.values[grown.crack.ids] == 0.0).all()
 
     counts = count_solves(monkeypatch)
     kept, rec = staggered_step(grown, 3 * cfg.time.k, cfg)
     assert counts["coarse"] == rec.cycle_builds >= 1
+    assert kept.cycle is not grown.cycle
     assert rec.new_pins == 0 and kept.cycle is not None
     assert (kept.v_raw.values[kept.crack.ids] == 0.0).all()
     # the same mesh and pins: the next step refits the cycle it was handed

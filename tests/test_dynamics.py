@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracture_afem.dynamics as dynamics
+import fracture_afem.multigrid as multigrid
 from fracture_afem.driver import build_dirichlet
 from fracture_afem.dynamics import (DynamicState, LoadingParams,
                                     MaterialParams, boundary_ramp,
@@ -321,6 +322,7 @@ def test_changed_v_k_or_mesh_rebuilds_the_operator(change, monkeypatch):
     st, ds = wave_state()
     step_displacement(st, STIFF_K, ds, params=WAVE_MP)
     kept = st.wave
+    cycle, coarse = kept.cycle, kept.cycle.ops[1:]
     k = STIFF_K
     if change == "v":
         st.v.values[:5] *= 0.5
@@ -330,13 +332,37 @@ def test_changed_v_k_or_mesh_rebuilds_the_operator(change, monkeypatch):
         twin, ds = wave_state()
         st = dataclasses.replace(twin, wave=kept)
     counts = count_builds(monkeypatch)
+    inverses = []
+    inverse = multigrid._spd_inverse
+    monkeypatch.setattr(multigrid, "_spd_inverse",
+                        lambda a: inverses.append(a) or inverse(a))
     step_displacement(st, k, ds, params=WAVE_MP)
     assert counts == {"assemble_stiffness": 1, "apply_dirichlet": 1}
     assert st.wave is not kept
     assert np.array_equal(st.wave.v, st.v.values)
-    assert st.wave.cycle is not None
-    assert st.wave.cycle is not kept.cycle
     assert st.wave.cycle.ops[0] is st.wave.Sc
+    if change == "mesh":
+        # another mesh object: a new cycle, and the kept one left as it was
+        assert st.wave.cycle is not cycle and len(inverses) == 1
+        assert cycle.ops[0] is kept.Sc
+    else:
+        # the same mesh and constrained dofs: the kept cycle, refit
+        assert st.wave.cycle is cycle and inverses == []
+        assert all(x is y for x, y in zip(cycle.ops[1:], coarse))
+
+
+def test_wave_vcycle_refit_after_damage_is_symmetric_positive():
+    st, ds = wave_state()
+    step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    cycle = st.wave.cycle
+    # a band of full damage along the slit line
+    y = st.mesh.vertices[:, 1]
+    st.v = FeFunction(np.where(np.abs(y - 1.5) < 0.3, 0.0, st.v.values),
+                      st.mesh.generation)
+    assert ratio(st, STIFF_K) >= dynamics.VCYCLE_RATIO
+    _, _, rep = step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    assert rep.converged and st.wave.cycle is cycle
+    assert_symmetric_positive(st.mesh, ds.dofs, cycle)
 
 
 def jacobi_solve(st, k, ds, mp=WAVE_MP):

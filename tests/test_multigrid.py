@@ -1,5 +1,6 @@
 """Multigrid preconditioner: grid hierarchy, prolongations, V-cycle."""
 
+import functools
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -224,6 +225,48 @@ def test_refit_cycle_keeps_coarse_levels_and_stays_positive():
     _, rep = solve_spd(A2, b2, tol=1e-10, precond=B)
     _, jacobi = solve_spd(A2, b2, tol=1e-10)
     assert rep.converged and 3 * rep.iterations < jacobi.iterations
+
+
+@functools.cache
+def twin_slit_meshes():
+    """Two adapted slit meshes with equal arrays: two objects."""
+    return adapted_slit_mesh(), adapted_slit_mesh()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_vcycle_refits_a_cycle_of_the_same_mesh_and_pins_only(data):
+    mesh, twin = twin_slit_meshes()
+    n = mesh.n_vertices
+    assert twin is not mesh and np.array_equal(twin.triangles, mesh.triangles)
+    pins = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                             max_size=n // 2))),
+                    dtype=np.int64)
+    A1, _ = pinned_system(mesh, pins)
+    A2, _ = pinned_system(mesh, pins, amplitude=1.0)
+    # the pins are recorded sorted, whatever order they come in
+    B = mg.vcycle(A1, mesh, data.draw(st.permutations(pins)))
+    assert B.mesh is mesh and np.array_equal(B.pinned, pins)
+    by_hand = mg.vcycle(A1, mesh, pins).refit(A2)
+    assert mg.vcycle(A2, mesh, pins, reuse=B) is B
+    r = np.random.default_rng(5).standard_normal(n)
+    assert np.array_equal(B(r), by_hand(r))
+
+    # a twin mesh, a grown pin set, one of equal size with other ids, and a
+    # cycle made directly: each gets a new cycle and leaves B as it was
+    free = np.setdiff1d(np.arange(n), pins)
+    extra = data.draw(st.sampled_from(free.tolist()))
+    grown = np.union1d(pins, [extra])
+    swapped = np.union1d(pins[1:], [extra]) if pins.size else grown
+    direct = mg.VCycle(A2, list(zip(B.P, B.R)))
+    for m, p, reuse in [(twin, pins, B), (mesh, grown, B),
+                        (mesh, swapped, B), (mesh, pins, direct)]:
+        A, _ = pinned_system(m, p)
+        C = mg.vcycle(A, m, p, reuse=reuse)
+        assert C is not reuse and C.ops[0] is A
+        assert C.mesh is m and np.array_equal(C.pinned, p)
+    assert B.ops[0] is A2 and direct.ops[0] is A2
+    assert direct.mesh is None and direct.pinned is None
 
 
 @settings(max_examples=40, deadline=None)
