@@ -400,7 +400,9 @@ def staggered_step(state, t_n, cfg):
     previous index.  Returns the new state and its :class:`StepRecord`.
 
     The new state carries the last damage solve's unclamped iterate and its
-    V-cycle (see :class:`~fracture_afem.dynamics.DynamicState`)."""
+    V-cycle (see :class:`~fracture_afem.dynamics.DynamicState`).  A wave
+    system the step rebuilds is handed the V-cycle of the wave system its
+    previous inner iteration solved with, and in the first iteration none."""
     mesh = state.mesh
     tol = cfg.tolerances
     k = cfg.time.k
@@ -412,21 +414,28 @@ def staggered_step(state, t_n, cfg):
     # (else the predictor and the state's damage field), the last unclamped
     # damage iterate and the damage V-cycle, which the solve refits if its
     # mesh and pins are this step's.  A later one starts from the last
-    # iteration's displacement and unclamped damage, with the same cycle.
+    # iteration's displacement and unclamped damage, with the same damage
+    # cycle and the wave cycle of the iteration before.  The first wave
+    # solve is handed none: the wave pins never change, so a cycle handed
+    # on from step to step would keep for good the coarse levels of a
+    # system whose damage band, where the stiffness falls to kappa, was
+    # another.
     if state.start is None:
         u_start, v_iter = None, state.v
     else:
         u_start, v_iter = state.start[0].values, state.start[1]
     v_start = (v_iter if state.v_raw is None else state.v_raw).values
-    cycle = state.cycle
+    cycle, wave_cycle = state.cycle, None
     stat_worst = None
     for j in range(1, tol.max_inner + 1):
         wave = state.wave
         u_new, reactions, urep = step_displacement(
             state, k, ds, params=cfg.material, v=v_iter, x0=u_start,
-            tol=tol.solver_tol, max_iter=tol.solver_max_iter)
+            tol=tol.solver_tol, max_iter=tol.solver_max_iter,
+            cycle=wave_cycle)
         rec.wave_iterations += urep.iterations
-        rec.cycle_builds += _new_cycle(wave and wave.cycle, state.wave.cycle)
+        wave_cycle = state.wave.cycle
+        rec.cycle_builds += _new_cycle(wave and wave.cycle, wave_cycle)
         v_raw, vrep = solve_phasefield(
             u_new, cfg.material, state.crack, mesh, x0=v_start,
             tol=tol.solver_tol, max_iter=tol.solver_max_iter, cycle=cycle)
@@ -460,9 +469,10 @@ def staggered_step(state, t_n, cfg):
     v_iter.values[crack_new.ids] = 0.0
     v_raw.values[crack_new.ids] = 0.0
     du = FeFunction((u_new.values - state.u_curr.values) / k, mesh.generation)
-    # the wave system of the last inner iteration goes on with the mesh, and
-    # so do the damage V-cycle's coarse levels, for the next solve to refit
-    # if its pins are the same
+    # the wave system of the last inner iteration goes on with the mesh, to
+    # be reused if the next step's inputs repeat, and so do the damage
+    # V-cycle's coarse levels, for the next solve to refit if its pins are
+    # the same
     cycle = cycle and cycle.release()
     new_state = DynamicState(n=state.n + 1, u_curr=u_new, du=du, v=v_iter,
                              crack=crack_new, mesh=mesh, wave=state.wave,

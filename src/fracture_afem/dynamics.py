@@ -17,8 +17,8 @@ and the next solve on the state with the same inputs reuses it bit for
 bit.  Where stiffness dominates the system (see :data:`VCYCLE_RATIO`) the
 preconditioner is the multigrid V-cycle of :mod:`.multigrid`, with the
 loaded-boundary dofs as pins; elsewhere it is Jacobi.  A rebuilt system
-hands the kept cycle to :func:`~.multigrid.vcycle`, which refits it on the
-same mesh and pins, as for the damage solve.
+hands the cycle it is given to :func:`~.multigrid.vcycle`, which refits it
+on the same mesh and pins, as for the damage solve.
 """
 
 from __future__ import annotations
@@ -164,7 +164,9 @@ class WaveOperator:
     ``coefficients`` ``(mu, varrho, eta, kappa)`` with the Dirichlet
     ``dofs`` eliminated, and ``cycle`` its
     :class:`~fracture_afem.multigrid.VCycle`, whose coarse levels may come
-    from an earlier system on ``mesh``, or ``None`` for Jacobi.  The
+    from an earlier system on ``mesh``, or ``None`` for Jacobi.  A later
+    system on the same mesh refits that cycle in place, so ``cycle`` fits
+    ``Sc`` only on the operator a state currently holds.  The
     system matrix itself is a sum of the data arrays of ``A`` and the
     mesh's cached mass matrix, so it is not kept.  The same inputs give the
     same system, bit for bit.
@@ -211,7 +213,7 @@ def degradation(v, params):
 
 
 def step_displacement(state, k, g_values, f=None, *, params, v=None,
-                      x0=None, tol=1e-12, max_iter=None):
+                      x0=None, tol=1e-12, max_iter=None, cycle=None):
     """Advance the displacement one implicit step of size ``k``.
 
     ``params`` are the :class:`MaterialParams`, a keyword without default.
@@ -227,9 +229,10 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
     The system is kept in ``state.wave``.  A solve on ``state`` whose mesh,
     ``k``, material coefficients, constrained dofs and damage values equal
     those of the kept system assembles nothing and eliminates only the
-    right-hand side; any other assembles the system anew and hands the kept
-    V-cycle to :func:`~fracture_afem.multigrid.vcycle`, which refits it on
-    the same mesh and constrained dofs and builds one otherwise.
+    right-hand side; any other assembles the system anew and hands
+    ``cycle``, the V-cycle of an earlier wave system or ``None``, to
+    :func:`~fracture_afem.multigrid.vcycle`, which refits it on the same
+    mesh and constrained dofs and builds one otherwise.
     """
     if k <= 0:
         raise ValueError("time step must be positive")
@@ -260,7 +263,7 @@ def step_displacement(state, k, g_values, f=None, *, params, v=None,
         rhsc = dirichlet_rhs(S, rhs, g_values)
     else:
         Sc, rhsc = apply_dirichlet(S, rhs, g_values)
-        cycle = vcycle(Sc, mesh, g_values.dofs, reuse=op and op.cycle) \
+        cycle = vcycle(Sc, mesh, g_values.dofs, reuse=cycle) \
             if _stiffness_ratio(A, M, k, mp) >= VCYCLE_RATIO else None
         op = state.wave = WaveOperator(
             mesh, k, coefficients, g_values.dofs.copy(), v_eff.values.copy(),

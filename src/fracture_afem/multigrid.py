@@ -38,12 +38,15 @@ leave it regular.  Both solves reuse cycles by one rule, kept in
 :func:`vcycle` built on the same mesh object with the same pins is refit
 (:meth:`VCycle.refit`: the same coarse levels, with only the finest
 operator and its Jacobi weights replaced); any other is left alone and a
-new one is built.  So the coarse levels are built once per mesh and pin
-set, from the first system solved on them: the damage solve's with the
-crack set, carried from one time step to the next without its finest
-operator (:meth:`VCycle.release`; see
-:class:`~fracture_afem.dynamics.DynamicState`), and the wave solve's with
-the loaded-boundary dofs, kept with its system.  One damped-Jacobi sweep
+new one is built.  The damage solve's cycle, pinned at the crack set, is
+carried from one time step to the next without its finest operator
+(:meth:`VCycle.release`; see
+:class:`~fracture_afem.dynamics.DynamicState`), so its coarse levels are
+built once per mesh and crack set.  The wave solve's, pinned at the
+loaded-boundary dofs, which never change, is handed on only from one inner
+iteration of a staggered solve to the next (see
+:func:`~fracture_afem.driver.staggered_step`): a step whose first wave
+system is rebuilt builds a new cycle.  One damped-Jacobi sweep
 before and one after the coarse correction on every level keep the cycle
 symmetric.  A symmetric V(1,1) cycle whose smoother
 converges for the current ``A``, around any symmetric positive

@@ -168,20 +168,29 @@ def test_inner_iterations_reuse_coarse_levels_and_warm_start(
     assert rec.pf_iterations == sum(damage)
 
 
-def test_stiff_wave_refits_its_cycle_while_mesh_and_pins_repeat(
+def test_stiff_wave_refits_its_cycle_within_a_step_only(
         tmp_path, monkeypatch):
     # at k = 1 on the n0 = 16 grid stiffness dominates the wave system, so
     # it takes the V-cycle; every inner iteration changes v and rebuilds
-    # the system, and the wave cycle is refit like the damage one
+    # the system.  A step builds one wave cycle, in its first iteration,
+    # and refits it in the later ones; the damage cycle it carries is refit
+    # throughout, and the next step builds its own wave cycle
     cfg = quiet_cfg(tmp_path, n0=16, n_steps=4, t_final=4.0)
     st = strained_state(cfg)
-    wave_cycle = st.wave.cycle
-    assert wave_cycle is not None and st.cycle is not None
+    carried = st.wave.cycle
+    assert carried is not None and st.cycle is not None
     counts = count_solves(monkeypatch)
     new, rec = staggered_step(st, 3 * cfg.time.k, cfg)
     assert rec.new_pins == 0 and rec.inner_iterations >= 3
-    assert counts["coarse"] == rec.cycle_builds == 0
-    assert new.wave.cycle is wave_cycle and new.cycle is st.cycle
+    assert counts["coarse"] == rec.cycle_builds == 1
+    assert new.cycle is st.cycle and new.wave.cycle is not carried
+    assert new.wave.cycle.ops[0] is new.wave.Sc
+
+    built, counts["coarse"] = new.wave.cycle, 0
+    later, rec = staggered_step(new, 4 * cfg.time.k, cfg)
+    assert rec.inner_iterations >= 3
+    assert counts["coarse"] == rec.cycle_builds == 1
+    assert later.wave.cycle is not built
 
 
 def test_carried_cycle_fits_its_mesh_and_pins_only(tmp_path, monkeypatch):

@@ -336,7 +336,7 @@ def test_changed_v_k_or_mesh_rebuilds_the_operator(change, monkeypatch):
     inverse = multigrid._spd_inverse
     monkeypatch.setattr(multigrid, "_spd_inverse",
                         lambda a: inverses.append(a) or inverse(a))
-    step_displacement(st, k, ds, params=WAVE_MP)
+    step_displacement(st, k, ds, params=WAVE_MP, cycle=cycle)
     assert counts == {"assemble_stiffness": 1, "apply_dirichlet": 1}
     assert st.wave is not kept
     assert np.array_equal(st.wave.v, st.v.values)
@@ -360,9 +360,23 @@ def test_wave_vcycle_refit_after_damage_is_symmetric_positive():
     st.v = FeFunction(np.where(np.abs(y - 1.5) < 0.3, 0.0, st.v.values),
                       st.mesh.generation)
     assert ratio(st, STIFF_K) >= dynamics.VCYCLE_RATIO
-    _, _, rep = step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    _, _, rep = step_displacement(st, STIFF_K, ds, params=WAVE_MP,
+                                  cycle=cycle)
     assert rep.converged and st.wave.cycle is cycle
     assert_symmetric_positive(st.mesh, ds.dofs, cycle)
+
+
+def test_rebuilt_wave_system_handed_no_cycle_builds_one():
+    # the kept system's cycle is its preconditioner, not a cycle to refit:
+    # a rebuilt system refits only the cycle it is handed
+    st, ds = wave_state()
+    step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    kept = st.wave
+    st.v.values[:5] *= 0.5
+    step_displacement(st, STIFF_K, ds, params=WAVE_MP)
+    assert st.wave is not kept and st.wave.cycle is not kept.cycle
+    assert kept.cycle.ops[0] is kept.Sc
+    assert st.wave.cycle.ops[0] is st.wave.Sc
 
 
 def jacobi_solve(st, k, ds, mp=WAVE_MP):
