@@ -24,7 +24,7 @@ from .fem import (DirichletSet, FeFunction, element_gradients, element_means,
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .fem import assemble_stiffness  # noqa: F401  (a perfbench/tracer.py site)
 from .mesh import (AdaptSummary, BoundaryLabel, InitialGrid, adapt,
-                   build_initial_mesh, derived)
+                   build_initial_mesh, derived, stable_sort)
 from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
 from .phasefield import clamp_and_threshold, solve_phasefield, update_crack_set
 
@@ -356,10 +356,8 @@ def _loaded_boundary(mesh):
     above the slit and -1 below; read-only."""
     up = mesh.boundary_vertices(BoundaryLabel.LEFT_UPPER)
     lo = mesh.boundary_vertices(BoundaryLabel.LEFT_LOWER)
-    dofs = np.concatenate([up, lo])
-    sign = np.concatenate([np.ones(len(up)), -np.ones(len(lo))])
-    order = np.argsort(dofs, kind="stable")
-    dofs, sign = dofs[order], sign[order]
+    dofs, order = stable_sort(np.concatenate([up, lo]))
+    sign = np.concatenate([np.ones(len(up)), -np.ones(len(lo))])[order]
     dofs.flags.writeable = sign.flags.writeable = False
     return dofs, sign
 

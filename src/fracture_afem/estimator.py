@@ -47,19 +47,21 @@ class EstimatorField:
 def _geometry(mesh):
     """Triangle diameters, edge lengths and the outward unit normals of the
     boundary edges (in edge order); :func:`estimate` keeps them in the
-    mesh's cache."""
-    v = mesh.vertices
-    he = np.linalg.norm(v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]], axis=1)
-    h = he[mesh.tri_edges].max(axis=1)
+    mesh's cache.  The lengths are ``sqrt(dx dx + dy dy)`` from the
+    coordinate columns, the arithmetic of ``np.linalg.norm(axis=1)``, and
+    a diameter is the largest of its triangle's three edge lengths."""
+    (x, y), (a, b) = mesh.vertices.T, mesh.edges.T
+    dx, dy = x[b] - x[a], y[b] - y[a]
+    he = np.sqrt(dx * dx + dy * dy)
+    h0, h1, h2 = he[mesh.tri_edges.T]
+    h = np.maximum(np.maximum(h0, h1), h2)
     bnd = np.flatnonzero(mesh.boundary_edge_mask)
     tb = mesh.edge_tris[bnd, 0]
     # local edge i of the single incident triangle runs from its vertex
     # i + 1 to i + 2; rotated by -90 degrees it points outward
     loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
-    tri = mesh.triangles[tb]
-    rows = np.arange(len(tb))
-    tang = v[tri[rows, (loc + 2) % 3]] - v[tri[rows, (loc + 1) % 3]]
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / he[bnd, None]
+    p, q = (mesh.triangles[tb, (loc + s) % 3] for s in (1, 2))
+    normals = np.column_stack([y[q] - y[p], -(x[q] - x[p])]) / he[bnd, None]
     return h, he, normals
 
 
@@ -72,11 +74,13 @@ def estimate(u, v, mesh, params):
     a_tau = reaction_weight(u, params, mesh)
     nu = params.nu_pf
 
-    # element residual: integrand quadratic in v, exact by edge midpoints
-    vv = v.values[mesh.triangles]                     # (nt, 3)
-    vmid = 0.5 * (vv[:, [1, 2, 0]] + vv[:, [2, 0, 1]])
-    sq = (a_tau[:, None] * vmid - nu) ** 2
-    elem = h ** 2 * (mesh.signed_areas() / 3.0) * sq.sum(axis=1)
+    # element residual: integrand quadratic in v, exact by edge midpoints;
+    # from v at the three corners, its terms summed left to right as
+    # sum(axis=1) sums a row of three, so no (nt, 3) temporary is made
+    v0, v1, v2 = (v.values[mesh.triangles[:, k]] for k in range(3))
+    s0, s1, s2 = ((a_tau * (0.5 * (p + q)) - nu) ** 2
+                  for p, q in ((v1, v2), (v2, v0), (v0, v1)))
+    elem = h ** 2 * (mesh.signed_areas() / 3.0) * (s0 + s1 + s2)
 
     # edge jumps
     et = mesh.edge_tris

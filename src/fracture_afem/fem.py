@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .mesh import derived, element_means
+from .mesh import corners, derived, element_means, stable_sort
 
 __all__ = [
     "FeFunction",
@@ -97,29 +97,34 @@ def element_data(mesh):
     """Per-element areas, shape-function gradients and unit stiffness
     entries, and the CSR pattern of the P1 matrices, cached on the mesh.
 
-    The areas are :meth:`Mesh.signed_areas`.  ``stiffness`` holds the
-    ``9 nt`` entries ``gx_i gx_j + gy_i gy_j`` of each triangle (row-major
-    within it, read-only): the element stiffness without its area and
-    coefficient.  The pattern holds the diagonal and both directions of
-    every mesh edge, with sorted column indices; ``slot`` maps the element
-    entries to their positions in ``indices``, so that every matrix is one
-    element operator applied to per-element weights (:func:`_scatter`).
+    The areas are :meth:`Mesh.signed_areas`, and the gradients are formed
+    from the corners' coordinate columns (:func:`.mesh.corners`).
+    ``stiffness`` holds the ``9 nt`` entries ``gx_i gx_j + gy_i gy_j`` of
+    each triangle (row-major within it, read-only): the element stiffness
+    without its area and coefficient.  The pattern holds the diagonal and
+    both directions of every mesh edge, with sorted column indices;
+    ``slot`` maps the element entries to their positions in ``indices``,
+    so that every matrix is one element operator applied to per-element
+    weights (:func:`_scatter`).
     """
     return derived(mesh, "elem", _element_data)
 
 
 def _element_data(mesh):
-    x = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    b = x[:, [1, 2, 0], 1] - x[:, [2, 0, 1], 1]
-    c = x[:, [2, 0, 1], 0] - x[:, [1, 2, 0], 0]
+    x, y = corners(mesh)
     area = mesh.signed_areas()
-    # rows of grads are the constant gradients of the three hat functions
-    grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
+    a2 = 2.0 * area
+    # rows of grads are the constant gradients of the three hat functions:
+    # hat k has (y_{k+1} - y_{k+2}, x_{k+2} - x_{k+1}) / (2 area)
+    gx = [(y[(k + 1) % 3] - y[(k + 2) % 3]) / a2 for k in range(3)]
+    gy = [(x[(k + 2) % 3] - x[(k + 1) % 3]) / a2 for k in range(3)]
+    grads = np.ascontiguousarray(np.array([gx, gy]).T)
     # G G^T entry by entry: the products and sums of an einsum over the two
-    # gradient components
-    stiffness = grads[:, :, None, 0] * grads[:, None, :, 0]
-    stiffness += grads[:, :, None, 1] * grads[:, None, :, 1]
-    stiffness = stiffness.reshape(-1)
+    # gradient components; the products commute exactly
+    entries = np.empty((len(area), 3, 3))
+    for i, j in zip(*np.triu_indices(3)):
+        entries[:, i, j] = entries[:, j, i] = gx[i] * gx[j] + gy[i] * gy[j]
+    stiffness = entries.reshape(-1)
     stiffness.flags.writeable = False
     return {"area": area, "grads": grads, "stiffness": stiffness,
             **_pattern(mesh)}
@@ -131,10 +136,12 @@ def _pattern(mesh):
     Row ``i`` holds its lower neighbours, then ``i``, then its upper
     neighbours.  ``mesh.edges`` is sorted by (min, max), so the upper
     neighbours of a vertex are consecutive edges, and a stable sort by the
-    larger endpoint lists the lower ones in column order.  ``slot`` and
-    ``colptr`` are the row indices and column pointers of the element
-    operator, the (nnz, nt) CSC matrix whose column ``e`` takes the 9
-    entries of triangle ``e`` to their positions in ``indices``.
+    larger endpoint (:func:`~fracture_afem.mesh.stable_sort`) lists the
+    lower ones in column order.  ``slot`` and ``colptr`` are the row
+    indices and column pointers of the element operator, the (nnz, nt) CSC
+    matrix whose column ``e`` takes the 9 entries of triangle ``e`` to
+    their positions in ``indices``; the two entries of a local edge read
+    its upper and lower positions once.
     """
     n = mesh.n_vertices
     lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -145,8 +152,7 @@ def _pattern(mesh):
     diag = indptr[:-1] + n_low
     rank = np.arange(len(lo))
     up = diag[lo] + 1 + rank - (np.cumsum(n_up) - n_up)[lo]
-    by_hi = np.argsort(hi, kind="stable")
-    h = hi[by_hi]
+    h, by_hi = stable_sort(hi)
     low = np.empty_like(up)
     low[by_hi] = indptr[h] + rank - (np.cumsum(n_low) - n_low)[h]
     indices = np.empty(indptr[-1], dtype=np.int32)
@@ -155,13 +161,14 @@ def _pattern(mesh):
     indices[low] = lo
     t = mesh.triangles
     slot = np.empty((len(t), 3, 3), dtype=np.int32)
-    for i in range(3):
-        slot[:, i, i] = diag[t[:, i]]
-        for j in range(3):
-            if i != j:
-                # local edge k of a triangle is opposite local vertex k
-                k = mesh.tri_edges[:, 3 - i - j]
-                slot[:, i, j] = np.where(t[:, i] < t[:, j], up[k], low[k])
+    for k in range(3):
+        slot[:, k, k] = diag[t[:, k]]
+        # local edge k of a triangle is opposite local vertex k
+        i, j = (k + 1) % 3, (k + 2) % 3
+        e_up, e_low = up[mesh.tri_edges[:, k]], low[mesh.tri_edges[:, k]]
+        ascending = t[:, i] < t[:, j]
+        slot[:, i, j] = np.where(ascending, e_up, e_low)
+        slot[:, j, i] = np.where(ascending, e_low, e_up)
     return {"indptr": indptr.astype(np.int32), "indices": indices,
             "slot": slot.reshape(-1),
             "colptr": np.arange(0, 9 * len(t) + 1, 9, dtype=np.int32)}

@@ -59,11 +59,34 @@ def _edge_keys(a, b, n):
     return np.minimum(a, b) * n + np.maximum(a, b)
 
 
-def _run_starts(*cols):
-    """Flags the first row of each run of equal rows in sorted columns."""
-    first = np.ones(len(cols[0]), dtype=bool)
-    first[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
-    return first
+def _run_starts(keys):
+    """Flags the first entry of each run of equal values in sorted
+    ``keys``."""
+    return np.concatenate([np.ones(min(len(keys), 1), dtype=bool),
+                           keys[1:] != keys[:-1]])
+
+
+def stable_sort(keys):
+    """``(keys[order], order)`` for ``order = np.argsort(keys,
+    kind="stable")`` of the integer array ``keys``, from one sort of the
+    unique int64 composites ``key * len(keys) + position``: the quotient of
+    each sorted composite is its key, the remainder its position.  The
+    composites are distinct, so any sort gives the stable order.
+
+    Raises
+    ------
+    ValueError
+        If a key lies outside ``[-L, L - 1]`` for ``L = 2**63 //
+        len(keys)``, where a composite would overflow int64.
+    """
+    n = max(len(keys), 1)
+    lim = 2**63 // n
+    if keys.size and (keys.min() < -lim or keys.max() >= lim):
+        raise ValueError(f"sort keys must lie in [{-lim}, {lim - 1}] so that "
+                         f"key * {n} + position fits int64")
+    comp = np.sort(keys.astype(np.int64) * n + np.arange(len(keys)))
+    sorted_keys = comp // n
+    return sorted_keys, comp - sorted_keys * n
 
 
 @dataclass
@@ -98,6 +121,16 @@ def element_means(values, triangles):
     :mod:`.fem` exports it."""
     x = values[triangles]
     return (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0
+
+
+def corners(mesh):
+    """The corner coordinates of every triangle of ``mesh`` as two lists,
+    ``[x0, x1, x2]`` and ``[y0, y1, y2]``, one contiguous array per local
+    vertex, gathered from the coordinate columns: the values of
+    ``mesh.vertices[mesh.triangles]`` at a fraction of the cost of its
+    ``(nt, 3, 2)`` row gather."""
+    t = mesh.triangles
+    return [[c[t[:, i]] for i in range(3)] for c in mesh.vertices.T]
 
 
 @dataclass(eq=False)
@@ -163,11 +196,10 @@ class InitialGrid:
         exactly, so boundary tests are exact."""
         return tuple(np.linspace(0.0, d, self.n0 + 1) for d in self.domain)
 
-    def above(self, points):
-        """Flags the ``(..., 2)`` points strictly above the slit line; all
-        of them without a slit, whose left edge is all upper."""
-        y = np.asarray(points)[..., 1]
-        return y > (self.slit[2] if self.slit else -np.inf)
+    def above(self, y):
+        """Flags the heights ``y`` strictly above the slit line; all of
+        them without a slit, whose left edge is all upper."""
+        return np.asarray(y) > (self.slit[2] if self.slit else -np.inf)
 
     def on_slit(self, points):
         """Flags the ``(..., 2)`` points on the slit, tips included; none
@@ -221,37 +253,43 @@ class Mesh:
         # a, b are ids in *this* mesh (always smaller than the midpoint's id).
         self.vertex_prov = vertex_prov
         self.adapt_summary = adapt_summary
-        self._build_edges()
         self._cache = {}
         self._validate()
+        self._build_edges()
+        # conformity: a hanging node leaves a one-triangle edge inside the
+        # domain, which has no label
+        self._boundary()
 
     # ------------------------------------------------------------------
     # Derived connectivity
     # ------------------------------------------------------------------
 
     def _build_edges(self):
+        """Edges, triangle-edge and edge-triangle maps from one sort of the
+        ``3 nt`` edge slots.  Slot ``3 e + i`` is local edge ``i`` of
+        triangle ``e``, opposite local vertex ``i``; its int64 key sorts
+        like the (min, max) vertex pair, and the keys are formed column by
+        column.  The stable order lists the slots of an edge by triangle."""
         t = self.triangles
-        # local edge i is opposite local vertex i; one int64 key per edge
-        # sorts like the (min, max) vertex pair
         n = int(t.max()) + 1 if t.size else 1
-        keys = _edge_keys(t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel(), n)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        first = _run_starts(sorted_keys)
-        starts = np.flatnonzero(first)
+        keys = np.column_stack([_edge_keys(t[:, (i + 1) % 3],
+                                           t[:, (i + 2) % 3], n)
+                                for i in range(3)])
+        sorted_keys, order = stable_sort(keys.reshape(-1))
+        starts = np.flatnonzero(_run_starts(sorted_keys))
         uniq = sorted_keys[starts]
-        self.edges = np.column_stack([uniq // n, uniq % n])
-        inv = np.empty(len(keys), dtype=np.int64)
-        inv[order] = np.cumsum(first) - 1
+        lo = uniq // n
+        self.edges = np.column_stack([lo, uniq - lo * n])
+        counts = np.diff(np.append(starts, len(order)))
+        inv = np.empty(len(order), dtype=np.int64)
+        inv[order] = np.repeat(np.arange(len(uniq)), counts)
         self.tri_edges = inv.reshape(-1, 3)
-        counts = np.diff(np.append(starts, len(keys)))
         if counts.max(initial=0) > 2:
             raise ValueError("non-manifold edge: more than 2 incident triangles")
         self.edge_tris = np.full((len(uniq), 2), -1, dtype=np.int64)
-        tri_of_slot = order // 3
-        self.edge_tris[:, 0] = tri_of_slot[starts]
+        self.edge_tris[:, 0] = order[starts] // 3
         shared = counts == 2
-        self.edge_tris[shared, 1] = tri_of_slot[starts[shared] + 1]
+        self.edge_tris[shared, 1] = order[starts[shared] + 1] // 3
         self.boundary_edge_mask = counts == 1
 
     @property
@@ -290,15 +328,17 @@ class Mesh:
         return derived(self, "signed_areas", _signed_areas)
 
     def _validate(self):
-        if self.triangles.size and self.triangles.max() >= self.n_vertices:
-            raise ValueError("triangle references missing vertex")
+        """The checks that need no edges, made before they are built: the
+        edge keys and their sort take vertex ids in ``[0, n_vertices)``."""
+        t = self.triangles
+        if t.size and (t.min() < 0 or t.max() >= self.n_vertices):
+            raise ValueError("triangle vertex ids must lie in [0, n_vertices)")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         areas = self.signed_areas()
         bad = np.where(areas <= 0)[0]
         if bad.size:
             raise ValueError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
-        # conformity: a hanging node leaves a one-triangle edge inside the
-        # domain, which has no label
-        self._boundary()
         for name in ("levels", "pair_tags"):
             if getattr(self, name).shape != (self.n_triangles,):
                 raise ValueError(f"{name} needs one entry per triangle")
@@ -307,11 +347,10 @@ class Mesh:
 
 
 def _signed_areas(mesh):
-    v = mesh.vertices
-    t = mesh.triangles
-    d1 = v[t[:, 1]] - v[t[:, 0]]
-    d2 = v[t[:, 2]] - v[t[:, 0]]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    """Half the cross product of the edges from corner 0, from the
+    coordinate columns."""
+    (x0, x1, x2), (y0, y1, y2) = corners(mesh)
+    area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
     area.flags.writeable = False
     return area
 
@@ -406,7 +445,7 @@ def build_initial_mesh(domain, slit, n0, max_levels=4):
         upper_of = np.arange(len(verts))
         upper_of[dup] = len(verts) + np.arange(len(dup))
         verts = np.vstack([verts, verts[dup]])
-        above = grid.above(element_means(verts, tris))
+        above = grid.above(element_means(verts[:, 1], tris))
         tris[above] = upper_of[tris[above]]
 
     return Mesh(verts, tris, np.zeros(len(tris), dtype=np.int64),
@@ -426,7 +465,8 @@ def grid_weights(coarse, fine):
     are linear in ``(s, t)``.  ``s`` and ``t`` are clipped to ``[0, 1]``,
     so a coordinate rounded past a grid line gets no negative weight.  A
     vertex on the slit takes the cell on its own face: the upper one if a
-    triangle above the slit line uses it.
+    triangle above the slit line uses it, which the mean of its corners'
+    ``y`` alone tells.
     """
     grid, pts = coarse.grid, fine.vertices
     n, (lx, ly) = grid.n0, grid.domain
@@ -438,7 +478,7 @@ def grid_weights(coarse, fine):
     if grid.slit is not None:
         tri = fine.triangles
         upper = np.zeros(len(pts), dtype=bool)
-        upper[tri[grid.above(element_means(pts, tri))].ravel()] = True
+        upper[tri[grid.above(element_means(pts[:, 1], tri))].ravel()] = True
         jy = grid.slit_index[2]
         j = np.where(grid.on_slit(pts), np.where(upper, jy, jy - 1), j)
     s, t = np.clip(xn - i, 0.0, 1.0), np.clip(yn - j, 0.0, 1.0)
@@ -472,7 +512,7 @@ def _label_boundary(mesh):
     ends = mesh.vertices[edges]                 # (k, 2, 2)
     x, y = ends[:, :, 0], ends[:, :, 1]
     left = (x == 0.0).all(axis=1)
-    upper = grid.above(0.5 * (ends[:, 0] + ends[:, 1]))
+    upper = grid.above(0.5 * (y[:, 0] + y[:, 1]))
     # one condition per label, in the order of _LABELS
     conds = [(y == 0.0).all(axis=1), (x == lx).all(axis=1),
              (y == ly).all(axis=1), left & upper, left & ~upper,
@@ -637,8 +677,8 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     free[t[~elig, 0]] = False
     free[t[:, 1:].ravel()] = False
     star = np.flatnonzero(free[t[:, 0]])
-    star = star[np.argsort(t[star, 0], kind="stable")]   # by peak, then id
-    peak = t[star, 0]
+    peak, by_peak = stable_sort(t[star, 0])
+    star = star[by_peak]                                 # by peak, then id
     first = _run_starts(peak)
     group = np.cumsum(first) - 1
     rank = np.arange(len(star)) - np.flatnonzero(first)[group]
@@ -697,6 +737,22 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     return v[keep_vert], tris, levels, new_tags, prov, marked_keys
 
 
+def _first_use(keys):
+    """Number the distinct integer ``keys`` 0, 1, ... in the order of their
+    first appearance; returns each entry's number and the flags of the
+    first appearances.  This is ``np.unique(keys, return_index=True,
+    return_inverse=True)`` with the unique keys renumbered by their first
+    index, from one :func:`stable_sort`: in the stable order, the first
+    entry of each run of equal keys is the key's first appearance."""
+    sorted_keys, order = stable_sort(keys)
+    start = _run_starts(sorted_keys)
+    born = np.zeros(len(keys), dtype=bool)
+    born[order[start]] = True
+    number = np.empty_like(order)
+    number[order] = (np.cumsum(born) - 1)[order[start]][np.cumsum(start) - 1]
+    return number, born
+
+
 def _refine(verts, tris, levels, tags, prov, marked_keys, tag_counter):
     """Bisect every triangle whose refinement edge is marked.
 
@@ -721,15 +777,11 @@ def _refine(verts, tris, levels, tags, prov, marked_keys, tag_counter):
     use = np.column_stack([np.ones_like(b1), b1, b2])
     ea = np.column_stack([v1, v0, v2])[use]
     eb = np.column_stack([v2, v1, v0])[use]
-    _, first, inv = np.unique(_edge_keys(ea, eb, n), return_index=True,
-                              return_inverse=True)
-    born = np.argsort(first)
-    rank = np.empty_like(born)
-    rank[born] = np.arange(len(born))
+    number, born = _first_use(_edge_keys(ea, eb, n))
     mids = np.full(use.shape, -1, dtype=np.int64)
-    mids[use] = n + rank[inv]
+    mids[use] = n + number
     m, m1, m2 = mids.T
-    ma, mb = ea[first[born]], eb[first[born]]
+    ma, mb = ea[born], eb[born]
 
     # children: (m, v0, v1) or its halves, then (m, v2, v0) or its halves
     kids = np.stack([np.where(b1[:, None], np.column_stack([m1, m, v0]),

@@ -2,6 +2,7 @@
 nothing but values rebuilt bit for bit from a mesh's primary data."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from fracture_afem.driver import build_dirichlet
 from fracture_afem.dynamics import LoadingParams, MaterialParams
-from fracture_afem.estimator import estimate
+from fracture_afem.estimator import _geometry, estimate
 from fracture_afem.fem import FeFunction, element_data, unit_mass
-from fracture_afem.mesh import InitialGrid, Mesh, adapt, build_initial_mesh
+from fracture_afem.mesh import (InitialGrid, Mesh, _first_use, adapt,
+                                build_initial_mesh, derived, element_means,
+                                stable_sort)
 from fracture_afem.multigrid import mesh_prolongation
-from fracture_afem.phasefield import phasefield_system
+from fracture_afem.phasefield import phasefield_system, reaction_weight
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracture_afem"
 MP = MaterialParams(epsilon=0.2)
@@ -117,3 +120,155 @@ def test_cached_values_are_derived_from_primary_data_only(chain):
         assert not element_data(mesh)["stiffness"].flags.writeable
         assert not any(a.flags.writeable for a in mesh._cache["dirichlet"])
         assert element_data(mesh)["area"] is mesh.signed_areas()
+
+
+# ----------------------------------------------------------------------
+# Oracles: the formulas the per-mesh builders replaced, kept here only
+# ----------------------------------------------------------------------
+
+def assert_same(got, want):
+    """One dtype and shape and the same bits; ``np.array_equal`` alone
+    misses a zero that changed sign."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def edges_oracle(mesh):
+    """Edges, triangle-edge and edge-triangle maps and boundary flags from
+    row-gathered edge keys and their stable argsort."""
+    t = mesh.triangles
+    n = int(t.max()) + 1
+    a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[order][1:] != keys[order][:-1]
+    starts = np.flatnonzero(first)
+    uniq = keys[order][starts]
+    inv = np.empty(len(keys), dtype=np.int64)
+    inv[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(starts, len(keys)))
+    edge_tris = np.full((len(uniq), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = (order // 3)[starts]
+    edge_tris[counts == 2, 1] = (order // 3)[starts[counts == 2] + 1]
+    return {"edges": np.column_stack([uniq // n, uniq % n]),
+            "tri_edges": inv.reshape(-1, 3), "edge_tris": edge_tris,
+            "boundary_edge_mask": counts == 1}
+
+
+def element_oracle(mesh):
+    """Areas, gradients and unit stiffness entries from the ``(nt, 3, 2)``
+    row gather of the corners."""
+    v, t = mesh.vertices, mesh.triangles
+    d1, d2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    x = v[t]
+    b = x[:, [1, 2, 0], 1] - x[:, [2, 0, 1], 1]
+    c = x[:, [2, 0, 1], 0] - x[:, [1, 2, 0], 0]
+    grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
+    stiffness = grads[:, :, None, 0] * grads[:, None, :, 0]
+    stiffness += grads[:, :, None, 1] * grads[:, None, :, 1]
+    return {"area": area, "grads": grads, "stiffness": stiffness.ravel()}
+
+
+def pattern_oracle(mesh):
+    """The CSR pattern and element slots, the lower neighbours of each
+    vertex listed by a stable argsort of the larger edge ends."""
+    n = mesh.n_vertices
+    lo, hi = mesh.edges[:, 0], mesh.edges[:, 1]
+    n_up, n_low = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_low + 1 + n_up, out=indptr[1:])
+    diag = indptr[:-1] + n_low
+    rank = np.arange(len(lo))
+    up = diag[lo] + 1 + rank - (np.cumsum(n_up) - n_up)[lo]
+    by_hi = np.argsort(hi, kind="stable")
+    h = hi[by_hi]
+    low = np.empty_like(up)
+    low[by_hi] = indptr[h] + rank - (np.cumsum(n_low) - n_low)[h]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag], indices[up], indices[low] = np.arange(n), hi, lo
+    t = mesh.triangles
+    slot = np.empty((len(t), 3, 3), dtype=np.int32)
+    for i in range(3):
+        slot[:, i, i] = diag[t[:, i]]
+        for j in set(range(3)) - {i}:
+            k = mesh.tri_edges[:, 3 - i - j]
+            slot[:, i, j] = np.where(t[:, i] < t[:, j], up[k], low[k])
+    return {"indptr": indptr.astype(np.int32), "indices": indices,
+            "slot": slot.ravel()}
+
+
+def estimator_oracle(mesh):
+    """Diameters, edge lengths and boundary normals from row gathers and
+    ``np.linalg.norm``."""
+    v = mesh.vertices
+    he = np.linalg.norm(v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]], axis=1)
+    h = he[mesh.tri_edges].max(axis=1)
+    bnd = np.flatnonzero(mesh.boundary_edge_mask)
+    tb = mesh.edge_tris[bnd, 0]
+    loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
+    tri = mesh.triangles[tb]
+    rows = np.arange(len(tb))
+    tang = v[tri[rows, (loc + 2) % 3]] - v[tri[rows, (loc + 1) % 3]]
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / he[bnd, None]
+    return h, he, normals
+
+
+def element_residual_oracle(u, v, mesh, params):
+    """The element residual of the indicator, formed on the ``(nt, 3)`` row
+    gather of ``v``."""
+    vv = v.values[mesh.triangles]
+    vmid = 0.5 * (vv[:, [1, 2, 0]] + vv[:, [2, 0, 1]])
+    a_tau = reaction_weight(u, params, mesh)
+    sq = (a_tau[:, None] * vmid - params.nu_pf) ** 2
+    h = derived(mesh, "estimator", _geometry)[0]
+    return h ** 2 * (mesh.signed_areas() / 3.0) * sq.sum(axis=1)
+
+
+def first_use_oracle(keys):
+    """Each key's number in the order of first appearance, and the flags
+    of first appearances, from ``np.unique``."""
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    born = np.argsort(first)
+    rank = np.empty_like(born)
+    rank[born] = np.arange(len(born))
+    flags = np.zeros(len(keys), dtype=bool)
+    flags[first] = True
+    return rank[inv], flags
+
+
+@settings(max_examples=25, deadline=None)
+@given(adapt_chains())
+def test_builders_equal_the_formulas_they_replaced(chain):
+    for mesh in chain:
+        for name, want in edges_oracle(mesh).items():
+            assert_same(getattr(mesh, name), want)
+        ed = element_data(mesh)
+        for name, want in {**element_oracle(mesh),
+                           **pattern_oracle(mesh)}.items():
+            assert_same(ed[name], want)
+        assert_same(mesh.signed_areas(), ed["area"])
+        for got, want in zip(derived(mesh, "estimator", _geometry),
+                             estimator_oracle(mesh)):
+            assert_same(got, want)
+        # with rho_pf = 0 the edge terms add +0.0, so r2 is the element
+        # residual alone
+        rng = np.random.default_rng(mesh.n_vertices)
+        u, v = (FeFunction(rng.uniform(-1.0, 1.0, mesh.n_vertices),
+                           mesh.generation) for _ in range(2))
+        params = SimpleNamespace(mu=1.3, kappa=1e-10, nu_pf=0.7, rho_pf=0.0)
+        assert_same(estimate(u, v, mesh, params).r2,
+                    element_residual_oracle(u, v, mesh, params))
+        # the above-slit test of grid_weights reads the mean of y alone
+        pts, t = mesh.vertices, mesh.triangles
+        assert_same(element_means(pts[:, 1], t), element_means(pts, t)[:, 1])
+        # the sorts of adapt: peaks in _coarsen, midpoints in _refine
+        peaks = t[:, 0]
+        order = np.argsort(peaks, kind="stable")
+        assert_same(stable_sort(peaks)[1], order)
+        assert_same(stable_sort(peaks)[0], peaks[order])
+        for keys in (mesh.tri_edges.ravel(), t.ravel()):
+            for got, want in zip(_first_use(keys), first_use_oracle(keys)):
+                assert_same(got, want)

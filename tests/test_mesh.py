@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fracture_afem.fem import FeFunction, transfer, transfer_pinned
 from fracture_afem.mesh import (AdaptSummary, BoundaryLabel, InitialGrid,
                                 Mesh, _closure, adapt, build_initial_mesh,
-                                element_means, geometry)
+                                element_means, geometry, stable_sort)
 from test_multigrid import adapted_slit_meshes
 
 DOMAIN3 = (3.0, 3.0)
@@ -185,9 +185,9 @@ def test_grid_keeps_the_snapped_slit_and_its_indices():
     pts = np.array([[0.0, 0.3], [0.2, g.slit[2]], [0.6, g.slit[2]],
                     [0.4, 0.31]])
     assert g.on_slit(pts).tolist() == [False, True, False, False]
-    assert g.above(pts).tolist() == [False, False, False, True]
+    assert g.above(pts[:, 1]).tolist() == [False, False, False, True]
     free = InitialGrid((1.0, 1.0), None, 3)
-    assert free.above(pts).all() and not free.on_slit(pts).any()
+    assert free.above(pts[:, 1]).all() and not free.on_slit(pts).any()
 
 
 def test_non_power_of_two_grid_labels_exactly():
@@ -497,6 +497,25 @@ def test_mesh_refuses_a_hanging_node():
              grid=InitialGrid((1.0, 1.0), None, 1))
 
 
+def test_mesh_refuses_a_negative_vertex_id():
+    # the n0 = 1 unit square with its corner 3 written as -1: numpy reads
+    # v[-1] as that corner, so areas and labels alone let it through
+    ref = build_initial_mesh((1.0, 1.0), None, 1)
+    tris = np.where(ref.triangles == 3, -1, ref.triangles)
+    with pytest.raises(ValueError, match=re.escape("[0, n_vertices)")):
+        Mesh(ref.vertices, tris, ref.levels, grid=ref.grid)
+
+
+def test_mesh_refuses_a_nan_vertex():
+    # vertex 4 is the centre of the n0 = 2 square, on no boundary edge;
+    # NaN areas pass a test for area <= 0
+    ref = build_initial_mesh((1.0, 1.0), None, 2)
+    verts = ref.vertices.copy()
+    verts[4] = np.nan
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        Mesh(verts, ref.triangles, ref.levels, grid=ref.grid)
+
+
 @pytest.mark.parametrize("change, message", [
     (dict(levels=np.zeros(7, dtype=int)), "levels needs one entry per"),
     (dict(levels=np.zeros((8, 1), dtype=int)), "levels needs one entry per"),
@@ -523,6 +542,44 @@ def test_geometry_normal_closure():
     emid = 0.5 * (m.vertices[m.triangles[:, [1, 2, 0]]]
                   + m.vertices[m.triangles[:, [2, 0, 1]]])
     assert (((emid - cent[:, None, :]) * g.normals).sum(axis=2) > 0).all()
+
+
+# ----------------------------------------------------------------------
+# the sort helper of the mesh builders
+# ----------------------------------------------------------------------
+
+def assert_stable_sort(keys):
+    """``stable_sort(keys)`` is the stable argsort and the sorted keys."""
+    got_keys, got = stable_sort(keys)
+    want = np.argsort(keys, kind="stable")
+    assert got.dtype == got_keys.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_keys, keys[want])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=80),
+       st.sampled_from([1, 7, 2**40]))
+def test_stable_sort_is_the_stable_argsort_with_many_ties(values, scale):
+    assert_stable_sort(np.array(values, dtype=np.int64) * scale)
+    assert_stable_sort(np.array(values, dtype=np.int32))
+
+
+def test_stable_sort_of_no_key_and_of_one():
+    assert_stable_sort(np.array([], dtype=np.int64))
+    for key in (0, -5, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
+        assert_stable_sort(np.array([key]))
+
+
+def test_stable_sort_refuses_keys_whose_composite_overflows():
+    # three keys: a composite key * 3 + position fits int64 for keys in
+    # [-L, L - 1], L = 2**63 // 3
+    lim = 2**63 // 3
+    assert_stable_sort(np.array([lim - 1, -lim, lim - 1]))
+    for keys in ([lim, 0, 0], [0, -lim - 1, 0]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"[{-lim}, {lim - 1}] so that key * 3 + position fits int64")):
+            stable_sort(np.array(keys))
 
 
 # ----------------------------------------------------------------------

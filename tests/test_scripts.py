@@ -76,3 +76,23 @@ def test_trace_moves_prints_each_column_move_over_its_peak(tmp_path):
                           str(old), str(new)], capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 2 and "different steps" in out.stderr
+
+
+def test_setup_cost_prints_one_row_per_builder(src_env):
+    out = subprocess.run([sys.executable, str(SCRIPTS / "setup_cost.py"),
+                          "-n", "2", "determinism"], env=src_env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [re.fullmatch(r"(.+?) +([0-9.]+) ms +([0-9,]+) dofs +([0-9,]+) "
+                         r"triangles", line) for line in
+            out.stdout.splitlines()]
+    assert all(rows), out.stdout
+    names = [row[1] for row in rows]
+    assert names == ["Mesh", "element_data", "unit_mass",
+                     "estimator geometry", "prolongation", "set-up",
+                     "V-cycle build"]
+    ms = [float(row[2]) for row in rows]
+    assert all(t > 0.0 for t in ms)
+    assert abs(ms[5] - sum(ms[:5])) <= 0.01
+    # every row times the same final mesh
+    assert len({(row[3], row[4]) for row in rows}) == 1
