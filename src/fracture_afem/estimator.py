@@ -58,7 +58,8 @@ def _geometry(mesh):
     bnd = np.flatnonzero(mesh.boundary_edge_mask)
     tb = mesh.edge_tris[bnd, 0]
     # local edge i of the single incident triangle runs from its vertex
-    # i + 1 to i + 2; rotated by -90 degrees it points outward
+    # i + 1 to i + 2; rotated by -90 degrees it points outward (the x
+    # component negated, not reversed, keeps the sign of a zero)
     loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
     p, q = (mesh.triangles[tb, (loc + s) % 3] for s in (1, 2))
     normals = np.column_stack([y[q] - y[p], -(x[q] - x[p])]) / he[bnd, None]
