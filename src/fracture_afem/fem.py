@@ -368,13 +368,13 @@ def element_gradients(u, mesh):
 
     Each component is ``g0 u0 + g1 u1 + g2 u2`` over the corners, the
     order in which ``einsum('nik,ni->nk')`` sums, so the bits are the same
-    at less than half its cost.
+    at less than half its cost.  The corner values are gathered column by
+    column of the triangles.
     """
     u.check_bound(mesh)
     g = element_data(mesh)["grads"]
-    uc = u.values[mesh.triangles]
-    out = np.empty((len(uc), 2))
+    u0, u1, u2 = (u.values[mesh.triangles[:, k]] for k in range(3))
+    out = np.empty((len(u0), 2))
     for c in range(2):
-        out[:, c] = (g[:, 0, c] * uc[:, 0] + g[:, 1, c] * uc[:, 1]
-                     + g[:, 2, c] * uc[:, 2])
+        out[:, c] = g[:, 0, c] * u0 + g[:, 1, c] * u1 + g[:, 2, c] * u2
     return out

@@ -4,7 +4,11 @@ The config format is flat sectioned key-value text (INI-like), parsed
 strictly: unknown sections or keys and malformed values are rejected with
 the offending line number, so a typo cannot silently fall back to a
 default.  Snapshots are legacy-ASCII unstructured-grid files with fixed
-``%.9e`` float formatting, byte-deterministic for identical inputs.
+``%.9e`` float formatting, byte-deterministic for identical inputs.  Their
+text comes from a vectorized kernel that writes the bytes ``%.9e`` and
+``%d`` would, value for value; ``%`` itself formats only the values the
+kernel cannot prove: exact decimal ties, NaN, the infinities, magnitudes
+outside ``[1e-290, 1e299]`` and ids outside ``[0, 2^32)``.
 """
 
 from __future__ import annotations
@@ -193,19 +197,210 @@ def _fmt(x):
     return f"{x:.9e}"
 
 
-# rows formatted per write of a snapshot: a block's text and value tuple
+# rows formatted per write of a snapshot: a block's text and temporaries
 # are all that is held at once, not the whole file's
 ROW_BLOCK = 4096
 
+# Snapshot text.  Every value gets a fixed-width slot of ASCII bytes with
+# NULs where its text is shorter (no sign, a two-digit exponent, a short
+# id); a block's slots are joined and the NULs deleted in one pass, which
+# leaves the text of ``%.9e`` and ``%d`` byte for byte.  A value the kernel
+# cannot prove it formats exactly is formatted into its slot by ``%``.
 
-def _write_rows(fh, fmt, values):
-    """Write one ``fmt`` line per row of ``values``, ``ROW_BLOCK`` rows at a
-    time, each block formatted by a single ``%`` (the same text as
-    formatting each value alone)."""
+_POW0 = 300                 # _POW10[_POW0 + k] is 10^k, correctly rounded
+_POW10 = np.array([float(f"1e{k}") for k in range(-_POW0, 309)])
+
+
+def _residue(k, p):
+    """``10^k - p``, correctly rounded, for the double ``p`` nearest
+    ``10^k``: integer arithmetic, and one rounding in the division."""
+    n, d = p.as_integer_ratio()
+    t = 10 ** abs(k)
+    return (t * d - n) / d if k >= 0 else (d - n * t) / (d * t)
+
+
+# the rest of each power: _POW10 + _POW10_LO is 10^k as a double-double
+_POW10_LO = np.array([_residue(k, p) for k, p in
+                      zip(range(-_POW0, 309), _POW10.tolist())])
+# the kernel's range of magnitudes: there Veltkamp's split of a value and
+# of its power 10^(9 - e) stays finite
+_LOW, _HIGH = 1e-290, 1e299
+
+
+def _ascii(texts, width):
+    """``texts`` NUL-padded to ``width`` bytes, ``width / 4`` uint32 words
+    each; in memory the words hold the bytes of the text in order."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint32).reshape(
+        len(texts), width // 4)
+
+
+# the five words of a float's slot: sign, first digit, point and second
+# digit; two words of four digits; "e", the exponent sign and two digits;
+# a third exponent digit if any, then the separator
+_HEAD = _ascii([b"%s%d.%d" % (sign, k // 10, k % 10)
+                for sign in (b"", b"-") for k in range(100)], 4)[:, 0]
+_QUAD = _ascii([b"%04d" % k for k in range(10000)], 4)[:, 0]
+_EXP0 = 310                 # exponent e is entry e + _EXP0
+
+
+def _exponents(sep):
+    """The last two words of a float's slot for each exponent, the slot
+    ending in ``sep``."""
+    return _ascii([b"e%+03d%s" % (e, sep) for e in range(-_EXP0, _EXP0)],
+                  8).T.copy()
+
+
+_EXP, _BLANK = _exponents(b" ")
+_NEWLINE = _exponents(b"\n")[1]
+
+
+def _split(v):
+    """Veltkamp's split of the doubles ``v``: ``hi + lo = v`` exactly, each
+    with at most 26 significant bits, so products of halves are exact."""
+    c = v * 134217729.0                         # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _round_near_tie(a, y, e):
+    """``(D, ok)``: ``a 10^(9 - e)`` rounded to the nearest integer where
+    ``ok``, for the values whose product ``y`` the bound of
+    :func:`_decimal` leaves too near a tie.
+
+    With the power as the double-double ``p + p_lo``, the product of ``a``
+    and ``p`` is exactly ``y + err`` (Dekker's product of split halves), so
+    ``a 10^(9 - e) - floor(y) - 1/2`` is ``r = (y - floor(y) - 1/2) + (err
+    + a p_lo)`` to within ``2^-103 y``; the first sum is exact.  Its sign
+    decides where ``|r|`` exceeds ``2^-100 y``; nearer than that, at an
+    exact tie above all, ``ok`` is false and ``%`` decides.
+    """
+    k = _POW0 + 9 - e
+    p = _POW10[k]
+    (a1, a2), (p1, p2) = _split(a), _split(p)
+    err = ((a1 * p1 - y) + a1 * p2 + a2 * p1) + a2 * p2
+    whole = np.floor(y)
+    r = (y - whole - 0.5) + (err + a * _POW10_LO[k])
+    margin = y * 2.0 ** -100
+    return whole + (r > margin), np.abs(r) > margin
+
+
+def _decimal(a):
+    """The ten significant digits of ``%.9e`` for the absolute values
+    ``a``, as ``(D, e, ok)``: where ``ok``, ``a`` rounds to the integer
+    ``D`` in ``[1e9, 1e10)`` times ``10^(e - 9)`` (``D = e = 0`` for a
+    zero), as ``%`` rounds it: to the nearest, a tie to even.
+
+    ``e = floor(log10 a)``, moved by one where ``y = a 10^(9 - e)`` is not
+    in ``[1e9, 1e10)``.  With the correctly rounded power of the table,
+    ``y`` is within ``2^-52 y`` of the exact ``a 10^(9 - e)``, and forming
+    ``y + 0.5`` and then ``y + 0.5 -+ b``, ``b = 2^-50 y``, rounds by at
+    most ``2^-52 y`` each (``b`` is at least four ulps of ``y``).  So the
+    exact value plus one half lies strictly inside the two, and where their
+    floors agree that floor is the rounded ``D``: no decimal tie, which
+    ``%`` would round to even, is that near.  An exact power of ten has
+    ``y = 1e9`` exactly and passes.  The few values within ``b`` of a tie,
+    about one in 10^5 of random digits, go to :func:`_round_near_tie`.
+    ``ok`` is false where that leaves the rounding open (at exact ties),
+    for NaN and the infinities, and for nonzero magnitudes outside
+    ``[_LOW, _HIGH]``, subnormals among them.
+    """
+    normal = (a >= _LOW) & (a <= _HIGH)
+    kernel = normal | (a == 0.0)
+    a = np.where(normal, a, 0.0)
+    e = np.floor(np.log10(np.where(normal, a, 1.0))).astype(np.intp)
+    y = a * _POW10[_POW0 + 9 - e]
+    off = normal & ((y < 1e9) | (y >= 1e10))
+    if off.any():
+        e[off] += np.where(y[off] < 1e9, -1, 1)
+        y[off] = a[off] * _POW10[_POW0 + 9 - e[off]]
+    h = y + 0.5
+    b = y * 2.0 ** -50
+    D = np.floor(h)
+    near = np.floor(h - b) != np.floor(h + b)
+    ok = kernel & ~near
+    if near.any():
+        D[near], ok[near] = _round_near_tie(a[near], y[near], e[near])
+    D[~ok] = 0.0
+    carry = D == 1e10
+    D[carry] = 1e9
+    e[carry] += 1
+    return D, e, ok
+
+
+def _float_rows(x):
+    """The text of the rows of the 2-D float block ``x``, each value as
+    ``%.9e``, blank-separated, a newline after each row."""
+    x = np.asarray(x, dtype=np.float64)
+    D, e, ok = _decimal(np.abs(x))
+    lead = np.floor(D / 1e8)                    # the first two digits
+    rest = (D - lead * 1e8).astype(np.uint32)   # the last eight
+    quad = rest // 10000
+    head = lead.astype(np.intp)
+    head[np.signbit(x)] += 100
+    e += _EXP0
+    slots = np.empty(x.shape + (5,), dtype=np.uint32)
+    slots[..., 0] = _HEAD[head]
+    slots[..., 1] = np.take(_QUAD, quad)
+    slots[..., 2] = np.take(_QUAD, rest - 10000 * quad)
+    slots[..., 3] = np.take(_EXP, e)
+    slots[:, :-1, 4] = np.take(_BLANK, e[:, :-1])
+    slots[:, -1, 4] = np.take(_NEWLINE, e[:, -1])
+    bad = ~ok
+    if bad.any():
+        last = np.nonzero(bad)[1] == x.shape[1] - 1
+        slots[bad] = _ascii([b"%.9e%s" % (v, b"\n" if end else b" ")
+                             for v, end in zip(x[bad].tolist(), last)], 20)
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _cell_rows(triangles):
+    """The text of the rows of the 2-D integer block ``triangles``, each
+    ``3 i j k`` with the ids as ``%d``.  The digits of ids below ``2^32``
+    come from uint32 division by ten, for as many digits as the largest
+    has; other ids take ``%``."""
+    prefix = b"3 "
+    ids = np.asarray(triangles)
+    rows, cols = ids.shape
+    ok = (ids >= 0) & (ids < 2 ** 32)
+    v = np.where(ok, ids, 0).astype(np.uint32)
+    bad = ~ok
+    texts = [b"%d" % i for i in ids[bad].tolist()]
+    width = max([len(str(v.max()))] + [len(t) for t in texts])
+    line = np.empty((rows, len(prefix) + cols * (width + 1)), dtype=np.uint8)
+    line[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    slots = line[:, len(prefix):].reshape(rows, cols, width + 1)
+    slots[..., width] = ord(" ")
+    slots[:, -1, width] = ord("\n")
+    q = v // 10
+    slots[..., width - 1] = v - 10 * q + ord("0")
+    for k in range(width - 2, -1, -1):
+        v, q = q, q // 10
+        # a NUL for a leading zero
+        slots[..., k] = np.where(v > 0, v - 10 * q + ord("0"), 0)
+    if texts:
+        slots[bad, :width] = np.array(texts, dtype=f"S{width}").view(
+            np.uint8).reshape(-1, width)
+    return line.tobytes().translate(None, b"\0")
+
+
+def _fallbacks(values):
+    """How many of ``values`` the snapshot text formats with ``%`` rather
+    than by the kernel: floats that :func:`_decimal` does not prove,
+    integers outside ``[0, 2^32)``."""
     values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return int(np.count_nonzero(~_decimal(np.abs(values))[2]))
+    return int(np.count_nonzero((values < 0) | (values >= 2 ** 32)))
+
+
+def _write_rows(fh, text, values):
+    """Write the rows of ``values`` (a 1-D array is one column) as the
+    ``text`` of blocks of ``ROW_BLOCK`` rows."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
     for start in range(0, len(values), ROW_BLOCK):
-        block = values[start:start + ROW_BLOCK]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(text(values[start:start + ROW_BLOCK]))
 
 
 def write_snapshot(snap, directory):
@@ -227,21 +422,22 @@ def write_snapshot(snap, directory):
                 raise ValueError(f"{kind.lower()} field {name!r} not bound "
                                  "to this mesh")
     path = prepare_output(directory) / f"snapshot_{snap.step:06d}.vtk"
-    with path.open("w") as fh:
+    with path.open("wb") as fh:
         fh.write("# vtk DataFile Version 3.0\n"
                  f"fracture state step {snap.step} time {_fmt(snap.time)}\n"
                  "ASCII\nDATASET UNSTRUCTURED_GRID\n"
-                 f"POINTS {nv} double\n")
-        _write_rows(fh, "%.9e %.9e %.9e\n",
+                 f"POINTS {nv} double\n".encode())
+        _write_rows(fh, _float_rows,
                     np.column_stack([mesh.vertices, np.zeros(nv)]))
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
-        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        fh.write(f"CELLS {nt} {4 * nt}\n".encode())
+        _write_rows(fh, _cell_rows, mesh.triangles)
+        fh.write(f"CELL_TYPES {nt}\n".encode() + b"5\n" * nt)
         for kind, size, fields in sections:
-            fh.write(f"{kind}_DATA {size}\n")
+            fh.write(f"{kind}_DATA {size}\n".encode())
             for name, values in fields.items():
-                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                _write_rows(fh, "%.9e\n", values)
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                         .encode())
+                _write_rows(fh, _float_rows, values)
     return path
 
 

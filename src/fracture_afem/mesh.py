@@ -115,12 +115,13 @@ def derived(owner, key, build):
 
 def element_means(values, triangles):
     """Per-triangle mean of nodal ``values`` (one row per vertex: a field,
-    or the coordinates), ``(x0 + x1 + x2) / 3`` over the corners.  These
-    are the additions and the division of ``values[triangles].mean(axis=1)``
-    in its order, so the bits are the same, at about a quarter of its cost;
-    :mod:`.fem` exports it."""
-    x = values[triangles]
-    return (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0
+    or the coordinates), ``(x0 + x1 + x2) / 3`` over the corners, each
+    gathered by its column of ``triangles``.  These are the additions and
+    the division of ``values[triangles].mean(axis=1)`` in its order, so the
+    bits are the same, at about a quarter of its cost; :mod:`.fem` exports
+    it."""
+    x0, x1, x2 = (values[triangles[:, k]] for k in range(3))
+    return (x0 + x1 + x2) / 3.0
 
 
 def corners(mesh):

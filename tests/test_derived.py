@@ -15,8 +15,8 @@ from fracture_afem.estimator import _geometry, estimate
 from fracture_afem.fem import FeFunction, element_data, unit_mass
 from fracture_afem.mesh import (InitialGrid, Mesh, _first_use, adapt,
                                 build_initial_mesh, derived, element_means,
-                                stable_sort)
-from fracture_afem.multigrid import mesh_prolongation
+                                grid_weights, stable_sort)
+from fracture_afem.multigrid import _hierarchy, entry_level, mesh_prolongation
 from fracture_afem.phasefield import phasefield_system, reaction_weight
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracture_afem"
@@ -227,6 +227,17 @@ def element_residual_oracle(u, v, mesh, params):
     return h ** 2 * (mesh.signed_areas() / 3.0) * sq.sum(axis=1)
 
 
+def prolongation_oracle(coarse, fine):
+    """``(P, P^T)`` from COO triplets of the grid weights, which scipy
+    converts to CSR with a sort of every row."""
+    cols, w = grid_weights(coarse, fine)
+    keep = w > 0.0
+    rows = np.repeat(np.arange(fine.n_vertices), 3).reshape(-1, 3)
+    P = sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
+                      shape=(fine.n_vertices, coarse.n_vertices))
+    return P, P.T.tocsr()
+
+
 def first_use_oracle(keys):
     """Each key's number in the order of first appearance, and the flags
     of first appearances, from ``np.unique``."""
@@ -261,6 +272,11 @@ def test_builders_equal_the_formulas_they_replaced(chain):
         params = SimpleNamespace(mu=1.3, kappa=1e-10, nu_pf=0.7, rho_pf=0.0)
         assert_same(estimate(u, v, mesh, params).r2,
                     element_residual_oracle(u, v, mesh, params))
+        coarse = _hierarchy(mesh.grid, entry_level(mesh))[0][0]
+        for got, want in zip(mesh_prolongation(mesh),
+                             prolongation_oracle(coarse, mesh)):
+            for name in ("data", "indices", "indptr"):
+                assert_same(getattr(got, name), getattr(want, name))
         # the above-slit test of grid_weights reads the mean of y alone
         pts, t = mesh.vertices, mesh.triangles
         assert_same(element_means(pts[:, 1], t), element_means(pts, t)[:, 1])

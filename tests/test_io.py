@@ -403,10 +403,25 @@ def per_line_snapshot(snap):
     return "\n".join(lines) + "\n"
 
 
-EDGE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
-                     np.finfo(float).max, 0.5, 1.0 - 2.0 ** -53]),
-    st.floats(allow_nan=False, allow_infinity=False))
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+               np.finfo(float).max, 0.5, 1.0 - 2.0 ** -53,
+               # exact powers of ten, and the nearest doubles
+               1.0, 1e-5, 1e22, 1e23,
+               # binary-exact decimal ties at the tenth digit
+               12345678905.0, 20000000005.0,
+               # next to the carry into the exponent
+               9.9999999995, 9.99999999949999,
+               # 1.8e-17 below a tie (a displacement of the paper64 run)
+               0.08604156276499998,
+               # three-digit exponents
+               1e-100, 1e100, 1e-300,
+               float("nan"), float("inf"), -float("inf")]
+EDGE_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+# the digit-count edges of the kernel's ids, and its 2^32 limit
+EDGE_IDS = st.one_of(st.sampled_from([0, 9, 10, 2 ** 32 - 1, 2 ** 32]),
+                     st.integers(0, 10 ** 6), st.integers(0, 2 ** 63 - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,8 +436,7 @@ def test_whole_array_writer_equals_per_line_reference(tmp_path_factory, data):
                                            max_size=n)),
                         dtype=np.float64).reshape(shape)
 
-    ids = data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=3 * nt,
-                             max_size=3 * nt))
+    ids = data.draw(st.lists(EDGE_IDS, min_size=3 * nt, max_size=3 * nt))
     mesh = SimpleNamespace(vertices=floats(nv, 2),
                            triangles=np.array(ids, dtype=np.int64).reshape(
                                nt, 3),
@@ -436,6 +450,44 @@ def test_whole_array_writer_equals_per_line_reference(tmp_path_factory, data):
         mp.setattr(fio, "ROW_BLOCK", 3)
         path = fio.write_snapshot(snap, tmp_path_factory.mktemp("snap"))
     assert path.read_text() == per_line_snapshot(snap)
+
+
+def test_determinism_snapshots_take_the_kernel_for_every_value(
+        tmp_path, monkeypatch):
+    snaps = []
+    write = fio.write_snapshot
+
+    def keep(snap, directory):
+        snaps.append(snap)
+        return write(snap, directory)
+
+    monkeypatch.setattr(fio, "write_snapshot", keep)
+    cfg = RunConfig.with_defaults(n0=8, n_steps=12, t_final=5.0)
+    cfg.output.directory = str(tmp_path)
+    cfg.output.snapshot_every = 4
+    run(cfg)
+    assert [snap.step for snap in snaps] == [1, 4, 8, 12]
+    for snap in snaps:
+        arrays = [snap.mesh.vertices, snap.mesh.triangles,
+                  *snap.point_fields.values(), *snap.cell_fields.values()]
+        assert [fio._fallbacks(a) for a in arrays] == [0] * len(arrays)
+
+
+def test_kernel_formats_each_edge_value_as_percent():
+    # every edge value in every column of a row, so that each takes the
+    # last column's newline as well as a blank
+    values = np.array(EDGE_VALUES)
+    rows = np.column_stack([np.roll(values, k) for k in range(3)])
+    assert fio._float_rows(rows).decode() == "".join(
+        "%.9e %.9e %.9e\n" % tuple(row) for row in rows.tolist())
+    ids = np.array([[0, 9, 10], [2 ** 32 - 1, 2 ** 32, 99]])
+    assert fio._cell_rows(ids) == b"3 0 9 10\n3 4294967295 4294967296 99\n"
+    assert fio._fallbacks(ids) == 1
+    # % formats the two ties, NaN, the infinities and the magnitudes
+    # outside the kernel's range: the subnormals, 1e-300, 1e300 and the
+    # largest double; the two values next to a tie are the kernel's
+    assert fio._fallbacks(values) == 11
+    assert fio._fallbacks([9.9999999995, 0.08604156276499998]) == 0
 
 
 def test_stress_proxy_of_uniform_gradient():

@@ -96,3 +96,21 @@ def test_setup_cost_prints_one_row_per_builder(src_env):
     assert abs(ms[5] - sum(ms[:5])) <= 0.01
     # every row times the same final mesh
     assert len({(row[3], row[4]) for row in rows}) == 1
+
+
+def test_snapshot_cost_times_both_calls_on_the_final_state(src_env):
+    out = subprocess.run([sys.executable, str(SCRIPTS / "snapshot_cost.py"),
+                          "-n", "2", "determinism"], env=src_env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    rows = [re.fullmatch(r"(\w+) +([0-9.]+) ms", line) for line in lines[:2]]
+    assert all(rows), out.stdout
+    assert [row[1] for row in rows] == ["make_snapshot", "write_snapshot"]
+    assert all(float(row[2]) > 0.0 for row in rows)
+    # the kernel formats every value of the final snapshot
+    tail = re.fullmatch(r"([0-9,]+) bytes, ([0-9,]+) values formatted by %, "
+                        r"([0-9,]+) dofs, ([0-9,]+) triangles", lines[2])
+    assert tail, out.stdout
+    assert int(tail[1].replace(",", "")) > 0
+    assert tail[2] == "0" and len(lines) == 3
