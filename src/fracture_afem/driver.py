@@ -647,28 +647,30 @@ def run(cfg, on_step=None):
                                     for w in first.warnings]
                 est = estimate(state.u_curr, state.v, state.mesh,
                                cfg.material)
+            phase = "energies"
+            report = energies(state, cfg.material, est, time=t_n, step=n)
+            _finish_record(rec, state, report)
+            # discrete dissipation ledger: E_n <= E_{n-1} + boundary work
+            rec.ledger_slack = report.total - prev_energy - rec.boundary_work
+            dsurf = report.surface - records[-1].report.surface
+            if dsurf < -1e-10 * max(1.0, abs(report.surface)) \
+                    and rec.clamp_changes == 0:
+                rec.warnings.append(
+                    f"surface energy decreased by {dsurf:.3e} at step {n} "
+                    "without clamping")
+            records.append(rec)
+            if first_pin is None and state.crack.ids.size:
+                first_pin = (n, state.mesh.vertices[state.crack.ids].copy())
+
+            phase = "output"
+            fio.write_energy_trace([report], trace)
+            if cfg.output.snapshot_every > 0 \
+                    and n % cfg.output.snapshot_every == 0:
+                fio.write_snapshot(fio.make_snapshot(state, est, cfg, n, t_n),
+                                   out_dir)
         except Exception as exc:
             raise RuntimeError(
                 f"run aborted at step {n} during {phase} ({exc})") from exc
-
-        report = energies(state, cfg.material, est, time=t_n, step=n)
-        _finish_record(rec, state, report)
-        # discrete dissipation ledger: E_n <= E_{n-1} + boundary work
-        rec.ledger_slack = report.total - prev_energy - rec.boundary_work
-        dsurf = report.surface - records[-1].report.surface
-        if dsurf < -1e-10 * max(1.0, abs(report.surface)) \
-                and rec.clamp_changes == 0:
-            rec.warnings.append(
-                f"surface energy decreased by {dsurf:.3e} at step {n} "
-                "without clamping")
-        records.append(rec)
-        if first_pin is None and state.crack.ids.size:
-            first_pin = (n, state.mesh.vertices[state.crack.ids].copy())
-
-        fio.write_energy_trace([report], trace)
-        if cfg.output.snapshot_every > 0 and n % cfg.output.snapshot_every == 0:
-            fio.write_snapshot(fio.make_snapshot(state, est, cfg, n, t_n),
-                               out_dir)
         if on_step is not None:
             on_step(state, est, report, rec)
         prev_energy = report.total

@@ -127,7 +127,11 @@ def dorfler_mark(est, theta):
 
 def fraction_mark(est, refine_frac, coarsen_frac):
     """Top ``ceil(refine_frac N)`` marked for refinement, bottom
-    ``floor(coarsen_frac N)`` for coarsening, from one deterministic order."""
+    ``floor(coarsen_frac N)`` for coarsening, from one deterministic order.
+
+    The coarsening count is capped at the cells left unrefined: rounding
+    can make the two counts sum past ``N`` (``ceil(0.14 * 50)`` is 8, with
+    43 for ``0.86``), and the sets must be disjoint."""
     for fr in (refine_frac, coarsen_frac):
         if not 0.0 <= fr <= 1.0:
             raise ValueError("fractions must lie in [0, 1]")
@@ -136,7 +140,7 @@ def fraction_mark(est, refine_frac, coarsen_frac):
     n = len(est.r2)
     order = np.lexsort((np.arange(n), -est.r2))
     n_ref = int(np.ceil(refine_frac * n)) if refine_frac > 0 else 0
-    n_coa = int(np.floor(coarsen_frac * n))
+    n_coa = min(int(np.floor(coarsen_frac * n)), n - n_ref)
     refine = np.sort(order[:n_ref])
     coarsen = np.sort(order[n - n_coa:]) if n_coa else np.empty(0, np.int64)
     return refine, coarsen

@@ -6,9 +6,10 @@ the offending line number, so a typo cannot silently fall back to a
 default.  Snapshots are legacy-ASCII unstructured-grid files with fixed
 ``%.9e`` float formatting, byte-deterministic for identical inputs.  Their
 text comes from a vectorized kernel that writes the bytes ``%.9e`` and
-``%d`` would, value for value; ``%`` itself formats only the values the
-kernel cannot prove: exact decimal ties, NaN, the infinities, magnitudes
-outside ``[1e-290, 1e299]`` and ids outside ``[0, 2^32)``.
+``%d`` would, value for value; ``%`` itself formats only the floats the
+kernel cannot prove (those near a decimal tie, NaN, the infinities,
+magnitudes outside ``[1e-290, 1e299]``) and every block of rows that
+holds an id outside ``[0, 10^8)``.
 """
 
 from __future__ import annotations
@@ -204,26 +205,14 @@ ROW_BLOCK = 4096
 # Snapshot text.  Every value gets a fixed-width slot of ASCII bytes with
 # NULs where its text is shorter (no sign, a two-digit exponent, a short
 # id); a block's slots are joined and the NULs deleted in one pass, which
-# leaves the text of ``%.9e`` and ``%d`` byte for byte.  A value the kernel
-# cannot prove it formats exactly is formatted into its slot by ``%``.
+# leaves the text of ``%.9e`` and ``%d`` byte for byte.  A float the kernel
+# cannot prove it formats exactly is formatted into its slot by ``%``, and a
+# block of ids that holds one it cannot write is formatted by ``%`` whole.
 
 _POW0 = 300                 # _POW10[_POW0 + k] is 10^k, correctly rounded
 _POW10 = np.array([float(f"1e{k}") for k in range(-_POW0, 309)])
-
-
-def _residue(k, p):
-    """``10^k - p``, correctly rounded, for the double ``p`` nearest
-    ``10^k``: integer arithmetic, and one rounding in the division."""
-    n, d = p.as_integer_ratio()
-    t = 10 ** abs(k)
-    return (t * d - n) / d if k >= 0 else (d - n * t) / (d * t)
-
-
-# the rest of each power: _POW10 + _POW10_LO is 10^k as a double-double
-_POW10_LO = np.array([_residue(k, p) for k, p in
-                      zip(range(-_POW0, 309), _POW10.tolist())])
-# the kernel's range of magnitudes: there Veltkamp's split of a value and
-# of its power 10^(9 - e) stays finite
+# the kernel's range of magnitudes: there ``9 - e``, with ``e`` moved by
+# one either way, stays an index of the power table
 _LOW, _HIGH = 1e-290, 1e299
 
 
@@ -254,36 +243,6 @@ _EXP, _BLANK = _exponents(b" ")
 _NEWLINE = _exponents(b"\n")[1]
 
 
-def _split(v):
-    """Veltkamp's split of the doubles ``v``: ``hi + lo = v`` exactly, each
-    with at most 26 significant bits, so products of halves are exact."""
-    c = v * 134217729.0                         # 2^27 + 1
-    hi = c - (c - v)
-    return hi, v - hi
-
-
-def _round_near_tie(a, y, e):
-    """``(D, ok)``: ``a 10^(9 - e)`` rounded to the nearest integer where
-    ``ok``, for the values whose product ``y`` the bound of
-    :func:`_decimal` leaves too near a tie.
-
-    With the power as the double-double ``p + p_lo``, the product of ``a``
-    and ``p`` is exactly ``y + err`` (Dekker's product of split halves), so
-    ``a 10^(9 - e) - floor(y) - 1/2`` is ``r = (y - floor(y) - 1/2) + (err
-    + a p_lo)`` to within ``2^-103 y``; the first sum is exact.  Its sign
-    decides where ``|r|`` exceeds ``2^-100 y``; nearer than that, at an
-    exact tie above all, ``ok`` is false and ``%`` decides.
-    """
-    k = _POW0 + 9 - e
-    p = _POW10[k]
-    (a1, a2), (p1, p2) = _split(a), _split(p)
-    err = ((a1 * p1 - y) + a1 * p2 + a2 * p1) + a2 * p2
-    whole = np.floor(y)
-    r = (y - whole - 0.5) + (err + a * _POW10_LO[k])
-    margin = y * 2.0 ** -100
-    return whole + (r > margin), np.abs(r) > margin
-
-
 def _decimal(a):
     """The ten significant digits of ``%.9e`` for the absolute values
     ``a``, as ``(D, e, ok)``: where ``ok``, ``a`` rounds to the integer
@@ -298,11 +257,10 @@ def _decimal(a):
     exact value plus one half lies strictly inside the two, and where their
     floors agree that floor is the rounded ``D``: no decimal tie, which
     ``%`` would round to even, is that near.  An exact power of ten has
-    ``y = 1e9`` exactly and passes.  The few values within ``b`` of a tie,
-    about one in 10^5 of random digits, go to :func:`_round_near_tie`.
-    ``ok`` is false where that leaves the rounding open (at exact ties),
-    for NaN and the infinities, and for nonzero magnitudes outside
-    ``[_LOW, _HIGH]``, subnormals among them.
+    ``y = 1e9`` exactly and passes.  ``ok`` is false, and ``%`` formats
+    the value, within ``b`` of a tie (about one in 10^5 of random digits,
+    exact ties among them), for NaN and the infinities, and for nonzero
+    magnitudes outside ``[_LOW, _HIGH]``, subnormals among them.
     """
     normal = (a >= _LOW) & (a <= _HIGH)
     kernel = normal | (a == 0.0)
@@ -316,11 +274,7 @@ def _decimal(a):
     h = y + 0.5
     b = y * 2.0 ** -50
     D = np.floor(h)
-    near = np.floor(h - b) != np.floor(h + b)
-    ok = kernel & ~near
-    if near.any():
-        D[near], ok[near] = _round_near_tie(a[near], y[near], e[near])
-    D[~ok] = 0.0
+    ok = kernel & (np.floor(h - b) == np.floor(h + b))
     carry = D == 1e10
     D[carry] = 1e9
     e[carry] += 1
@@ -353,44 +307,51 @@ def _float_rows(x):
     return slots.tobytes().translate(None, b"\0")
 
 
+# an id's two words: its high four digits as ``%d``, nothing for none; its
+# low four from _QUAD after a high word, else as ``%d``
+_DIGITS = np.arange(10000).astype("S4").view(np.uint32)
+_LEAD = np.where(np.arange(10000) > 0, _DIGITS, 0)
+_CELL, _SPACE, _LINE = _ascii([b"3 ", b" ", b"\n"], 4)[:, 0]
+
+
 def _cell_rows(triangles):
     """The text of the rows of the 2-D integer block ``triangles``, each
-    ``3 i j k`` with the ids as ``%d``.  The digits of ids below ``2^32``
-    come from uint32 division by ten, for as many digits as the largest
-    has; other ids take ``%``."""
-    prefix = b"3 "
+    ``3 i j k`` with the ids as ``%d``: an id in ``[0, 10^8)`` as two words
+    of digits; a block that holds any other id is formatted by ``%``."""
     ids = np.asarray(triangles)
     rows, cols = ids.shape
-    ok = (ids >= 0) & (ids < 2 ** 32)
-    v = np.where(ok, ids, 0).astype(np.uint32)
-    bad = ~ok
-    texts = [b"%d" % i for i in ids[bad].tolist()]
-    width = max([len(str(v.max()))] + [len(t) for t in texts])
-    line = np.empty((rows, len(prefix) + cols * (width + 1)), dtype=np.uint8)
-    line[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    slots = line[:, len(prefix):].reshape(rows, cols, width + 1)
-    slots[..., width] = ord(" ")
-    slots[:, -1, width] = ord("\n")
-    q = v // 10
-    slots[..., width - 1] = v - 10 * q + ord("0")
-    for k in range(width - 2, -1, -1):
-        v, q = q, q // 10
-        # a NUL for a leading zero
-        slots[..., k] = np.where(v > 0, v - 10 * q + ord("0"), 0)
-    if texts:
-        slots[bad, :width] = np.array(texts, dtype=f"S{width}").view(
-            np.uint8).reshape(-1, width)
+    if not _ids_fit(ids):
+        return (b"3" + b" %d" * cols + b"\n") * rows % tuple(
+            ids.ravel().tolist())
+    high, low = np.divmod(ids.astype(np.uint32), 10000)
+    line = np.empty((rows, 1 + 3 * cols), dtype=np.uint32)
+    line[:, 0] = _CELL
+    words = line[:, 1:].reshape(rows, cols, 3)
+    words[..., 0] = np.take(_LEAD, high)
+    words[..., 1] = np.where(high > 0, np.take(_QUAD, low),
+                             np.take(_DIGITS, low))
+    words[..., 2] = _SPACE
+    words[:, -1, 2] = _LINE
     return line.tobytes().translate(None, b"\0")
+
+
+def _ids_fit(ids):
+    """Whether the kernel writes the block of ids ``ids``: all in ``[0,
+    10^8)``."""
+    return ids.size == 0 or (ids.min() >= 0 and ids.max() < 10 ** 8)
 
 
 def _fallbacks(values):
     """How many of ``values`` the snapshot text formats with ``%`` rather
-    than by the kernel: floats that :func:`_decimal` does not prove,
-    integers outside ``[0, 2^32)``."""
+    than by the kernel: floats that :func:`_decimal` does not prove, and
+    every id of a block of ``ROW_BLOCK`` rows that holds an id outside
+    ``[0, 10^8)``."""
     values = np.asarray(values)
     if values.dtype.kind == "f":
         return int(np.count_nonzero(~_decimal(np.abs(values))[2]))
-    return int(np.count_nonzero((values < 0) | (values >= 2 ** 32)))
+    blocks = (values[i:i + ROW_BLOCK] for i in range(0, len(values),
+                                                     ROW_BLOCK))
+    return sum(block.size for block in blocks if not _ids_fit(block))
 
 
 def _write_rows(fh, text, values):

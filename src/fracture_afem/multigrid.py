@@ -77,24 +77,13 @@ OMEGA = 0.7             # Jacobi damping
 def _prolongation(coarse, fine):
     """``(P, P^T)``, CSR, where ``P`` is the P1 interpolation from the grid
     mesh ``coarse`` at the vertices of the mesh ``fine``, with the weights
-    of :func:`~fracture_afem.mesh.grid_weights`.
-
-    A row of ``P`` holds the positive weights of its vertex, their three
-    distinct columns put in order by three compare-exchanges: the arrays of
-    scipy's COO to CSR conversion, without its sort of every row."""
+    of :func:`~fracture_afem.mesh.grid_weights`: COO triplets of each
+    vertex's positive weights, which scipy sorts into rows."""
     cols, w = grid_weights(coarse, fine)
-    c, v = list(cols.T), list(w.T)
-    for i, j in ((0, 1), (1, 2), (0, 1)):
-        swap = c[i] > c[j]
-        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
-        v[i], v[j] = np.where(swap, v[j], v[i]), np.where(swap, v[i], v[j])
-    w = np.column_stack(v)
     keep = w > 0.0
-    count = keep.view(np.uint8)
-    indptr = np.zeros(fine.n_vertices + 1, dtype=np.int32)
-    np.cumsum(count[:, 0] + count[:, 1] + count[:, 2], out=indptr[1:])
-    P = sp.csr_matrix((w[keep], np.column_stack(c).astype(np.int32)[keep],
-                       indptr), shape=(fine.n_vertices, coarse.n_vertices))
+    rows = np.repeat(np.arange(fine.n_vertices), 3).reshape(-1, 3)
+    P = sp.csr_matrix((w[keep], (rows[keep], cols[keep])),
+                      shape=(fine.n_vertices, coarse.n_vertices))
     return P, P.T.tocsr()
 
 

@@ -569,6 +569,23 @@ def test_aborted_run_leaves_finished_rows_on_disk(tmp_path, monkeypatch):
     assert full[:len(aborted)] == aborted
 
 
+def test_failure_in_energies_names_its_step(tmp_path, monkeypatch):
+    cfg = quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0)
+    energies = driver.energies
+
+    def failing_energies(*args, **kwargs):
+        if kwargs["step"] == 3:
+            raise FloatingPointError("injected failure")
+        return energies(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "energies", failing_energies)
+    with pytest.raises(RuntimeError,
+                       match="aborted at step 3 during energies"):
+        run(cfg)
+    trace = (tmp_path / "out" / "energies.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in trace[1:]] == [1, 2]
+
+
 def test_records_count_every_solve_of_an_adapted_step(tmp_path,
                                                       monkeypatch):
     # the records, with the solve an adaptation replaced, account for every

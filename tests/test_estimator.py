@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from fracture_afem.driver import MarkingConfig
 from fracture_afem.dynamics import MaterialParams
 from fracture_afem.fem import FeFunction, element_data, transfer
 from fracture_afem.mesh import adapt, build_initial_mesh, geometry
@@ -208,6 +211,32 @@ def test_fraction_tie_break_and_disjoint():
         assert len(rr) == int(np.ceil(fr * n)) if fr > 0 else len(rr) == 0
         assert len(cc) == int(np.floor(fc * n))
         assert np.intersect1d(rr, cc).size == 0
+
+
+@st.composite
+def accepted_fractions(draw):
+    """``(refine_fraction, coarsen_fraction)`` that ``MarkingConfig``
+    accepts, often summing to one."""
+    fr = draw(st.floats(0.0, 1.0))
+    fc = draw(st.one_of(st.just(1.0 - fr), st.floats(0.0, 1.0 - fr)))
+    try:
+        MarkingConfig(refine_fraction=fr, coarsen_fraction=fc)
+    except ValueError:
+        assume(False)
+    return fr, fc
+
+
+@settings(max_examples=200, deadline=None)
+@example((0.14, 0.86), 50)
+@given(accepted_fractions(), st.integers(1, 200))
+def test_fraction_sets_disjoint_for_accepted_fractions(fractions, n):
+    fr, fc = fractions
+    r2 = np.random.default_rng(n).uniform(0, 1, n)
+    rr, cc = fraction_mark(field(r2), fr, fc)
+    n_ref = int(np.ceil(fr * n)) if fr > 0 else 0
+    assert len(rr) == n_ref
+    assert len(cc) == min(int(np.floor(fc * n)), n - n_ref)
+    assert np.intersect1d(rr, cc).size == 0
 
 
 def test_fraction_validation():

@@ -419,8 +419,11 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
 EDGE_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES),
                         st.floats(allow_nan=False, allow_infinity=False))
 
-# the digit-count edges of the kernel's ids, and its 2^32 limit
-EDGE_IDS = st.one_of(st.sampled_from([0, 9, 10, 2 ** 32 - 1, 2 ** 32]),
+# the digit-count edges of the kernel's ids, the edges of its two words,
+# its 10^8 limit, and ids that % formats: 2^32 and a negative id
+EDGE_IDS = st.one_of(st.sampled_from([0, 9, 10, 9999, 10000, 10001,
+                                      99999999, 10 ** 8, 2 ** 32 - 1,
+                                      2 ** 32, -1]),
                      st.integers(0, 10 ** 6), st.integers(0, 2 ** 63 - 1))
 
 
@@ -482,12 +485,19 @@ def test_kernel_formats_each_edge_value_as_percent():
         "%.9e %.9e %.9e\n" % tuple(row) for row in rows.tolist())
     ids = np.array([[0, 9, 10], [2 ** 32 - 1, 2 ** 32, 99]])
     assert fio._cell_rows(ids) == b"3 0 9 10\n3 4294967295 4294967296 99\n"
-    assert fio._fallbacks(ids) == 1
-    # % formats the two ties, NaN, the infinities and the magnitudes
-    # outside the kernel's range: the subnormals, 1e-300, 1e300 and the
-    # largest double; the two values next to a tie are the kernel's
-    assert fio._fallbacks(values) == 11
-    assert fio._fallbacks([9.9999999995, 0.08604156276499998]) == 0
+    # a block with an id outside [0, 10^8) is formatted by % as a whole
+    assert fio._fallbacks(ids) == 6
+    kernel = [[0, 9, 10], [9999, 10000, 10001], [99999999, 0, 12345678]]
+    for block in (kernel, [[10 ** 8, 9999, 10000]], [[-1, 0, 10001]],
+                  kernel + [[5, -7, 99999999]]):
+        assert fio._cell_rows(np.array(block)) == b"".join(
+            b"3 %d %d %d\n" % tuple(row) for row in block)
+    assert fio._fallbacks(np.array(kernel)) == 0
+    # % formats the two ties, the two values next to a tie, NaN, the
+    # infinities and the magnitudes outside the kernel's range: the
+    # subnormals, 1e-300, 1e300 and the largest double
+    assert fio._fallbacks(values) == 13
+    assert fio._fallbacks([9.9999999995, 0.08604156276499998]) == 2
 
 
 def test_stress_proxy_of_uniform_gradient():
