@@ -8,7 +8,8 @@ temporary directory), then times each builder of the per-mesh data on the
 run's final mesh:
 
 - ``Mesh``: the constructor, from copies of the mesh's primary arrays
-  (edges, areas, boundary labels and the validation);
+  (edges, areas, boundary labels, the validation and the check of the
+  newest-vertex level rule);
 - ``element_data``, ``unit_mass``, estimator geometry (the
   ``"estimator"`` entry of the mesh cache) and the multigrid
   prolongation (``mesh_prolongation``);

@@ -5,7 +5,11 @@ a horizontal slit whose vertices are duplicated so that nodal fields may
 jump across the two crack faces.  Refinement is newest-vertex bisection with
 conformity closure; coarsening merges complete sibling pairs back into their
 parent, found in one scan that pairs each triangle around a removable peak
-with its counterclockwise successor there.  Meshes are immutable after
+with its counterclockwise successor there.  Each triangle's level counts
+its bisections from the initial mesh, and the levels keep the newest-vertex
+rule of Stevenson, Math. Comp. 77 (2008), which :class:`Mesh` checks; under
+it the level cap needs nothing but the skipping of requests at the cap, as
+the closure never reaches a capped triangle.  Meshes are immutable after
 construction: :func:`adapt` returns a new generation and records enough
 provenance for nodal transfer between generations.  :func:`grid_weights`
 reads the P1 interpolation from a grid mesh at the vertices of another mesh
@@ -91,7 +95,12 @@ def stable_sort(keys):
 
 @dataclass
 class AdaptSummary:
-    """Bookkeeping for one adapt call; nothing here is fatal."""
+    """Bookkeeping for one adapt call; nothing here is fatal.
+
+    ``refined`` counts the triangles bisected, the closure's included, and
+    ``skipped_capped`` the requested triangles at the level cap, which are
+    not bisected.
+    """
 
     requested_refine: int = 0
     refined: int = 0
@@ -222,14 +231,28 @@ class Mesh:
         Counterclockwise vertex ids, peak first (see module docstring).
     levels : (nt,) int array
         Number of bisections separating each triangle from the initial mesh.
+        They keep the newest-vertex rule: a triangle gives its refinement
+        edge its own level and its other two edges one more, and the two
+        triangles of an interior edge give it the same.  So across an edge
+        that is the refinement edge of both its triangles, or of neither,
+        their levels are equal; across one that is the refinement edge of
+        only one, that one is one level finer.
     generation : int
         Monotone id, incremented by every adapt call.
     max_levels : int
-        Cap on ``levels``; refinement beyond it is silently skipped.
+        Cap on ``levels``; a request to refine a triangle at the cap is
+        skipped and counted in :class:`AdaptSummary`.
     grid : InitialGrid
         The initial grid of the adapt chain, a required keyword: every mesh
         has one.  Its sides and slit label the boundary edges, and its
         grids carry the V-cycle's coarse levels.
+
+    Raises
+    ------
+    ValueError
+        If a vertex id, coordinate, area or per-triangle array is out of
+        range, an edge has more than two triangles or a boundary edge no
+        label, or the levels break the newest-vertex rule.
     """
 
     def __init__(self, vertices, triangles, levels, generation=0,
@@ -257,6 +280,17 @@ class Mesh:
         self._cache = {}
         self._validate()
         self._build_edges()
+        # the newest-vertex rule of ``levels``: each triangle writes the
+        # levels it gives its edges, and each must read back what it wrote
+        gen =(self.levels, self.levels + 1, self.levels + 1)
+        edge_gen = np.empty(self.n_edges, dtype=np.int64)
+        for col, g in zip(self.tri_edges.T, gen):
+            edge_gen[col] = g
+        bad = np.flatnonzero(np.logical_or.reduce(
+            [edge_gen[col] != g for col, g in zip(self.tri_edges.T, gen)]))
+        if bad.size:
+            raise ValueError(f"levels break the newest-vertex rule at an edge "
+                             f"of triangle {bad[0]}")
         # conformity: a hanging node leaves a one-triangle edge inside the
         # domain, which has no label
         self._boundary()
@@ -576,39 +610,24 @@ def _id_array(ids):
 
 
 def _closure(mesh, refine_ids, summary):
-    """Edge marks of newest-vertex bisection under the level cap: the veto,
-    read off the levels alone, then the conformity closure over the edges
-    it allows.
+    """Edge marks of newest-vertex bisection under the level cap: the
+    refinement edges of the requested triangles below the cap, then the
+    refinement edge of every triangle with a marked edge, up to the
+    fixpoint.  Requests at the cap are skipped and counted.
 
-    Capped triangles forbid all their edges, triangles one bisection below
-    the cap forbid their non-refinement edges (a second bisection would
-    overshoot), and a triangle whose refinement edge is forbidden cannot
-    bisect at all, so it forbids its own edges too, up to the fixpoint.
-    The closure marks the requested refinement edges the veto allows, then
-    the refinement edge of every triangle with a marked edge.  A triangle
-    with an allowed edge has an allowed refinement edge, so the closure
-    never reaches a forbidden edge.  Forbidding first gives the marks of a
-    closure that forbids as it goes: both keep every allowed request and
-    are closed.  Marks land on refinement edges only, so an edge that is
-    marked and forbidden is forbidden through the refinement edges of both
-    its triangles, and all the closure reaches from it is forbidden too;
-    forbidding as one goes unmarks all of that again.
+    The newest-vertex rule that :class:`Mesh` checks keeps the closure off
+    the cap.  Every marked edge is the refinement edge of a triangle below
+    the cap that marked it, at some level ``l``; the triangle across it is
+    at ``l`` if the edge is its refinement edge too, and at ``l - 1`` if
+    not, so it is below the cap as well and marks its own refinement edge
+    in turn.  So no capped triangle holds a marked edge, and a triangle one
+    level below the cap holds one only as its refinement edge: it bisects
+    once, to the cap, and never twice.
     """
     T = mesh.tri_edges
-    lev = mesh.levels
-    cap = mesh.max_levels
-    forbidden = np.zeros(mesh.n_edges, dtype=bool)
-    forbidden[T[lev >= cap].ravel()] = True
-    forbidden[T[lev == cap - 1, 1:].ravel()] = True
-    while True:
-        stuck = forbidden[T[:, 0]] & ~forbidden[T].all(axis=1)
-        if not stuck.any():
-            break
-        forbidden[T[stuck].ravel()] = True
-
-    want = T[refine_ids, 0]
+    capped = mesh.levels[refine_ids] >= mesh.max_levels
     marked = np.zeros(mesh.n_edges, dtype=bool)
-    marked[want[~forbidden[want]]] = True
+    marked[T[refine_ids[~capped], 0]] = True
     while True:
         m3 = marked[T]
         add = T[m3.any(axis=1) & ~m3[:, 0], 0]
@@ -616,7 +635,7 @@ def _closure(mesh, refine_ids, summary):
             break
         marked[add] = True
 
-    summary.skipped_capped = int(forbidden[want].sum())
+    summary.skipped_capped = int(capped.sum())
     summary.refined = int(marked[T[:, 0]].sum())
     return marked
 
@@ -660,6 +679,21 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     its successor if that is left over too.  Merged parents are appended
     by ascending peak, sibling pairs first (by tag), then the others (by
     right child).
+
+    Every merge keeps the newest-vertex rule of :class:`Mesh`.  The two
+    children have one level ``l`` and their peak is the midpoint of the
+    parent's refinement edge (:func:`_can_merge`).  Their refinement edges
+    become the parent's other two edges, which the parent, at ``l - 1``,
+    gives the level ``l`` they had; their ends are kept, so a merged
+    neighbour across one has it as its refinement edge and gives it ``l``
+    too.  The halves of the parent's refinement edge leave with the peak,
+    and with every triangle around it: at an interior peak these are two
+    merged pairs, and across the edges through the peak, refinement edges
+    of neither side, the rule gives all four children the level ``l``, so
+    the two parents share their refinement edge at equal levels.  The
+    argument reads the levels and the geometry alone, not the pair tags,
+    so it holds for the rank loop's merges too, those that cross an edge
+    of the initial grid included.
     """
     v = mesh.vertices
     t = mesh.triangles
