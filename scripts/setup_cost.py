@@ -51,8 +51,7 @@ def primary(mesh):
     :class:`Mesh` that a checkpoint keeps, with the same grid."""
     return ((mesh.vertices.copy(), mesh.triangles.copy(), mesh.levels.copy()),
             dict(generation=mesh.generation, max_levels=mesh.max_levels,
-                 pair_tags=mesh.pair_tags.copy(),
-                 tag_counter=mesh.tag_counter, grid=mesh.grid))
+                 child_side=mesh.child_side.copy(), grid=mesh.grid))
 
 
 def copy(mesh):

@@ -20,6 +20,10 @@ Triangle storage convention: the vertex at local position 0 is the "peak"
 between local vertices 1 and 2.  Bisecting ``(v0, v1, v2)`` at the midpoint
 ``m`` of ``(v1, v2)`` produces the children ``(m, v0, v1)`` and
 ``(m, v2, v0)``, both counterclockwise, with ``m`` as their new peak.
+``Mesh.child_side`` records which child each triangle is: ``0`` for the
+first, ``1`` for the second, ``-1`` where unknown.  Around a peak, a second
+child's counterclockwise successor is the first child of the same
+bisection, which is how coarsening tells true siblings.
 """
 
 from __future__ import annotations
@@ -242,6 +246,11 @@ class Mesh:
     max_levels : int
         Cap on ``levels``; a request to refine a triangle at the cap is
         skipped and counted in :class:`AdaptSummary`.
+    child_side : (nt,) int array, optional
+        Which child of its bisection each triangle is (module docstring):
+        ``0`` for the first, ``1`` for the second, ``-1`` where unknown
+        (initial triangles, merged parents; all of them by default).  Kept
+        as int8.
     grid : InitialGrid
         The initial grid of the adapt chain, a required keyword: every mesh
         has one.  Its sides and slit label the boundary edges, and its
@@ -250,27 +259,27 @@ class Mesh:
     Raises
     ------
     ValueError
-        If a vertex id, coordinate, area or per-triangle array is out of
-        range, an edge has more than two triangles or a boundary edge no
-        label, or the levels break the newest-vertex rule.
+        If a vertex id, coordinate, area, per-triangle array or
+        ``child_side`` value is out of range, an edge has more than two
+        triangles or a boundary edge no label, or the levels break the
+        newest-vertex rule.
     """
 
     def __init__(self, vertices, triangles, levels, generation=0,
                  max_levels=4, source_generation=-1, vertex_prov=None,
-                 adapt_summary=None, pair_tags=None, tag_counter=0, *,
-                 grid):
+                 adapt_summary=None, child_side=None, *, grid):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.levels = np.ascontiguousarray(levels, dtype=np.int64)
         self.generation = int(generation)
         self.max_levels = int(max_levels)
         self.grid = grid
-        # two triangles born of the same bisection share a pair tag; -1 when
-        # the sibling relation is unknown (initial triangles, merged parents)
-        self.pair_tags = (np.full(len(self.triangles), -1, dtype=np.int64)
-                          if pair_tags is None
-                          else np.asarray(pair_tags, dtype=np.int64))
-        self.tag_counter = int(tag_counter)
+        side = (np.full(len(self.triangles), -1, dtype=np.int8)
+                if child_side is None else np.asarray(child_side))
+        # checked before the cast, which would wrap other integers into range
+        if not ((side == -1) | (side == 0) | (side == 1)).all():
+            raise ValueError("child_side values must be -1, 0 or 1")
+        self.child_side = np.asarray(side, dtype=np.int8)
         self.source_generation = int(source_generation)
         # Per-vertex provenance relative to the source generation:
         # (old_id, -1) for surviving vertices, (a, b) for edge midpoints where
@@ -374,7 +383,7 @@ class Mesh:
         bad = np.where(areas <= 0)[0]
         if bad.size:
             raise ValueError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
-        for name in ("levels", "pair_tags"):
+        for name in ("levels", "child_side"):
             if getattr(self, name).shape != (self.n_triangles,):
                 raise ValueError(f"{name} needs one entry per triangle")
         if (self.levels < 0).any() or (self.levels > self.max_levels).any():
@@ -590,14 +599,12 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
 
     marked = _closure(mesh, refine_ids, summary)
     coarse = _coarsen(mesh, coarsen_ids, marked, summary)
-    verts, tris, levels, tags, counter, prov = _refine(
-        *coarse, mesh.tag_counter)
+    verts, tris, levels, sides, prov = _refine(*coarse)
 
     return Mesh(verts, tris, levels,
                 generation=mesh.generation + 1, max_levels=mesh.max_levels,
                 source_generation=mesh.generation, vertex_prov=prov,
-                pair_tags=tags, tag_counter=counter, adapt_summary=summary,
-                grid=mesh.grid)
+                child_side=sides, adapt_summary=summary, grid=mesh.grid)
 
 
 def _id_array(ids):
@@ -650,18 +657,21 @@ def _find_keys(table, keys):
     return np.where(table[hit] == keys, hit, -1)
 
 
-def _can_merge(v, t, lev, i, j):
+def _can_merge(v, t, i, j):
     """Can right child ``i`` and left child ``j`` merge into one parent?
 
     Both share their peak ``m``; the parent ``(t[i,2], t[j,2], t[i,1])``
     must have positive area and ``m`` must be the midpoint of its
-    refinement edge, all at the same level.
+    refinement edge.  Their levels are equal already: the shared edge
+    ``(m, t[i,2])`` is a non-refinement edge of both, and the newest-vertex
+    rule that :class:`Mesh` checks gives such an edge equal levels on both
+    sides.  The geometry tests guard a hand-built mesh, whose sides may
+    pair triangles that are not siblings.
     """
     v0, v1, v2 = t[i, 2], t[j, 2], t[i, 1]
     mid = 0.5 * (v[v1] + v[v2])
     tol = 1e-12 * (1.0 + np.abs(mid).max(axis=1))
-    ok = lev[i] == lev[j]
-    ok &= (np.abs(v[t[i, 0]] - mid) <= tol[:, None]).all(axis=1)
+    ok = (np.abs(v[t[i, 0]] - mid) <= tol[:, None]).all(axis=1)
     d1 = v[v1] - v[v0]
     d2 = v[v2] - v[v0]
     ok &= d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0
@@ -673,12 +683,19 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
 
     A peak is removed only if every triangle around it is an eligible child
     with that peak and all of them pair up.  One scan pairs each triangle
-    around a peak with its counterclockwise successor there.  A pair that
-    shares a pair tag is a true sibling pair and is claimed first; then,
-    in ascending triangle order per peak, each leftover right child takes
-    its successor if that is left over too.  Merged parents are appended
-    by ascending peak, sibling pairs first (by tag), then the others (by
-    right child).
+    around a peak with its counterclockwise successor there.  A second
+    child (``child_side`` 1) followed by a first child (0) is a true
+    sibling pair and is claimed first; then, in ascending triangle order
+    per peak, each leftover right child takes its successor if that is
+    left over too.  Merged parents are appended by ascending peak, sibling
+    pairs first, then the others, each by right child.
+
+    By right child, the sibling pairs at a peak come in the order of the
+    bisections that made them.  Every triangle with peak ``m`` and a side
+    comes from the one :func:`_refine` call that made ``m`` (a vertex is
+    made once, as a bisection midpoint), which writes the children in the
+    order of their rows, one pair per peak per row; every later
+    :func:`adapt` keeps the relative order of the triangles that survive.
 
     Every merge keeps the newest-vertex rule of :class:`Mesh`.  The two
     children have one level ``l`` and their peak is the midpoint of the
@@ -691,14 +708,14 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     merged pairs, and across the edges through the peak, refinement edges
     of neither side, the rule gives all four children the level ``l``, so
     the two parents share their refinement edge at equal levels.  The
-    argument reads the levels and the geometry alone, not the pair tags,
-    so it holds for the rank loop's merges too, those that cross an edge
+    argument reads the levels and the geometry alone, not the sides, so
+    it holds for the rank loop's merges too, those that cross an edge
     of the initial grid included.
     """
     v = mesh.vertices
     t = mesh.triangles
     lev = mesh.levels
-    tags = mesh.pair_tags
+    side = mesh.child_side
     nt, nv = mesh.n_triangles, mesh.n_vertices
 
     elig = np.zeros(nt, dtype=bool)
@@ -724,11 +741,11 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     succ = np.where(succ >= 0, star[succ], -1)
     has = succ >= 0
     pair_ok = np.zeros(len(star), dtype=bool)
-    pair_ok[has] = _can_merge(v, t, lev, star[has], succ[has])
-    # a pair that shares a pair tag is a true sibling pair and is claimed
-    # first; then, rank by rank, each unclaimed right child takes its
+    pair_ok[has] = _can_merge(v, t, star[has], succ[has])
+    # a second child followed by a first child is a true sibling pair and is
+    # claimed first; then, rank by rank, each unclaimed right child takes its
     # successor if that is unclaimed too
-    sib = pair_ok & (tags[star] >= 0) & (tags[star] == tags[succ])
+    sib = pair_ok & (side[star] == 1) & (side[succ] == 0)
     right, left = [star[sib]], [succ[sib]]
     claimed = np.zeros(nt, dtype=bool)
     claimed[right[0]] = claimed[left[0]] = True
@@ -742,15 +759,14 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
         left.append(j[go])
     right, left = np.concatenate(right), np.concatenate(left)
     second = np.arange(len(right)) >= sib.sum()
-    sort_key = np.where(second, right, tags[right])
 
     # a peak goes only when every triangle around it was claimed
     size = np.bincount(group)
     done = np.bincount(group[claimed[star]], minlength=len(size))
     gone = peak[first][done == size]
     keep_pair = np.isin(t[right, 0], gone)
-    right, left = right[keep_pair], left[keep_pair]
-    order = np.lexsort((sort_key[keep_pair], second[keep_pair], t[right, 0]))
+    right, left, second = right[keep_pair], left[keep_pair], second[keep_pair]
+    order = np.lexsort((right, second, t[right, 0]))
     right, left = right[order], left[order]
 
     summary.coarsened_pairs = len(right)
@@ -764,12 +780,13 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     keep_tri[right] = keep_tri[left] = False
     tris = old2new[np.vstack([t[keep_tri], np.column_stack([p0, p1, p2])])]
     levels = np.concatenate([lev[keep_tri], lev[right] - 1])
-    new_tags = np.concatenate([tags[keep_tri], np.full(len(right), -1)])
+    sides = np.concatenate([side[keep_tri],
+                            np.full(len(right), -1, dtype=np.int8)])
     n = int(keep_vert.sum())
     e = mesh.edges[marked]
     marked_keys = old2new[e[:, 0]] * n + old2new[e[:, 1]]
     prov = np.column_stack([np.flatnonzero(keep_vert), np.full(n, -1)])
-    return v[keep_vert], tris, levels, new_tags, prov, marked_keys
+    return v[keep_vert], tris, levels, sides, prov, marked_keys
 
 
 def _first_use(keys):
@@ -788,14 +805,15 @@ def _first_use(keys):
     return number, born
 
 
-def _refine(verts, tris, levels, tags, prov, marked_keys, tag_counter):
+def _refine(verts, tris, levels, sides, prov, marked_keys):
     """Bisect every triangle whose refinement edge is marked.
 
     A bisected triangle ``(v0, v1, v2)`` splits at the midpoint ``m`` of
     ``(v1, v2)``; a child whose refinement edge is marked too splits once
     more.  Midpoints are numbered by first use in row order, within a row
-    ``(v1, v2)``, then ``(v0, v1)``, then ``(v2, v0)``.  Each bisection takes
-    the next pair tag in the same order.
+    ``(v1, v2)``, then ``(v0, v1)``, then ``(v2, v0)``.  Children keep
+    the order of their rows, and each records whether it is the first or
+    the second child of its bisection.
     """
     n = len(verts)
 
@@ -807,9 +825,10 @@ def _refine(verts, tris, levels, tags, prov, marked_keys, tag_counter):
     lv = levels[ref]
     b1 = is_marked(v0, v1)
     b2 = is_marked(v2, v0)
+    one = np.ones_like(b1)
 
     # midpoints of each bisected row: (v1, v2), (v0, v1), (v2, v0)
-    use = np.column_stack([np.ones_like(b1), b1, b2])
+    use = np.column_stack([one, b1, b2])
     ea = np.column_stack([v1, v0, v2])[use]
     eb = np.column_stack([v2, v1, v0])[use]
     number, born = _first_use(_edge_keys(ea, eb, n))
@@ -825,19 +844,13 @@ def _refine(verts, tris, levels, tags, prov, marked_keys, tag_counter):
                      np.where(b2[:, None], np.column_stack([m2, m, v2]),
                               np.column_stack([m, v2, v0])),
                      np.column_stack([m2, v0, m])], axis=1)
-    real = np.column_stack([np.ones_like(b1), b1, np.ones_like(b2), b2])
-    n1, n2 = b1.astype(np.int64), b2.astype(np.int64)
-    step = 1 + n1 + n2
-    base = tag_counter + np.cumsum(step) - step
-    two = np.full_like(lv, 2)
-    kid_levels = lv[:, None] + np.column_stack([1 + n1, two, 1 + n2, two])
-    kid_tags = base[:, None] + np.column_stack([n1, np.ones_like(lv),
-                                                n2 * (1 + n1), 1 + n1])
-    counter = tag_counter + int(step.sum())
+    real = np.column_stack([one, b1, one, b2])
+    kid_levels = lv[:, None] + 1 + np.column_stack([b1, one, b2, one])
+    # first children: slot 0, and slot 2 where (m, v2, v0) splits again
+    kid_sides = np.column_stack([~one, one, ~b2, one]).astype(np.int8)
 
     return (np.vstack([verts, 0.5 * (verts[ma] + verts[mb])]),
             np.vstack([tris[~ref], kids[real]]),
             np.concatenate([levels[~ref], kid_levels[real]]),
-            np.concatenate([tags[~ref], kid_tags[real]]),
-            counter,
+            np.concatenate([sides[~ref], kid_sides[real]]),
             np.vstack([prov, np.column_stack([ma, mb])]))

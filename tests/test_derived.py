@@ -68,13 +68,12 @@ def build_all(mesh):
 
 
 def twin(mesh):
-    """A mesh built from primary data only: the arrays, counters and grid
-    fields a checkpoint saves, with a grid of its own."""
+    """A mesh built from primary data only: the arrays, generation and
+    grid fields a checkpoint saves, with a grid of its own."""
     g = mesh.grid
     return Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
                 mesh.levels.copy(), generation=mesh.generation,
-                max_levels=mesh.max_levels, pair_tags=mesh.pair_tags.copy(),
-                tag_counter=mesh.tag_counter,
+                max_levels=mesh.max_levels, child_side=mesh.child_side.copy(),
                 grid=InitialGrid(g.domain, g.slit, g.n0))
 
 

@@ -412,6 +412,20 @@ def test_coarsen_requires_complete_pairs():
     assert m3.n_triangles == 2
 
 
+@pytest.mark.parametrize("peak, merged", [((0.5, 0.5), 2), ((0.3, 0.4), 0)])
+def test_coarsen_merges_sides_only_where_they_halve_a_parent(peak, merged):
+    # a hand-built unit square around one peak, its four triangles marked
+    # second, first, second, first child: they merge only where the peak
+    # is the midpoint of the parents' refinement edge
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], peak])
+    tris = np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]])
+    m = Mesh(verts, tris, np.ones(4, dtype=int), child_side=[1, 0, 1, 0],
+             grid=InitialGrid((1.0, 1.0), None, 1))
+    m2 = adapt(m, [], range(4))
+    assert m2.adapt_summary.coarsened_pairs == merged
+    assert m2.n_triangles == 4 - merged
+
+
 def test_coarsen_never_merges_initial_triangles():
     m = build_initial_mesh(DOMAIN3, None, 4)
     m2 = adapt(m, [], range(m.n_triangles))
@@ -523,13 +537,16 @@ def test_mesh_refuses_a_nan_vertex():
 @pytest.mark.parametrize("change, message", [
     (dict(levels=np.zeros(7, dtype=int)), "levels needs one entry per"),
     (dict(levels=np.zeros((8, 1), dtype=int)), "levels needs one entry per"),
-    (dict(pair_tags=np.full(9, -1)), "pair_tags needs one entry per"),
+    (dict(child_side=np.full(9, -1)), "child_side needs one"),
     (dict(levels=[0, 0, 0, -1, 0, 0, 0, 0]), "outside \\[0, max_levels\\]"),
     (dict(levels=np.full(8, 5)), "outside \\[0, max_levels\\]"),
+    # 255 would wrap to -1 in int8
+    (dict(child_side=[0, 1, -1, 2, 0, 1, 0, 1]), "child_side values"),
+    (dict(child_side=np.full(8, 255)), "child_side values"),
 ])
 def test_mesh_refuses_per_triangle_arrays_that_do_not_fit(change, message):
     ref = build_initial_mesh((1.0, 1.0), None, 2)
-    args = dict(levels=ref.levels, pair_tags=ref.pair_tags)
+    args = dict(levels=ref.levels, child_side=ref.child_side)
     with pytest.raises(ValueError, match=message):
         Mesh(ref.vertices, ref.triangles, grid=ref.grid,
              **{**args, **change})
@@ -602,7 +619,7 @@ def test_adapt_accepts_generator_ids():
     assert back.n_triangles == m.n_triangles
 
 
-CHAIN_FIELDS = ("vertices", "triangles", "levels", "pair_tags",
+CHAIN_FIELDS = ("vertices", "triangles", "levels", "child_side",
                 "vertex_prov", "edges", "tri_edges", "edge_tris")
 
 
@@ -621,7 +638,7 @@ def chain_digests():
     """
     rng = np.random.default_rng(1)
     m = build_initial_mesh(DOMAIN3, SLIT, 8, max_levels=3)
-    out = {f: [] for f in CHAIN_FIELDS + ("labels", "tag_counter")}
+    out = {f: [] for f in CHAIN_FIELDS + ("labels",)}
     for gen in range(12):
         nt = m.n_triangles
         size = rng.integers(1, nt // (3 if gen < 4 else 8) + 2)
@@ -636,12 +653,12 @@ def chain_digests():
         labels = sorted((a, b, lab.value)
                         for (a, b), lab in m.boundary_labels.items())
         out["labels"].append(_digest(repr(labels).encode()))
-        out["tag_counter"].append(m.tag_counter)
     return out
 
 
 # Recorded from the loop-based implementation of adapt that the array code
-# replaced; any change here changes the numbering seen by every run.
+# replaced (child_side from its first version); any change here changes the
+# numbering seen by every run.
 CHAIN_GOLDEN = {
     'vertices': ('3a2586fb8bce', '95b2285fc73f', 'aeb9317c07ad',
         '402ae4dff331', 'e10c9dbba7a2', '3d34bbebfee9', 'ba3e2f7d56ee',
@@ -655,10 +672,10 @@ CHAIN_GOLDEN = {
         '9b6534a013c0', '2fec4c0f84f2', '4f5a35ae3364', 'ba8513fa1c2a',
         'ba99ff6b7f5b', 'efe3479a021d', 'b39c84767e43', 'e153745ea315',
         '4a0c37d8c8fd'),
-    'pair_tags': ('395a6dd6f3bd', 'f26ac6f95882', 'c1891089f5fd',
-        '93290137ac75', '5e8c08d821a6', 'f2e328376387', '5f999a65e76e',
-        '5203764342fb', '96393ebb27d1', 'ded4bcac2bea', 'd59a0d169bfe',
-        '134a1d04f00b'),
+    'child_side': ('18178bce7bee', 'fb4ad13b987f', '40d1a1669db8',
+        '6c8805b2d94c', '856f35c13e56', '10ac3ccc5e68', '49fe452f3a6b',
+        '7013ffb409b2', '42025453d76e', 'ef743854a51b', 'bb4e6ad63847',
+        '27d4b32a1de3'),
     'vertex_prov': ('f311aa6a9d2e', '2ee8ac59bffc', '1d52b8efbb9f',
         '3a77c51e53d1', 'a386b6aa06b0', 'f97d4225778c', 'd4ecfb2e7003',
         '895d4e77eb2d', '2bf0fc37f589', '4802978eeeeb', '5e6ce2897b26',
@@ -678,8 +695,6 @@ CHAIN_GOLDEN = {
         '59c63d789d0e', '080072a21df0', 'a5ef4bdcfb2b', 'd1c6bc15e30b',
         '03a7742001cb', '869fe9d48af5', '38f1d1389dc5', '8ff3c30ed790',
         'c3623ecdf245'),
-    'tag_counter': (40, 148, 255, 431, 441, 481, 547, 574, 626, 646, 652,
-        656),
 }
 
 
@@ -819,10 +834,12 @@ def test_adapt_sequence_keeps_mesh_conforming(mesh, data):
 
 @settings(max_examples=60, deadline=None)
 @given(initial_meshes(), st.data())
-def test_pair_tag_siblings_are_successors_around_their_peak(mesh, data):
-    # coarsening finds true siblings in its successor scan: the two
-    # triangles of a tag >= 0 share their peak m, and one, (m, c, .),
-    # follows the other, (m, b, c), counterclockwise
+def test_second_child_and_its_first_child_successor_are_siblings(mesh,
+                                                                 data):
+    # coarsening claims as true siblings a second child (m, b, c) whose
+    # counterclockwise successor (m, c, d) is a first child: they must be
+    # the halves of one parent (c, d, b), bisected at m.  Around a peak the
+    # children of its bisections alternate, second, first, second, ...
     pairs = 0
     for _ in range(data.draw(st.integers(1, 6))):
         refine = draw_ids(data.draw, mesh.n_triangles)
@@ -832,16 +849,25 @@ def test_pair_tag_siblings_are_successors_around_their_peak(mesh, data):
         else:
             coarsen = np.arange(mesh.n_triangles)
         mesh = adapt(mesh, refine, np.setdiff1d(coarsen, refine))
-        by_tag = {}
-        for i in np.flatnonzero(mesh.pair_tags >= 0).tolist():
-            by_tag.setdefault(int(mesh.pair_tags[i]), []).append(i)
-        for ids in by_tag.values():
-            assert len(ids) <= 2
-            if len(ids) == 2:
-                a, b = mesh.triangles[ids].tolist()
-                assert a[0] == b[0]
-                assert (a[2] == b[1]) != (b[2] == a[1])
-                pairs += 1
+        t, v, side = mesh.triangles, mesh.vertices, mesh.child_side
+        assert (mesh.levels[side >= 0] >= 1).all()
+        child = {(m, b): j for j, (m, b, _) in enumerate(t.tolist())
+                 if side[j] >= 0}
+        for i in np.flatnonzero(side >= 0).tolist():
+            m, b, c = t[i].tolist()
+            j = child.get((m, c))
+            if j is None:
+                continue
+            assert side[i] != side[j]
+            if side[i] == 0:
+                continue
+            d = t[j, 2]
+            assert mesh.levels[i] == mesh.levels[j]
+            assert np.allclose(v[m], 0.5 * (v[d] + v[b]), rtol=0.0,
+                               atol=1e-12)
+            (x0, y0), (x1, y1), (x2, y2) = v[[c, d, b]]
+            assert (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0
+            pairs += 1
     assume(pairs)
 
 
@@ -867,7 +893,7 @@ def test_coarsening_uniform_refinement_returns_original(mesh):
     fine = adapt(mesh, range(mesh.n_triangles))
     back = adapt(fine, [], range(fine.n_triangles))
     assert back.adapt_summary.coarsened_pairs == mesh.n_triangles
-    for field in ("vertices", "triangles", "levels", "pair_tags", "edges"):
+    for field in ("vertices", "triangles", "levels", "child_side", "edges"):
         assert np.array_equal(getattr(back, field), getattr(mesh, field))
     assert back.boundary_labels == mesh.boundary_labels
 
@@ -887,9 +913,8 @@ def test_adapt_that_refines_and_merges_nothing_returns_its_input(mesh, data):
     new = adapt(mesh, refine, coarsen)
     done = new.adapt_summary
     assume(done.refined == 0 and done.coarsened_pairs == 0)
-    for name in ("vertices", "triangles", "levels", "pair_tags"):
+    for name in ("vertices", "triangles", "levels", "child_side"):
         assert np.array_equal(getattr(new, name), getattr(mesh, name)), name
-    assert new.tag_counter == mesh.tag_counter
     values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=mesh.n_vertices,
                                 max_size=mesh.n_vertices))
     u = FeFunction(values, mesh.generation)
