@@ -11,15 +11,27 @@ script prints ``sha256  run/file`` for every output file, sorted, so that
 ``diff`` between the printouts of two checkouts shows whether they write
 byte-identical files.  It imports the package from the ``src/`` of its own
 checkout.
+
+The bytes depend on the BLAS thread count: CG's dot products split across
+threads sum in another order.  So before numpy loads, the script sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+where the caller left them unset, and keeps a value the caller set.  The
+scripts that import it (``setup_cost.py``, ``snapshot_cost.py``) inherit
+this.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREADS:
+    os.environ.setdefault(_name, "1")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]

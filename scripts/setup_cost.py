@@ -1,4 +1,5 @@
-"""Time each per-mesh builder on the final mesh of a benchmark run.
+"""Time each per-mesh builder, and one adaptation, on the final mesh of a
+benchmark run.
 
     PYTHONPATH=src python3 scripts/setup_cost.py [-n N] RUN
 
@@ -14,15 +15,17 @@ run's final mesh:
   ``"estimator"`` entry of the mesh cache) and the multigrid
   prolongation (``mesh_prolongation``);
 - the V-cycle build: ``vcycle`` for the unit stiffness plus mass, without
-  pins.
+  pins;
+- ``adapt``: ``mesh.adapt`` with the marks ``driver.mark_for_adaptation``
+  gives for the indicator of the run's final state.
 
 Every repetition times one builder on a fresh copy of the mesh that
 shares the run's initial grid, so no per-mesh cache is hit, while the
 grid hierarchy is, as in a run; the builders the timed one reads are
 built before the clock starts.  Each row is the minimum of N repetitions
 (default 30) after one warm-up, in ms; ``set-up`` sums the first five rows,
-all but the V-cycle.  The last two columns are the mesh's dofs and
-triangles.
+all but the V-cycle and the adaptation.  The last two columns are the
+mesh's dofs and triangles.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from output_digest import build  # noqa: E402  (sets the import paths)
-from fracture_afem.driver import run  # noqa: E402
-from fracture_afem.estimator import _geometry  # noqa: E402
+from output_digest import build  # noqa: E402  (sets paths, BLAS threads)
+from fracture_afem.driver import mark_for_adaptation, run  # noqa: E402
+from fracture_afem.estimator import _geometry, estimate  # noqa: E402
 from fracture_afem.fem import (assemble_stiffness, element_data,  # noqa: E402
                                unit_mass)
-from fracture_afem.mesh import Mesh, derived  # noqa: E402
+from fracture_afem.mesh import Mesh, adapt, derived  # noqa: E402
 from fracture_afem.multigrid import mesh_prolongation, vcycle  # noqa: E402
 
 RUNS = ("desk16", "paper64", "determinism")
@@ -94,10 +97,14 @@ def time_builder(mesh, prepare, builder, repeats):
     return min(times[1:])
 
 
-def final_mesh(name):
-    """The last mesh of the run ``name``."""
+def final_run(name):
+    """The last mesh of the run ``name`` and the refine and coarsen marks
+    of its final state."""
     with tempfile.TemporaryDirectory() as tmp:
-        return run(build(name, Path(tmp) / name)).state.mesh
+        cfg = build(name, Path(tmp) / name)
+        state = run(cfg).state
+    est = estimate(state.u_curr, state.v, state.mesh, cfg.material)
+    return state.mesh, mark_for_adaptation(est, cfg)
 
 
 def main(argv=None):
@@ -109,9 +116,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("N must be at least 1")
-    mesh = final_mesh(args.run)
+    mesh, marks = final_run(args.run)
+    builders = BUILDERS + (("adapt", lambda m: marks, adapt),)
     rows = [(name, 1e3 * time_builder(mesh, prepare, builder, args.n))
-            for name, prepare, builder in BUILDERS]
+            for name, prepare, builder in builders]
     rows.insert(SETUP_ROWS, ("set-up", sum(ms for _, ms in
                                             rows[:SETUP_ROWS])))
     for name, ms in rows:

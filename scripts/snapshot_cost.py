@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from output_digest import RUNS, build  # noqa: E402  (sets the import paths)
+from output_digest import RUNS, build  # noqa: E402  (paths, BLAS threads)
 from fracture_afem import io as fio  # noqa: E402
 from fracture_afem.driver import run  # noqa: E402
 from fracture_afem.estimator import estimate  # noqa: E402

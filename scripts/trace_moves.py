@@ -7,8 +7,9 @@ every column after ``step`` the script prints the largest ``|new - old|``
 over the steps, divided by the column's peak magnitude in OLD: the measure
 ``perfbench/child.py`` bounds when it compares a run with its reference
 trace.  A column whose OLD values are all 0 prints the largest difference
-itself.  Traces with different columns or steps are a usage error (exit
-status 2).
+itself.  Traces with different columns or steps, and a trace without data
+rows or with a row whose length is not its header's or a value that is not
+a number, are a usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -18,11 +19,25 @@ import csv
 
 
 def read_trace(path):
-    """``(columns, rows)`` of a trace, each row a list of floats."""
+    """``(columns, rows)`` of a trace, each row a list of floats.
+
+    Raises
+    ------
+    ValueError
+        If the trace has no data row, a row whose length is not the
+        header's, or a value that is not a number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        columns = next(reader)
-        return columns, [[float(x) for x in row] for row in reader]
+        columns = next(reader, [])
+        rows = [[float(x) for x in row] for row in reader]
+    if not rows:
+        raise ValueError(f"{path} has no data rows")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(columns):
+            raise ValueError(f"{path}, line {line}: {len(row)} values for "
+                             f"{len(columns)} columns")
+    return columns, rows
 
 
 def moves(old, new):
@@ -43,7 +58,10 @@ def main(argv=None):
     parser.add_argument("old", metavar="OLD.csv")
     parser.add_argument("new", metavar="NEW.csv")
     args = parser.parse_args(argv)
-    old, new = read_trace(args.old), read_trace(args.new)
+    try:
+        old, new = read_trace(args.old), read_trace(args.new)
+    except ValueError as exc:
+        parser.error(str(exc))
     if old[0] != new[0]:
         parser.error(f"the traces have different columns: {old[0]} and "
                      f"{new[0]}")

@@ -4,16 +4,18 @@ The mesh is a triangulation of an axis-aligned rectangle, optionally cut by
 a horizontal slit whose vertices are duplicated so that nodal fields may
 jump across the two crack faces.  Refinement is newest-vertex bisection with
 conformity closure; coarsening merges complete sibling pairs back into their
-parent, found in one scan that pairs each triangle around a removable peak
-with its counterclockwise successor there.  Each triangle's level counts
-its bisections from the initial mesh, and the levels keep the newest-vertex
-rule of Stevenson, Math. Comp. 77 (2008), which :class:`Mesh` checks; under
-it the level cap needs nothing but the skipping of requests at the cap, as
-the closure never reaches a capped triangle.  Meshes are immutable after
-construction: :func:`adapt` returns a new generation and records enough
-provenance for nodal transfer between generations.  :func:`grid_weights`
-reads the P1 interpolation from a grid mesh at the vertices of another mesh
-off their grid coordinates.
+parent: each triangle around a removable peak pairs with its
+counterclockwise successor there, and the pairs alternate from one anchor.
+Adaptation reads marks and neighbours by edge id off the mesh's own maps,
+``tri_edges`` and ``edge_tris``, and searches for no edge.  Each triangle's
+level counts its bisections from the initial mesh, and the levels keep the
+newest-vertex rule of Stevenson, Math. Comp. 77 (2008), which :class:`Mesh`
+checks; under it the level cap needs nothing but the skipping of requests
+at the cap, as the closure never reaches a capped triangle.  Meshes are
+immutable after construction: :func:`adapt` returns a new generation and
+records enough provenance for nodal transfer between generations.
+:func:`grid_weights` reads the P1 interpolation from a grid mesh at the
+vertices of another mesh off their grid coordinates.
 
 Triangle storage convention: the vertex at local position 0 is the "peak"
 (newest vertex) and the refinement edge is the opposite edge, i.e. the one
@@ -598,8 +600,9 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
                            requested_coarsen=len(coarsen_ids))
 
     marked = _closure(mesh, refine_ids, summary)
-    coarse = _coarsen(mesh, coarsen_ids, marked, summary)
-    verts, tris, levels, sides, prov = _refine(*coarse)
+    # the coarsened pieces go before the new mesh is built
+    verts, tris, levels, sides, prov = _refine(
+        *_coarsen(mesh, coarsen_ids, marked, summary))
 
     return Mesh(verts, tris, levels,
                 generation=mesh.generation + 1, max_levels=mesh.max_levels,
@@ -647,26 +650,17 @@ def _closure(mesh, refine_ids, summary):
     return marked
 
 
-def _find_keys(table, keys):
-    """Position of each key in ``table`` (any order), -1 where absent."""
-    if not len(table):
-        return np.full(len(keys), -1, dtype=np.int64)
-    order = np.argsort(table)
-    pos = np.searchsorted(table, keys, sorter=order)
-    hit = order[np.minimum(pos, len(table) - 1)]
-    return np.where(table[hit] == keys, hit, -1)
-
-
 def _can_merge(v, t, i, j):
     """Can right child ``i`` and left child ``j`` merge into one parent?
 
     Both share their peak ``m``; the parent ``(t[i,2], t[j,2], t[i,1])``
     must have positive area and ``m`` must be the midpoint of its
-    refinement edge.  Their levels are equal already: the shared edge
-    ``(m, t[i,2])`` is a non-refinement edge of both, and the newest-vertex
-    rule that :class:`Mesh` checks gives such an edge equal levels on both
-    sides.  The geometry tests guard a hand-built mesh, whose sides may
-    pair triangles that are not siblings.
+    refinement edge.  So the pair spans a straight angle at ``m``, which is
+    the premise of the pairing in :func:`_coarsen`.  Their levels are equal
+    already: the shared edge ``(m, t[i,2])`` is a non-refinement edge of
+    both, and the newest-vertex rule that :class:`Mesh` checks gives such
+    an edge equal levels on both sides.  The geometry tests guard a
+    hand-built mesh, whose sides may pair triangles that are not siblings.
     """
     v0, v1, v2 = t[i, 2], t[j, 2], t[i, 1]
     mid = 0.5 * (v[v1] + v[v2])
@@ -679,16 +673,28 @@ def _can_merge(v, t, i, j):
 
 
 def _coarsen(mesh, coarsen_ids, marked, summary):
-    """Merge eligible sibling pairs; returns intermediate mesh pieces.
+    """Merge eligible sibling pairs; returns intermediate mesh pieces, with
+    the old edge ids of every row and the edge marks for :func:`_refine`.
 
     A peak is removed only if every triangle around it is an eligible child
-    with that peak and all of them pair up.  One scan pairs each triangle
-    around a peak with its counterclockwise successor there.  A second
-    child (``child_side`` 1) followed by a first child (0) is a true
-    sibling pair and is claimed first; then, in ascending triangle order
-    per peak, each leftover right child takes its successor if that is
-    left over too.  Merged parents are appended by ascending peak, sibling
-    pairs first, then the others, each by right child.
+    with that peak and all of them pair up.  Each triangle ``(m, b, c)``
+    around a peak pairs with its counterclockwise successor there, the
+    triangle across its edge ``(c, m)``, if :func:`_can_merge` lets them.
+    Such a pair spans a straight angle at ``m``.  So around an interior
+    peak that goes lie four triangles in two pairs, and around one on a
+    side or a slit face two in one pair; they pair alternately from one
+    anchor.  The anchor is the lowest-id second child (``child_side`` 1)
+    whose successor is a first child (0), a true sibling pair, or without
+    one the lowest-id triangle that can merge, and the other pair starts
+    two steps from it either way round.  This is the pairing of a scan
+    that claims the sibling pairs first and then, in ascending triangle
+    order, each triangle whose successor is left over: its first claim at
+    a peak is the anchor's pair, and that leaves one pairing that covers
+    the peak's triangles.  (At the slit's interior tip, the one boundary
+    vertex with a full angle, two pairs would leave open edges past the
+    tip, which :class:`Mesh` refuses.)  Merged parents are appended by
+    ascending peak, sibling pairs first, then the others, each by right
+    child.
 
     By right child, the sibling pairs at a peak come in the order of the
     bisections that made them.  Every triangle with peak ``m`` and a side
@@ -709,84 +715,77 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     of neither side, the rule gives all four children the level ``l``, so
     the two parents share their refinement edge at equal levels.  The
     argument reads the levels and the geometry alone, not the sides, so
-    it holds for the rank loop's merges too, those that cross an edge
-    of the initial grid included.
+    it holds for the merges of pairs that are not siblings too, those that
+    cross an edge of the initial grid included.
+
+    A kept row keeps its edge ids.  A parent gets ``n_edges`` for its new
+    refinement edge, which is never marked, and its children's refinement
+    edges; the marks gain a last entry for it.
     """
-    v = mesh.vertices
-    t = mesh.triangles
+    v, t, T = mesh.vertices, mesh.triangles, mesh.tri_edges
     lev = mesh.levels
-    side = mesh.child_side
     nt, nv = mesh.n_triangles, mesh.n_vertices
 
     elig = np.zeros(nt, dtype=bool)
     elig[coarsen_ids] = True
     elig &= lev >= 1
-    elig &= ~marked[mesh.tri_edges].any(axis=1)
+    # column by column here and below: a row gather costs several times more
+    elig &= ~(marked[T[:, 0]] | marked[T[:, 1]] | marked[T[:, 2]])
 
     # removable peaks: every incident triangle is eligible and has it as peak
     free = np.zeros(nv, dtype=bool)
     free[t[elig, 0]] = True
     free[t[~elig, 0]] = False
-    free[t[:, 1:].ravel()] = False
+    free[t[:, 1]] = free[t[:, 2]] = False
     star = np.flatnonzero(free[t[:, 0]])
-    peak, by_peak = stable_sort(t[star, 0])
-    star = star[by_peak]                                 # by peak, then id
-    first = _run_starts(peak)
-    group = np.cumsum(first) - 1
-    rank = np.arange(len(star)) - np.flatnonzero(first)[group]
 
-    # the left sibling of a right child (m, b, c) is its counterclockwise
-    # successor, the triangle (m, c, .) around the same peak
-    succ = _find_keys(peak * nv + t[star, 1], peak * nv + t[star, 2])
-    succ = np.where(succ >= 0, star[succ], -1)
-    has = succ >= 0
-    pair_ok = np.zeros(len(star), dtype=bool)
-    pair_ok[has] = _can_merge(v, t, star[has], succ[has])
-    # a second child followed by a first child is a true sibling pair and is
-    # claimed first; then, rank by rank, each unclaimed right child takes its
-    # successor if that is unclaimed too
-    sib = pair_ok & (side[star] == 1) & (side[succ] == 0)
-    right, left = [star[sib]], [succ[sib]]
-    claimed = np.zeros(nt, dtype=bool)
-    claimed[right[0]] = claimed[left[0]] = True
-    for r in range(rank.max(initial=-1) + 1):
-        at = np.flatnonzero(rank == r)
-        i, j = star[at], succ[at]
-        go = pair_ok[at] & ~claimed[i]
-        go[go] &= ~claimed[j[go]]
-        claimed[i[go]] = claimed[j[go]] = True
-        right.append(i[go])
-        left.append(j[go])
-    right, left = np.concatenate(right), np.concatenate(left)
-    second = np.arange(len(right)) >= sib.sum()
+    # per triangle, plus a last entry that the id -1 (no triangle) reads:
+    # the successor across the edge (c, m), which has the free peak m too
+    # (the edge's two triangle ids sum to the successor's plus its own, or
+    # to -1 plus its own on the boundary), and whether the two can merge
+    succ = np.full(nt + 1, -1)
+    succ[star] = mesh.edge_tris[T[star, 1]].sum(axis=1) - star
+    ok = np.zeros(nt + 1, dtype=bool)
+    has = star[succ[star] >= 0]
+    ok[has] = _can_merge(v, t, has, succ[has])
+    side = np.append(mesh.child_side, np.int8(-1))
+    sib = ok & (side == 1) & (side[succ] == 0)
 
-    # a peak goes only when every triangle around it was claimed
-    size = np.bincount(group)
-    done = np.bincount(group[claimed[star]], minlength=len(size))
-    gone = peak[first][done == size]
-    keep_pair = np.isin(t[right, 0], gone)
-    right, left, second = right[keep_pair], left[keep_pair], second[keep_pair]
-    order = np.lexsort((right, second, t[right, 0]))
-    right, left = right[order], left[order]
+    # one anchor per peak; the pairs start at the anchor and at the
+    # triangles two steps from it either way
+    cand = np.flatnonzero(ok)
+    low = np.full(nv, 2 * nt)
+    np.minimum.at(low, t[cand, 0], cand + nt * ~sib[cand])
+    anchor = np.zeros(nt + 1, dtype=bool)
+    anchor[low[low < 2 * nt] % nt] = True
+    two = succ[succ]
+    start = anchor | anchor[two]
+    start[two[anchor]] = True
+    right = np.flatnonzero(start & ok)
+    # a peak goes when its pairs cover every triangle around it
+    size = np.bincount(t[star, 0], minlength=nv)
+    gone = free & (2 * np.bincount(t[right, 0], minlength=nv) == size)
+    right = right[gone[t[right, 0]]]
+    right = right[np.lexsort((right, ~sib[right], t[right, 0]))]
+    left = succ[right]
 
     summary.coarsened_pairs = len(right)
     summary.skipped_coarsen = int(elig.sum() - 2 * len(right))
 
-    p0, p1, p2 = t[right, 2], t[left, 2], t[right, 1]
-    keep_vert = np.ones(nv, dtype=bool)
-    keep_vert[gone] = False
-    old2new = np.cumsum(keep_vert) - 1
     keep_tri = np.ones(nt, dtype=bool)
     keep_tri[right] = keep_tri[left] = False
-    tris = old2new[np.vstack([t[keep_tri], np.column_stack([p0, p1, p2])])]
-    levels = np.concatenate([lev[keep_tri], lev[right] - 1])
-    sides = np.concatenate([side[keep_tri],
-                            np.full(len(right), -1, dtype=np.int8)])
-    n = int(keep_vert.sum())
-    e = mesh.edges[marked]
-    marked_keys = old2new[e[:, 0]] * n + old2new[e[:, 1]]
-    prov = np.column_stack([np.flatnonzero(keep_vert), np.full(n, -1)])
-    return v[keep_vert], tris, levels, sides, prov, marked_keys
+    kept = np.flatnonzero(keep_tri)
+    old2new = np.cumsum(~gone) - 1
+    parents = np.column_stack([t[right, 2], t[left, 2], t[right, 1]])
+    tris = old2new[np.vstack([t.take(kept, axis=0), parents])]
+    levels = np.concatenate([lev[kept], lev[right] - 1])
+    sides = np.concatenate([side[kept], np.full(len(right), -1, np.int8)])
+    edges = np.vstack([T.take(kept, axis=0), np.column_stack(
+        [np.full(len(right), mesh.n_edges), T[right, 0], T[left, 0]])])
+    survivors = np.flatnonzero(~gone)
+    prov = np.column_stack([survivors, np.full(len(survivors), -1)])
+    return (v[survivors], tris, levels, sides, prov, edges,
+            np.append(marked, False))
 
 
 def _first_use(keys):
@@ -805,33 +804,33 @@ def _first_use(keys):
     return number, born
 
 
-def _refine(verts, tris, levels, sides, prov, marked_keys):
+def _refine(verts, tris, levels, sides, prov, edges, marks):
     """Bisect every triangle whose refinement edge is marked.
 
-    A bisected triangle ``(v0, v1, v2)`` splits at the midpoint ``m`` of
-    ``(v1, v2)``; a child whose refinement edge is marked too splits once
-    more.  Midpoints are numbered by first use in row order, within a row
-    ``(v1, v2)``, then ``(v0, v1)``, then ``(v2, v0)``.  Children keep
-    the order of their rows, and each records whether it is the first or
-    the second child of its bisection.
+    ``edges`` holds the edge id of each row's local edges and ``marks`` the
+    mark of each id.  A bisected triangle ``(v0, v1, v2)`` splits at the
+    midpoint ``m`` of ``(v1, v2)``; a child whose refinement edge is marked
+    too splits once more.  Midpoints are numbered by first use of their
+    edge ids in row order, within a row ``(v1, v2)``, then ``(v0, v1)``,
+    then ``(v2, v0)``.  Children keep the order of their rows, and each
+    records whether it is the first or the second child of its bisection.
     """
     n = len(verts)
-
-    def is_marked(a, b):
-        return _find_keys(marked_keys, _edge_keys(a, b, n)) >= 0
-
-    ref = is_marked(tris[:, 1], tris[:, 2])
-    v0, v1, v2 = tris[ref].T
-    lv = levels[ref]
-    b1 = is_marked(v0, v1)
-    b2 = is_marked(v2, v0)
+    ref = marks[edges[:, 0]]
+    # row gathers by index, a fraction of the cost of a boolean row mask
+    rows, rest = np.flatnonzero(ref), np.flatnonzero(~ref)
+    v0, v1, v2 = tris.take(rows, axis=0).T
+    e0, e1, e2 = edges.take(rows, axis=0).T     # opposite v0, v1, v2
+    lv = levels[rows]
+    b1 = marks[e2]
+    b2 = marks[e1]
     one = np.ones_like(b1)
 
     # midpoints of each bisected row: (v1, v2), (v0, v1), (v2, v0)
     use = np.column_stack([one, b1, b2])
     ea = np.column_stack([v1, v0, v2])[use]
     eb = np.column_stack([v2, v1, v0])[use]
-    number, born = _first_use(_edge_keys(ea, eb, n))
+    number, born = _first_use(np.column_stack([e0, e2, e1])[use])
     mids = np.full(use.shape, -1, dtype=np.int64)
     mids[use] = n + number
     m, m1, m2 = mids.T
@@ -850,7 +849,7 @@ def _refine(verts, tris, levels, sides, prov, marked_keys):
     kid_sides = np.column_stack([~one, one, ~b2, one]).astype(np.int8)
 
     return (np.vstack([verts, 0.5 * (verts[ma] + verts[mb])]),
-            np.vstack([tris[~ref], kids[real]]),
-            np.concatenate([levels[~ref], kid_levels[real]]),
-            np.concatenate([sides[~ref], kid_sides[real]]),
+            np.vstack([tris.take(rest, axis=0), kids[real]]),
+            np.concatenate([levels[rest], kid_levels[real]]),
+            np.concatenate([sides[rest], kid_sides[real]]),
             np.vstack([prov, np.column_stack([ma, mb])]))

@@ -279,7 +279,8 @@ def test_builders_equal_the_formulas_they_replaced(chain):
         # the above-slit test of grid_weights reads the mean of y alone
         pts, t = mesh.vertices, mesh.triangles
         assert_same(element_means(pts[:, 1], t), element_means(pts, t)[:, 1])
-        # the sorts of adapt: peaks in _coarsen, midpoints in _refine
+        # stable_sort on a key with many ties, the peaks, and the sort of
+        # adapt: the midpoints of _refine, numbered by their edge ids
         peaks = t[:, 0]
         order = np.argsort(peaks, kind="stable")
         assert_same(stable_sort(peaks)[1], order)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -40,6 +42,37 @@ def test_output_digest_prints_one_digest_per_file(src_env):
     assert [path for _, path in rows] == ["determinism/energies.csv"] + [
         f"determinism/snapshot_{step:06d}.vtk" for step in (1, 4, 8, 12)]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in rows)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# imports output_digest and prints the BLAS variables as numpy saw them when
+# it was first imported
+READ_BLAS_THREADS = f"""
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(k, "-") for k in {BLAS_THREADS}])
+sys.meta_path.insert(0, Spy())
+sys.path.insert(0, sys.argv[1])
+import output_digest
+print(*seen[0])
+"""
+
+
+def test_output_digest_pins_blas_threads_the_caller_left_unset(src_env):
+    # the digests depend on the BLAS thread count, so before numpy loads the
+    # script sets each variable the caller left unset to 1, and keeps the
+    # value of one the caller set
+    env = {k: v for k, v in src_env.items() if k not in BLAS_THREADS}
+    for caller, want in (({}, "1 1 1"), ({"OMP_NUM_THREADS": "2"}, "1 2 1")):
+        out = subprocess.run([sys.executable, "-c", READ_BLAS_THREADS,
+                              str(SCRIPTS)], env={**env, **caller},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == want
 
 
 def test_code_lines_total_is_the_sum_of_its_rows():
@@ -78,6 +111,27 @@ def test_trace_moves_prints_each_column_move_over_its_peak(tmp_path):
     assert out.returncode == 2 and "different steps" in out.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("step,time,kinetic\n", "has no data rows"),
+    ("", "has no data rows"),
+    ("step,time,kinetic\n1,0.5,0.0\n2,1.0\n", "line 3: 2 values for 3"),
+    ("step,time,kinetic\n1,0.5,zero\n", "could not convert"),
+])
+def test_trace_moves_refuses_a_trace_it_cannot_read(tmp_path, text, message):
+    # a usage error, not a traceback from max() or an index
+    good = tmp_path / "good.csv"
+    good.write_text("step,time,kinetic\n1,0.5,0.0\n2,1.0,-4.0\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    for old, new in ((good, bad), (bad, good)):
+        out = subprocess.run([sys.executable, str(SCRIPTS / "trace_moves.py"),
+                              str(old), str(new)], capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        assert "usage:" in out.stderr and message in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_setup_cost_prints_one_row_per_builder(src_env):
     out = subprocess.run([sys.executable, str(SCRIPTS / "setup_cost.py"),
                           "-n", "2", "determinism"], env=src_env,
@@ -90,7 +144,7 @@ def test_setup_cost_prints_one_row_per_builder(src_env):
     names = [row[1] for row in rows]
     assert names == ["Mesh", "element_data", "unit_mass",
                      "estimator geometry", "prolongation", "set-up",
-                     "V-cycle build"]
+                     "V-cycle build", "adapt"]
     ms = [float(row[2]) for row in rows]
     assert all(t > 0.0 for t in ms)
     assert abs(ms[5] - sum(ms[:5])) <= 0.01
