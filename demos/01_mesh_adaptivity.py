@@ -15,7 +15,8 @@ print(f"  (the grid alone would have {17 * 17} vertices; the extra ones are "
       "duplicated slit nodes, so fields can jump across the crack faces)")
 
 geo = geometry(mesh)
-print(f"  h = {geo.h.max():.4f}, shape ratio = {geo.shape_ratio.max():.4f}")
+print(f"  h = {geo.h.max():.4f}, "
+      f"shape ratio = {geo.shape_ratio(mesh).max():.4f}")
 
 # refine triangles whose centroid is near the slit tip
 tip = np.array([1.5, 1.5])
@@ -37,7 +38,7 @@ for i in range(4):
 
 geo = geometry(fine)
 print(f"  finest diameter {geo.h.min():.5f} vs initial {geo.h.max():.5f}; "
-      f"shape ratio still {geo.shape_ratio.max():.4f}")
+      f"shape ratio still {geo.shape_ratio(fine).max():.4f}")
 
 coarse = fine
 while True:

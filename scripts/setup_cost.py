@@ -11,9 +11,9 @@ run's final mesh:
 - ``Mesh``: the constructor, from copies of the mesh's primary arrays
   (edges, areas, boundary labels, the validation and the check of the
   newest-vertex level rule);
-- ``element_data``, ``unit_mass``, estimator geometry (the
-  ``"estimator"`` entry of the mesh cache) and the multigrid
-  prolongation (``mesh_prolongation``);
+- ``element_data``, ``unit_mass``, ``geometry`` (the geometry of the
+  residual indicator) and the multigrid prolongation
+  (``mesh_prolongation``);
 - the V-cycle build: ``vcycle`` for the unit stiffness plus mass, without
   pins;
 - ``adapt``: ``mesh.adapt`` with the marks ``driver.mark_for_adaptation``
@@ -40,10 +40,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from output_digest import build  # noqa: E402  (sets paths, BLAS threads)
 from fracture_afem.driver import mark_for_adaptation, run  # noqa: E402
-from fracture_afem.estimator import _geometry, estimate  # noqa: E402
+from fracture_afem.estimator import estimate  # noqa: E402
 from fracture_afem.fem import (assemble_stiffness, element_data,  # noqa: E402
                                unit_mass)
-from fracture_afem.mesh import Mesh, adapt, derived  # noqa: E402
+from fracture_afem.mesh import Mesh, adapt, geometry  # noqa: E402
 from fracture_afem.multigrid import mesh_prolongation, vcycle  # noqa: E402
 
 RUNS = ("desk16", "paper64", "determinism")
@@ -76,8 +76,7 @@ BUILDERS = (
     ("Mesh", primary, lambda m, args, kwargs: Mesh(*args, **kwargs)),
     ("element_data", lambda m: (), element_data),
     ("unit_mass", lambda m: (element_data(m),), lambda m, _: unit_mass(m)),
-    ("estimator geometry", lambda m: (),
-     lambda m: derived(m, "estimator", _geometry)),
+    ("geometry", lambda m: (), geometry),
     ("prolongation", lambda m: (), mesh_prolongation),
     ("V-cycle build", _cycle_inputs, lambda m, A: vcycle(A, m)),
 )

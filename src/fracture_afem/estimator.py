@@ -8,7 +8,8 @@ Per triangle the squared indicator is
 where the edge jump is the difference of gradient magnitudes of v across an
 interior edge and the normal derivative on boundary (and slit) edges.  Each
 interior edge contribution is split evenly between its two triangles, so the
-global sum counts every edge once.
+global sum counts every edge once.  The diameters ``h_tau``, edge lengths
+``h_e`` and boundary normals are the mesh's :func:`.mesh.geometry`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import element_data, element_gradients
-from .mesh import derived
-from .mesh import geometry  # noqa: F401  (a perfbench/tracer.py site)
+from .mesh import geometry
 from .phasefield import phasefield_system, reaction_weight
 
 __all__ = [
@@ -44,33 +44,11 @@ class EstimatorField:
             raise ValueError("indicator values must be finite and nonnegative")
 
 
-def _geometry(mesh):
-    """Triangle diameters, edge lengths and the outward unit normals of the
-    boundary edges (in edge order); :func:`estimate` keeps them in the
-    mesh's cache.  The lengths are ``sqrt(dx dx + dy dy)`` from the
-    coordinate columns, the arithmetic of ``np.linalg.norm(axis=1)``, and
-    a diameter is the largest of its triangle's three edge lengths."""
-    (x, y), (a, b) = mesh.vertices.T, mesh.edges.T
-    dx, dy = x[b] - x[a], y[b] - y[a]
-    he = np.sqrt(dx * dx + dy * dy)
-    h0, h1, h2 = he[mesh.tri_edges.T]
-    h = np.maximum(np.maximum(h0, h1), h2)
-    bnd = np.flatnonzero(mesh.boundary_edge_mask)
-    tb = mesh.edge_tris[bnd, 0]
-    # local edge i of the single incident triangle runs from its vertex
-    # i + 1 to i + 2; rotated by -90 degrees it points outward (the x
-    # component negated, not reversed, keeps the sign of a zero)
-    loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
-    p, q = (mesh.triangles[tb, (loc + s) % 3] for s in (1, 2))
-    normals = np.column_stack([y[q] - y[p], -(x[q] - x[p])]) / he[bnd, None]
-    return h, he, normals
-
-
 def estimate(u, v, mesh, params):
     """Evaluate the residual indicator for the pair (u, v)."""
     u.check_bound(mesh)
     v.check_bound(mesh)
-    h, he, bnd_normals = derived(mesh, "estimator", _geometry)
+    geo = geometry(mesh)
     gv = element_gradients(v, mesh)
     a_tau = reaction_weight(u, params, mesh)
     nu = params.nu_pf
@@ -81,7 +59,7 @@ def estimate(u, v, mesh, params):
     v0, v1, v2 = (v.values[mesh.triangles[:, k]] for k in range(3))
     s0, s1, s2 = ((a_tau * (0.5 * (p + q)) - nu) ** 2
                   for p, q in ((v1, v2), (v2, v0), (v0, v1)))
-    elem = h ** 2 * (mesh.signed_areas() / 3.0) * (s0 + s1 + s2)
+    elem = geo.h ** 2 * (geo.area / 3.0) * (s0 + s1 + s2)
 
     # edge jumps
     et = mesh.edge_tris
@@ -94,9 +72,9 @@ def estimate(u, v, mesh, params):
 
     bnd = np.flatnonzero(mesh.boundary_edge_mask)
     tb = et[bnd, 0]
-    jump2[bnd] = ((gv[tb] * bnd_normals).sum(axis=1)) ** 2
+    jump2[bnd] = ((gv[tb] * geo.boundary_normals).sum(axis=1)) ** 2
 
-    w = params.rho_pf ** 2 * he ** 2 * jump2
+    w = params.rho_pf ** 2 * geo.edge_lengths ** 2 * jump2
     # one bincount adds the element term, then the interior halves, then
     # the boundary edges, in that order for every triangle
     half = 0.5 * w[interior]

@@ -15,7 +15,9 @@ at the cap, as the closure never reaches a capped triangle.  Meshes are
 immutable after construction: :func:`adapt` returns a new generation and
 records enough provenance for nodal transfer between generations.
 :func:`grid_weights` reads the P1 interpolation from a grid mesh at the
-vertices of another mesh off their grid coordinates.
+vertices of another mesh off their grid coordinates, and :func:`geometry`
+builds the diameters, edge lengths and boundary normals of the residual
+indicator once per mesh.
 
 Triangle storage convention: the vertex at local position 0 is the "peak"
 (newest vertex) and the refinement edge is the opposite edge, i.e. the one
@@ -403,34 +405,53 @@ def _signed_areas(mesh):
 
 @dataclass
 class MeshGeometry:
-    """Per-triangle geometric data (diameters, areas, normals)."""
+    """The per-mesh geometry of the residual indicator, which
+    :func:`geometry` builds; every array is read-only.  The boundary
+    normals have one ``(2,)`` row per boundary edge, in edge order."""
 
-    h: np.ndarray              # longest edge length per triangle
-    area: np.ndarray
-    edge_lengths: np.ndarray   # (nt, 3), local edge i opposite vertex i
-    normals: np.ndarray        # (nt, 3, 2), unit outward normal per local edge
-    shape_ratio: np.ndarray    # diameter over inscribed-circle diameter
+    h: np.ndarray                 # diameter h_tau per triangle
+    area: np.ndarray              # Mesh.signed_areas
+    edge_lengths: np.ndarray      # length h_e per edge
+    boundary_normals: np.ndarray  # outward unit normal per boundary edge
+
+    def shape_ratio(self, mesh):
+        """Diameter over inscribed-circle diameter per triangle of
+        ``mesh``, the mesh of this geometry, ``h P / (4 A)`` for the
+        perimeter ``P`` and area ``A``; computed per call."""
+        l0, l1, l2 = self.edge_lengths[mesh.tri_edges.T]
+        return self.h * (l0 + l1 + l2) / (4.0 * self.area)
 
 
 def geometry(mesh):
-    """Compute per-triangle diameter, area, edge lengths and outward normals.
+    """Triangle diameters and areas, edge lengths and the outward unit
+    normals of the boundary edges, built at the first call per mesh and
+    kept in its cache.
 
-    Every triangle has positive area: :class:`Mesh` rejects any other.
+    The lengths are ``sqrt(dx dx + dy dy)`` from the coordinate columns,
+    the arithmetic of ``np.linalg.norm(axis=1)``, and a diameter is the
+    largest of its triangle's three edge lengths.
     """
-    v = mesh.vertices
-    t = mesh.triangles
-    x = v[t]                                  # (nt, 3, 2)
-    area = mesh.signed_areas()
-    # edge i runs opposite local vertex i
-    tang = x[:, [2, 0, 1], :] - x[:, [1, 2, 0], :]     # (nt, 3, 2)
-    lengths = np.linalg.norm(tang, axis=2)
-    h = lengths.max(axis=1)
-    # rotate tangent by -90 degrees; for CCW triangles this points outward
-    normals = np.stack([tang[:, :, 1], -tang[:, :, 0]], axis=2)
-    normals /= lengths[:, :, None]
-    inradius = area / (0.5 * lengths.sum(axis=1))
-    return MeshGeometry(h=h, area=area, edge_lengths=lengths, normals=normals,
-                        shape_ratio=h / (2.0 * inradius))
+    return derived(mesh, "geometry", _geometry)
+
+
+def _geometry(mesh):
+    (x, y), (a, b) = mesh.vertices.T, mesh.edges.T
+    dx, dy = x[b] - x[a], y[b] - y[a]
+    he = np.sqrt(dx * dx + dy * dy)
+    h0, h1, h2 = he[mesh.tri_edges.T]
+    h = np.maximum(np.maximum(h0, h1), h2)
+    bnd = np.flatnonzero(mesh.boundary_edge_mask)
+    tb = mesh.edge_tris[bnd, 0]
+    # local edge i of the single incident triangle runs from its vertex
+    # i + 1 to i + 2; rotated by -90 degrees it points outward (the x
+    # component negated, not reversed, keeps the sign of a zero)
+    loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
+    p, q = (mesh.triangles[tb, (loc + s) % 3] for s in (1, 2))
+    normals = np.column_stack([y[q] - y[p], -(x[q] - x[p])]) / he[bnd, None]
+    for arr in (h, he, normals):
+        arr.flags.writeable = False
+    return MeshGeometry(h=h, area=mesh.signed_areas(), edge_lengths=he,
+                        boundary_normals=normals)
 
 
 # ----------------------------------------------------------------------
@@ -531,11 +552,12 @@ def grid_weights(coarse, fine):
     even = (i + j) % 2 == 0
     d = np.where(even, s - t, s + t - 1.0)  # >= 0 on the right side
     left = d < 0.0
-    # even 2c (lr, ur, ll), 2c + 1 (ul, ll, ur); odd 2c (ur, ul, lr),
-    # 2c + 1 (ll, lr, ul): the right angle first, weighted |d|
-    case = [even & ~left, even & left, ~even & ~left, ~even & left]
-    w = np.column_stack([np.abs(d), np.select(case, [t, 1.0 - t, 1.0 - s, s]),
-                         np.select(case, [1.0 - s, s, 1.0 - t, t])])
+    # even 2c (lr, ur, ll) weighs (|d|, t, 1 - s), 2c + 1 (ul, ll, ur)
+    # (|d|, 1 - t, s); odd 2c (ur, ul, lr) (|d|, 1 - s, 1 - t), 2c + 1
+    # (ll, lr, ul) (|d|, s, t): the right angle first
+    q, r = np.where(even, t, s), np.where(even, s, t)
+    w = np.column_stack([np.abs(d), np.where(even == left, 1.0 - q, q),
+                         np.where(left, r, 1.0 - r)])
     return coarse.triangles[2 * (j * n + i) + left], w
 
 
@@ -593,7 +615,7 @@ def adapt(mesh, refine_ids, coarsen_ids=()):
     for ids, what in ((refine_ids, "refine"), (coarsen_ids, "coarsen")):
         if ids.size and (ids.min() < 0 or ids.max() >= nt):
             raise ValueError(f"{what} set contains invalid triangle ids")
-    if np.intersect1d(refine_ids, coarsen_ids).size:
+    if np.intersect1d(refine_ids, coarsen_ids, assume_unique=True).size:
         raise ValueError("refine and coarsen sets must be disjoint")
 
     summary = AdaptSummary(requested_refine=len(refine_ids),
@@ -616,7 +638,8 @@ def _id_array(ids):
     ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError("triangle ids must be a 1-D set of integers")
-    return np.unique(ids.astype(np.int64))
+    ids = np.sort(ids.astype(np.int64))
+    return ids[_run_starts(ids)]
 
 
 def _closure(mesh, refine_ids, summary):
@@ -634,19 +657,19 @@ def _closure(mesh, refine_ids, summary):
     level below the cap holds one only as its refinement edge: it bisects
     once, to the cap, and never twice.
     """
-    T = mesh.tri_edges
+    # column by column, as in _coarsen: a row gather costs several times more
+    e0, e1, e2 = mesh.tri_edges.T
     capped = mesh.levels[refine_ids] >= mesh.max_levels
     marked = np.zeros(mesh.n_edges, dtype=bool)
-    marked[T[refine_ids[~capped], 0]] = True
+    marked[e0[refine_ids[~capped]]] = True
     while True:
-        m3 = marked[T]
-        add = T[m3.any(axis=1) & ~m3[:, 0], 0]
+        add = e0[(marked[e1] | marked[e2]) & ~marked[e0]]
         if not add.size:
             break
         marked[add] = True
 
     summary.skipped_capped = int(capped.sum())
-    summary.refined = int(marked[T[:, 0]].sum())
+    summary.refined = int(marked[e0].sum())
     return marked
 
 
@@ -680,20 +703,21 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     with that peak and all of them pair up.  Each triangle ``(m, b, c)``
     around a peak pairs with its counterclockwise successor there, the
     triangle across its edge ``(c, m)``, if :func:`_can_merge` lets them.
-    Such a pair spans a straight angle at ``m``.  So around an interior
-    peak that goes lie four triangles in two pairs, and around one on a
-    side or a slit face two in one pair; they pair alternately from one
-    anchor.  The anchor is the lowest-id second child (``child_side`` 1)
-    whose successor is a first child (0), a true sibling pair, or without
-    one the lowest-id triangle that can merge, and the other pair starts
-    two steps from it either way round.  This is the pairing of a scan
-    that claims the sibling pairs first and then, in ascending triangle
-    order, each triangle whose successor is left over: its first claim at
-    a peak is the anchor's pair, and that leaves one pairing that covers
-    the peak's triangles.  (At the slit's interior tip, the one boundary
-    vertex with a full angle, two pairs would leave open edges past the
-    tip, which :class:`Mesh` refuses.)  Merged parents are appended by
-    ascending peak, sibling pairs first, then the others, each by right
+    Such a pair spans a straight angle at ``m``.  So around a peak on a
+    side or a slit face that goes lie two triangles in one pair, and
+    around any other four in two pairs.  A peak with four triangles goes
+    only if its star closes, every triangle having a successor: at the
+    slit's interior tip, the one boundary vertex with a full angle, two
+    pairs would leave open edges past the tip, which :class:`Mesh`
+    refuses.  The pairs alternate from one anchor, the lowest-id second
+    child (``child_side`` 1) whose successor is a first child (0), a true
+    sibling pair, or without one the lowest-id triangle that can merge;
+    in a closed star the other pair starts two steps ahead of it.  This is
+    the pairing of a scan that claims the sibling pairs first and then, in
+    ascending triangle order, each triangle whose successor is left over:
+    its first claim at a peak is the anchor's pair, and that leaves one
+    pairing that covers the peak's triangles.  Merged parents are appended
+    by ascending peak, sibling pairs first, then the others, each by right
     child.
 
     By right child, the sibling pairs at a peak come in the order of the
@@ -751,20 +775,20 @@ def _coarsen(mesh, coarsen_ids, marked, summary):
     side = np.append(mesh.child_side, np.int8(-1))
     sib = ok & (side == 1) & (side[succ] == 0)
 
-    # one anchor per peak; the pairs start at the anchor and at the
-    # triangles two steps from it either way
+    # one anchor per peak; the pairs start at the anchor and two steps
+    # ahead of it
     cand = np.flatnonzero(ok)
     low = np.full(nv, 2 * nt)
     np.minimum.at(low, t[cand, 0], cand + nt * ~sib[cand])
-    anchor = np.zeros(nt + 1, dtype=bool)
-    anchor[low[low < 2 * nt] % nt] = True
-    two = succ[succ]
-    start = anchor | anchor[two]
-    start[two[anchor]] = True
+    start = np.zeros(nt + 1, dtype=bool)
+    start[low[low < 2 * nt] % nt] = True
+    start[succ[succ[start]]] = True
     right = np.flatnonzero(start & ok)
-    # a peak goes when its pairs cover every triangle around it
+    # a peak goes when its pairs cover every triangle around it, and one
+    # with four triangles only when each has a successor: its star closes
     size = np.bincount(t[star, 0], minlength=nv)
     gone = free & (2 * np.bincount(t[right, 0], minlength=nv) == size)
+    gone &= (size == 2) | (np.bincount(t[has, 0], minlength=nv) == size)
     right = right[gone[t[right, 0]]]
     right = right[np.lexsort((right, ~sib[right], t[right, 0]))]
     left = succ[right]

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from fracture_afem.driver import build_dirichlet
 from fracture_afem.dynamics import LoadingParams, MaterialParams
-from fracture_afem.estimator import _geometry, estimate
+from fracture_afem.estimator import estimate
 from fracture_afem.fem import FeFunction, element_data, unit_mass
-from fracture_afem.mesh import (InitialGrid, Mesh, _first_use, adapt,
-                                build_initial_mesh, derived, element_means,
-                                grid_weights, stable_sort)
+from fracture_afem.mesh import (InitialGrid, Mesh, MeshGeometry, _first_use,
+                                adapt, build_initial_mesh, element_means,
+                                geometry, grid_weights, stable_sort)
 from fracture_afem.multigrid import _hierarchy, entry_level, mesh_prolongation
 from fracture_afem.phasefield import phasefield_system, reaction_weight
 
@@ -24,7 +24,7 @@ MP = MaterialParams(epsilon=0.2)
 
 # every per-mesh entry, each built by one producer
 MESH_KEYS = {"signed_areas", "boundary", "elem", "unit_mass", "phasefield",
-             "estimator", "mg", "dirichlet"}
+             "geometry", "mg", "dirichlet"}
 
 
 def test_only_the_mesh_module_touches_the_cache():
@@ -87,6 +87,8 @@ def arrays(value):
         return [value.vertices, value.triangles, value.levels]
     if isinstance(value, dict):
         return [a for key in sorted(value) for a in arrays(value[key])]
+    if isinstance(value, MeshGeometry):
+        return arrays(vars(value))
     if isinstance(value, (tuple, list)):
         return [a for item in value for a in arrays(item)]
     raise TypeError(f"unexpected cached type {type(value).__name__}")
@@ -118,6 +120,7 @@ def test_cached_values_are_derived_from_primary_data_only(chain):
         assert not unit_mass(mesh).data.flags.writeable
         assert not element_data(mesh)["stiffness"].flags.writeable
         assert not any(a.flags.writeable for a in mesh._cache["dirichlet"])
+        assert not any(a.flags.writeable for a in arrays(geometry(mesh)))
         assert element_data(mesh)["area"] is mesh.signed_areas()
 
 
@@ -222,8 +225,32 @@ def element_residual_oracle(u, v, mesh, params):
     vmid = 0.5 * (vv[:, [1, 2, 0]] + vv[:, [2, 0, 1]])
     a_tau = reaction_weight(u, params, mesh)
     sq = (a_tau[:, None] * vmid - params.nu_pf) ** 2
-    h = derived(mesh, "estimator", _geometry)[0]
-    return h ** 2 * (mesh.signed_areas() / 3.0) * sq.sum(axis=1)
+    geo = geometry(mesh)
+    return geo.h ** 2 * (geo.area / 3.0) * sq.sum(axis=1)
+
+
+def grid_weights_oracle(coarse, fine):
+    """The corners and weights of ``grid_weights``, each weight picked by
+    ``np.select`` from its four cases."""
+    grid, pts = coarse.grid, fine.vertices
+    n, (lx, ly) = grid.n0, grid.domain
+    xn, yn = pts[:, 0] * n / lx, pts[:, 1] * n / ly
+    i = np.clip(np.floor(xn), 0, n - 1).astype(np.int64)
+    j = np.clip(np.floor(yn), 0, n - 1).astype(np.int64)
+    if grid.slit is not None:
+        tri = fine.triangles
+        upper = np.zeros(len(pts), dtype=bool)
+        upper[tri[grid.above(element_means(pts[:, 1], tri))].ravel()] = True
+        jy = grid.slit_index[2]
+        j = np.where(grid.on_slit(pts), np.where(upper, jy, jy - 1), j)
+    s, t = np.clip(xn - i, 0.0, 1.0), np.clip(yn - j, 0.0, 1.0)
+    even = (i + j) % 2 == 0
+    d = np.where(even, s - t, s + t - 1.0)
+    left = d < 0.0
+    case = [even & ~left, even & left, ~even & ~left, ~even & left]
+    w = np.column_stack([np.abs(d), np.select(case, [t, 1.0 - t, 1.0 - s, s]),
+                         np.select(case, [1.0 - s, s, 1.0 - t, t])])
+    return coarse.triangles[2 * (j * n + i) + left], w
 
 
 def prolongation_oracle(coarse, fine):
@@ -260,7 +287,9 @@ def test_builders_equal_the_formulas_they_replaced(chain):
                            **pattern_oracle(mesh)}.items():
             assert_same(ed[name], want)
         assert_same(mesh.signed_areas(), ed["area"])
-        for got, want in zip(derived(mesh, "estimator", _geometry),
+        geo = geometry(mesh)
+        assert geo.area is mesh.signed_areas()
+        for got, want in zip((geo.h, geo.edge_lengths, geo.boundary_normals),
                              estimator_oracle(mesh)):
             assert_same(got, want)
         # with rho_pf = 0 the edge terms add +0.0, so r2 is the element
@@ -272,6 +301,9 @@ def test_builders_equal_the_formulas_they_replaced(chain):
         assert_same(estimate(u, v, mesh, params).r2,
                     element_residual_oracle(u, v, mesh, params))
         coarse = _hierarchy(mesh.grid, entry_level(mesh))[0][0]
+        for got, want in zip(grid_weights(coarse, mesh),
+                             grid_weights_oracle(coarse, mesh)):
+            assert_same(got, want)
         for got, want in zip(mesh_prolongation(mesh),
                              prolongation_oracle(coarse, mesh)):
             for name in ("data", "indices", "indptr"):

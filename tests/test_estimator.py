@@ -309,17 +309,7 @@ def test_ratio_bounded_for_fine_trials_across_levels():
     assert maxima[2] <= 1.2 * maxima[1] + 1e-12
 
 
-def test_estimate_computes_geometry_once_per_mesh(monkeypatch):
-    import fracture_afem.estimator as est_mod
-
-    calls = []
-    build = est_mod._geometry
-
-    def counted(mesh):
-        calls.append(mesh.generation)
-        return build(mesh)
-
-    monkeypatch.setattr(est_mod, "_geometry", counted)
+def test_estimate_computes_geometry_once_per_mesh():
     mesh = adapt(build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4),
                  [0, 5, 9])
     twin = adapt(build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4),
@@ -328,10 +318,12 @@ def test_estimate_computes_geometry_once_per_mesh(monkeypatch):
     u1 = FeFunction(np.sin(x) * y, mesh.generation)
     u2 = FeFunction(x * x - y, mesh.generation)
     v = FeFunction(np.clip(0.3 + 0.2 * x, 0.0, 1.0), mesh.generation)
+    assert "geometry" not in mesh._cache
     estimate(u1, v, mesh, MP)
+    geo = mesh._cache["geometry"]
     second = estimate(u2, v, mesh, MP)
-    assert calls == [mesh.generation]
+    assert mesh._cache["geometry"] is geo
+    assert geometry(mesh) is geometry(mesh) is geo
     # the cached geometry gives the indicators of a fresh computation
     fresh = estimate(u2, v, twin, MP)
-    assert len(calls) == 2
     assert np.array_equal(second.r2, fresh.r2)

@@ -142,9 +142,8 @@ def test_setup_cost_prints_one_row_per_builder(src_env):
             out.stdout.splitlines()]
     assert all(rows), out.stdout
     names = [row[1] for row in rows]
-    assert names == ["Mesh", "element_data", "unit_mass",
-                     "estimator geometry", "prolongation", "set-up",
-                     "V-cycle build", "adapt"]
+    assert names == ["Mesh", "element_data", "unit_mass", "geometry",
+                     "prolongation", "set-up", "V-cycle build", "adapt"]
     ms = [float(row[2]) for row in rows]
     assert all(t > 0.0 for t in ms)
     assert abs(ms[5] - sum(ms[:5])) <= 0.01
