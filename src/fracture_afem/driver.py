@@ -315,13 +315,13 @@ def energies(state, params, est=None, time=0.0, step=0):
     du = state.du.values
     kinetic = 0.5 * params.varrho * (du @ (M @ du))
     c = element_means(degradation(state.v, params).values, mesh.triangles)
-    gu = element_gradients(state.u_curr, mesh)
-    strain = 0.5 * params.mu * (c * area * (gu ** 2).sum(axis=1)).sum()
+    gx, gy = element_gradients(state.u_curr, mesh)
+    strain = 0.5 * params.mu * (c * area * (gx ** 2 + gy ** 2)).sum()
 
-    gv = element_gradients(state.v, mesh)
+    gx, gy = element_gradients(state.v, mesh)
     vbar = element_means(state.v.values, mesh.triangles)
     h_of_v = (area.sum() - (area * vbar).sum()) / params.epsilon \
-        + params.epsilon * (area * (gv ** 2).sum(axis=1)).sum()
+        + params.epsilon * (area * (gx ** 2 + gy ** 2)).sum()
     surface = params.lambda_c / params.c_w * h_of_v
 
     if kinetic < 0 or strain < -1e-12 or surface < -1e-12:

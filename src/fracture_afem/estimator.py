@@ -49,7 +49,7 @@ def estimate(u, v, mesh, params):
     u.check_bound(mesh)
     v.check_bound(mesh)
     geo = geometry(mesh)
-    gv = element_gradients(v, mesh)
+    gx, gy = element_gradients(v, mesh)
     a_tau = reaction_weight(u, params, mesh)
     nu = params.nu_pf
 
@@ -61,26 +61,22 @@ def estimate(u, v, mesh, params):
                   for p, q in ((v1, v2), (v2, v0), (v0, v1)))
     elem = geo.h ** 2 * (geo.area / 3.0) * (s0 + s1 + s2)
 
-    # edge jumps
-    et = mesh.edge_tris
-    interior = ~mesh.boundary_edge_mask
-    jump2 = np.zeros(mesh.n_edges)
-    ti = et[interior, 0]
-    tj = et[interior, 1]
-    gmag = np.linalg.norm(gv, axis=1)
-    jump2[interior] = (gmag[ti] - gmag[tj]) ** 2
-
-    bnd = np.flatnonzero(mesh.boundary_edge_mask)
-    tb = et[bnd, 0]
-    jump2[bnd] = ((gv[tb] * geo.boundary_normals).sum(axis=1)) ** 2
-
-    w = params.rho_pf ** 2 * geo.edge_lengths ** 2 * jump2
+    # edge terms rho_pf^2 h_e^2 jump^2, formed on the interior and the
+    # boundary edges apart; the jumps read the gradient columns, with the
+    # bits of norm(axis=1) and of the squared row sum of g * n (see
+    # element_gradients)
+    rho2, he = params.rho_pf ** 2, geo.edge_lengths
+    (ti, tj), tb = geo.interior_tris, geo.boundary_tris
+    gmag = np.sqrt(gx ** 2 + gy ** 2)
+    half = 0.5 * (rho2 * he[geo.interior] ** 2 * (gmag[ti] - gmag[tj]) ** 2)
+    nx, ny = geo.boundary_normals.T
+    wb = rho2 * he[mesh.boundary_edge_mask] ** 2 \
+        * (gx[tb] * nx + gy[tb] * ny) ** 2
     # one bincount adds the element term, then the interior halves, then
     # the boundary edges, in that order for every triangle
-    half = 0.5 * w[interior]
     r2 = np.bincount(
         np.concatenate([np.arange(mesh.n_triangles), ti, tj, tb]),
-        weights=np.concatenate([elem, half, half, w[bnd]]),
+        weights=np.concatenate([elem, half, half, wb]),
         minlength=mesh.n_triangles)
     return EstimatorField(r2=r2, r_h=float(np.sqrt(r2.sum())))
 
@@ -143,8 +139,8 @@ def reliability_ratio(u, v, mesh, params, trial, r_h=None):
     lives on a refinement of the mesh that carries (u, v).
     """
     ed = element_data(mesh)
-    gp = element_gradients(trial, mesh)
-    norm_gp = np.sqrt((ed["area"] * (gp ** 2).sum(axis=1)).sum())
+    gx, gy = element_gradients(trial, mesh)
+    norm_gp = np.sqrt((ed["area"] * (gx ** 2 + gy ** 2)).sum())
     if norm_gp == 0.0:
         raise ValueError("trial function has zero gradient")
     if r_h is None:

@@ -99,6 +99,9 @@ def element_data(mesh):
 
     The areas are :meth:`Mesh.signed_areas`, and the gradients are formed
     from the corners' coordinate columns (:func:`.mesh.corners`).
+    ``grads`` is component-major, ``(2, 3, nt)``: ``grads[c, k]`` is the
+    component ``c`` of the gradient of hat ``k`` on every triangle, one
+    contiguous column, so per-element kernels do column arithmetic.
     ``stiffness`` holds the ``9 nt`` entries ``gx_i gx_j + gy_i gy_j`` of
     each triangle (row-major within it, read-only): the element stiffness
     without its area and coefficient.  The pattern holds the diagonal and
@@ -114,11 +117,11 @@ def _element_data(mesh):
     x, y = corners(mesh)
     area = mesh.signed_areas()
     a2 = 2.0 * area
-    # rows of grads are the constant gradients of the three hat functions:
+    # the constant gradients of the three hat functions, by component:
     # hat k has (y_{k+1} - y_{k+2}, x_{k+2} - x_{k+1}) / (2 area)
     gx = [(y[(k + 1) % 3] - y[(k + 2) % 3]) / a2 for k in range(3)]
     gy = [(x[(k + 2) % 3] - x[(k + 1) % 3]) / a2 for k in range(3)]
-    grads = np.ascontiguousarray(np.array([gx, gy]).T)
+    grads = np.array([gx, gy])
     # G G^T entry by entry: the products and sums of an einsum over the two
     # gradient components; the products commute exactly
     entries = np.empty((len(area), 3, 3))
@@ -364,17 +367,27 @@ def _walk_provenance(values, src_mesh, dst_mesh, midpoint):
 
 
 def element_gradients(u, mesh):
-    """Constant gradient of a P1 field on each triangle, shape (nt, 2).
+    """Constant gradient of a P1 field on each triangle, component-major:
+    shape ``(2, nt)``, so callers unpack ``gx, gy``.
 
     Each component is ``g0 u0 + g1 u1 + g2 u2`` over the corners, the
     order in which ``einsum('nik,ni->nk')`` sums, so the bits are the same
     at less than half its cost.  The corner values are gathered column by
     column of the triangles.
+
+    Callers form ``gx ** 2 + gy ** 2`` and its ``np.sqrt``, which are the
+    bits of ``(g ** 2).sum(axis=1)`` and ``np.linalg.norm(g, axis=1)`` on
+    ``(nt, 2)`` rows, and skip numpy's slow reduction over an axis of
+    length 2.  That reduction adds its terms to ``+0.0`` first, which
+    changes no square; so ``gx * nx + gy * ny`` differs from ``(g *
+    n).sum(axis=1)`` only in the sign of a zero, and its square not at all.
+    (The sign of a NaN follows numpy's SIMD loop either way; the fields
+    here are finite.)
     """
     u.check_bound(mesh)
     g = element_data(mesh)["grads"]
     u0, u1, u2 = (u.values[mesh.triangles[:, k]] for k in range(3))
-    out = np.empty((len(u0), 2))
+    out = np.empty((2, len(u0)))
     for c in range(2):
-        out[:, c] = g[:, 0, c] * u0 + g[:, 1, c] * u1 + g[:, 2, c] * u2
+        out[c] = g[c, 0] * u0 + g[c, 1] * u1 + g[c, 2] * u2
     return out

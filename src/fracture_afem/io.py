@@ -171,8 +171,8 @@ def make_snapshot(state, est, cfg, step, time):
     """
     mesh = state.mesh
     area = mesh.signed_areas()
-    gu = element_gradients(state.u_curr, mesh)
-    gu2 = (gu ** 2).sum(axis=1)
+    gx, gy = element_gradients(state.u_curr, mesh)
+    gu2 = gx ** 2 + gy ** 2
     corners = mesh.triangles.ravel()
     num = np.bincount(corners, weights=np.repeat(gu2 * area, 3),
                       minlength=mesh.n_vertices)

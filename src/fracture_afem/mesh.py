@@ -405,14 +405,20 @@ def _signed_areas(mesh):
 
 @dataclass
 class MeshGeometry:
-    """The per-mesh geometry of the residual indicator, which
-    :func:`geometry` builds; every array is read-only.  The boundary
-    normals have one ``(2,)`` row per boundary edge, in edge order."""
+    """The per-mesh geometry and edge indices of the residual indicator,
+    which :func:`geometry` builds; every array is read-only.  The boundary
+    normals have one ``(2,)`` row per boundary edge, in edge order.  The
+    interior edges are listed in edge order, and ``interior_tris`` holds
+    their two triangles as two contiguous rows, so a caller unpacks
+    ``ti, tj`` without a mask or a strided gather."""
 
     h: np.ndarray                 # diameter h_tau per triangle
     area: np.ndarray              # Mesh.signed_areas
     edge_lengths: np.ndarray      # length h_e per edge
     boundary_normals: np.ndarray  # outward unit normal per boundary edge
+    interior: np.ndarray          # ids of the interior edges
+    interior_tris: np.ndarray     # (2, n_interior) triangles of each
+    boundary_tris: np.ndarray     # the triangle of each boundary edge
 
     def shape_ratio(self, mesh):
         """Diameter over inscribed-circle diameter per triangle of
@@ -423,9 +429,10 @@ class MeshGeometry:
 
 
 def geometry(mesh):
-    """Triangle diameters and areas, edge lengths and the outward unit
-    normals of the boundary edges, built at the first call per mesh and
-    kept in its cache.
+    """Triangle diameters and areas, edge lengths, the outward unit
+    normals of the boundary edges, and the interior edges with their
+    triangles and the triangle of each boundary edge, built at the first
+    call per mesh and kept in its cache.
 
     The lengths are ``sqrt(dx dx + dy dy)`` from the coordinate columns,
     the arithmetic of ``np.linalg.norm(axis=1)``, and a diameter is the
@@ -448,10 +455,13 @@ def _geometry(mesh):
     loc = np.argmax(mesh.tri_edges[tb] == bnd[:, None], axis=1)
     p, q = (mesh.triangles[tb, (loc + s) % 3] for s in (1, 2))
     normals = np.column_stack([y[q] - y[p], -(x[q] - x[p])]) / he[bnd, None]
-    for arr in (h, he, normals):
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    interior_tris = mesh.edge_tris[interior].T.copy()  # C order: two rows
+    for arr in (h, he, normals, interior, interior_tris, tb):
         arr.flags.writeable = False
     return MeshGeometry(h=h, area=mesh.signed_areas(), edge_lengths=he,
-                        boundary_normals=normals)
+                        boundary_normals=normals, interior=interior,
+                        interior_tris=interior_tris, boundary_tris=tb)
 
 
 # ----------------------------------------------------------------------

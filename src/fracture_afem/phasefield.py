@@ -74,8 +74,8 @@ class CrackSet:
 def reaction_weight(u, params, mesh):
     """Element reaction weight mu (1 - kappa) |grad u|^2 of the damage
     equation."""
-    gu = element_gradients(u, mesh)
-    return params.mu * (1.0 - params.kappa) * (gu ** 2).sum(axis=1)
+    gx, gy = element_gradients(u, mesh)
+    return params.mu * (1.0 - params.kappa) * (gx ** 2 + gy ** 2)
 
 
 def _constants(mesh):
@@ -165,7 +165,7 @@ def update_crack_set(v, mesh, xi_cr, old):
     if old.generation != mesh.generation:
         raise ValueError("crack set bound to a different generation")
     e = mesh.edges
-    low = v.values[e] <= xi_cr
-    hit = low.all(axis=1)
+    low = v.values <= xi_cr
+    hit = low[e[:, 0]] & low[e[:, 1]]
     ids = np.union1d(old.ids, np.unique(e[hit]))
     return CrackSet(ids, mesh.generation)

@@ -161,7 +161,8 @@ def edges_oracle(mesh):
 
 def element_oracle(mesh):
     """Areas, gradients and unit stiffness entries from the ``(nt, 3, 2)``
-    row gather of the corners."""
+    row gather of the corners; the gradients read in the ``(2, 3, nt)``
+    component-major layout."""
     v, t = mesh.vertices, mesh.triangles
     d1, d2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
     area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -171,7 +172,8 @@ def element_oracle(mesh):
     grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
     stiffness = grads[:, :, None, 0] * grads[:, None, :, 0]
     stiffness += grads[:, :, None, 1] * grads[:, None, :, 1]
-    return {"area": area, "grads": grads, "stiffness": stiffness.ravel()}
+    return {"area": area, "grads": grads.transpose(2, 1, 0),
+            "stiffness": stiffness.ravel()}
 
 
 def pattern_oracle(mesh):
@@ -204,7 +206,8 @@ def pattern_oracle(mesh):
 
 def estimator_oracle(mesh):
     """Diameters, edge lengths and boundary normals from row gathers and
-    ``np.linalg.norm``."""
+    ``np.linalg.norm``; the interior edges, their triangles and the
+    boundary edges' triangles from the boundary mask."""
     v = mesh.vertices
     he = np.linalg.norm(v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]], axis=1)
     h = he[mesh.tri_edges].max(axis=1)
@@ -215,7 +218,8 @@ def estimator_oracle(mesh):
     rows = np.arange(len(tb))
     tang = v[tri[rows, (loc + 2) % 3]] - v[tri[rows, (loc + 1) % 3]]
     normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / he[bnd, None]
-    return h, he, normals
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    return h, he, normals, interior, mesh.edge_tris[interior].T, tb
 
 
 def element_residual_oracle(u, v, mesh, params):
@@ -289,9 +293,13 @@ def test_builders_equal_the_formulas_they_replaced(chain):
         assert_same(mesh.signed_areas(), ed["area"])
         geo = geometry(mesh)
         assert geo.area is mesh.signed_areas()
-        for got, want in zip((geo.h, geo.edge_lengths, geo.boundary_normals),
-                             estimator_oracle(mesh)):
-            assert_same(got, want)
+        got = (geo.h, geo.edge_lengths, geo.boundary_normals, geo.interior,
+               geo.interior_tris, geo.boundary_tris)
+        want = estimator_oracle(mesh)
+        # every field but the area, checked above
+        assert len(got) == len(want) == len(vars(geo)) - 1
+        for a, b in zip(got, want):
+            assert_same(a, b)
         # with rho_pf = 0 the edge terms add +0.0, so r2 is the element
         # residual alone
         rng = np.random.default_rng(mesh.n_vertices)

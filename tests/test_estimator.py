@@ -324,6 +324,14 @@ def test_estimate_computes_geometry_once_per_mesh():
     second = estimate(u2, v, mesh, MP)
     assert mesh._cache["geometry"] is geo
     assert geometry(mesh) is geometry(mesh) is geo
+    # the edge indices the indicator reads, built once and read-only
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    bnd = np.flatnonzero(mesh.boundary_edge_mask)
+    for got, want in ((geo.interior, interior),
+                      (geo.interior_tris, mesh.edge_tris[interior].T),
+                      (geo.boundary_tris, mesh.edge_tris[bnd, 0])):
+        assert not got.flags.writeable and np.array_equal(got, want)
+    assert geo.interior_tris.flags.c_contiguous
     # the cached geometry gives the indicators of a fresh computation
     fresh = estimate(u2, v, twin, MP)
     assert np.array_equal(second.r2, fresh.r2)

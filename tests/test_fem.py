@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fracture_afem.fem as fem
 from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
@@ -99,7 +100,8 @@ def test_pattern_assembly_matches_coo_reference(mesh, data):
     c = np.array(data.draw(weights))
     w = np.array(data.draw(weights))
     ed = element_data(mesh)
-    area, G = ed["area"], ed["grads"]
+    # the (nt, 3, 2) rows of the component-major gradients
+    area, G = ed["area"], ed["grads"].transpose(2, 1, 0)
 
     M = assemble_mass(mesh, 2.5)
     assert_close_to_reference(
@@ -126,7 +128,7 @@ def test_pattern_assembly_matches_coo_reference(mesh, data):
 def test_stiffness_data_equals_einsum_reference(mesh, seed):
     c = np.random.default_rng(seed).uniform(0.0, 10.0, mesh.n_triangles)
     ed = element_data(mesh)
-    G = ed["grads"]
+    G = ed["grads"].transpose(2, 1, 0)
     local = np.einsum('nik,njk->nij', G, G) * (c * ed["area"])[:, None, None]
     want = np.bincount(ed["slot"], weights=local.reshape(-1),
                        minlength=len(ed["indices"]))
@@ -141,9 +143,9 @@ def test_element_operator_equals_bincount_reference(mesh, seed):
     rng = np.random.default_rng(seed)
     nt = mesh.n_triangles
     ed = element_data(mesh)
-    area, G = ed["area"], ed["grads"]
-    unit = G[..., 0][:, :, None] * G[..., 0][:, None, :]
-    unit += G[..., 1][:, :, None] * G[..., 1][:, None, :]
+    (gx, gy), area = ed["grads"].transpose(0, 2, 1), ed["area"]
+    unit = gx[:, :, None] * gx[:, None, :]
+    unit += gy[:, :, None] * gy[:, None, :]
 
     def weights():
         w = rng.uniform(0.0, 10.0, nt) * 10.0 ** rng.uniform(-8, 8)
@@ -512,7 +514,8 @@ def test_transfer_unrelated_generations_rejected():
 def test_gradients_of_coordinate_and_constant():
     mesh = unit_square(3)
     gx = element_gradients(FeFunction.from_callable(mesh, lambda x, y: x), mesh)
-    assert np.allclose(gx, [1.0, 0.0])
+    assert gx.shape == (2, mesh.n_triangles)
+    assert np.allclose(gx, [[1.0], [0.0]])
     g0 = element_gradients(FeFunction.constant(mesh, 4.2), mesh)
     assert np.abs(g0).max() < 1e-14
 
@@ -523,9 +526,9 @@ def test_gradients_equal_einsum_bit_for_bit(mesh, seed):
     rng = np.random.default_rng(seed)
     u = FeFunction(rng.standard_normal(mesh.n_vertices)
                    * 10.0 ** rng.uniform(-8, 8), mesh.generation)
-    ref = np.einsum('nik,ni->nk', element_data(mesh)["grads"],
-                    u.values[mesh.triangles])
-    assert np.array_equal(element_gradients(u, mesh), ref)
+    rows = element_data(mesh)["grads"].transpose(2, 1, 0)
+    ref = np.einsum('nik,ni->nk', rows, u.values[mesh.triangles])
+    assert np.array_equal(element_gradients(u, mesh), ref.T)
 
 
 @settings(max_examples=30, deadline=None)
@@ -540,9 +543,39 @@ def test_element_means_equal_numpy_mean_bit_for_bit(mesh, seed):
         assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+# subnormals, signed zeros, squares that overflow to inf, inf and NaN
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e-170, 1.5e160, -1.7e308, np.inf,
+           -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(4)),
+                  elements=st.floats() | st.sampled_from(SPECIAL)))
+def test_gradient_columns_equal_row_reductions_bit_for_bit(data):
+    # the callers' column forms against the (n, 2) row reductions they
+    # replaced.  numpy's row sum starts from +0.0, so it is 0.0 + p0 + p1:
+    # a sum of two -0.0 products reads +0.0 there and -0.0 in the column
+    # form, and the square the indicator takes is the same.  A NaN's sign
+    # follows the SIMD loop numpy picks for the length, not the formula,
+    # so NaNs must fall in the same places and every other bit agree
+    g, n = np.ascontiguousarray(data[:, :2]), np.ascontiguousarray(data[:, 2:])
+    (gx, gy), (nx, ny) = np.ascontiguousarray(g.T), np.ascontiguousarray(n.T)
+    with np.errstate(all="ignore"):
+        dot = gx * nx + gy * ny
+        pairs = [(gx ** 2 + gy ** 2, (g ** 2).sum(axis=1)),
+                 (np.sqrt(gx ** 2 + gy ** 2), np.linalg.norm(g, axis=1)),
+                 (0.0 + dot, (g * n).sum(axis=1)),
+                 (dot ** 2, (g * n).sum(axis=1) ** 2)]
+    for got, want in pairs:
+        nan = np.isnan(want)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_gradients_match_directional_difference_oracle():
     mesh = adapt(unit_square(3), [0, 5, 7])
     rng = np.random.default_rng(6)
     u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
     g = element_gradients(u, mesh)
-    assert np.allclose(g, gradient_oracle(mesh, u.values), atol=1e-12)
+    assert np.allclose(g.T, gradient_oracle(mesh, u.values), atol=1e-12)

@@ -167,3 +167,19 @@ def test_snapshot_cost_times_both_calls_on_the_final_state(src_env):
     assert tail, out.stdout
     assert int(tail[1].replace(",", "")) > 0
     assert tail[2] == "0" and len(lines) == 3
+
+
+def test_step_cost_times_each_kernel_on_one_mesh(src_env):
+    out = subprocess.run([sys.executable, str(SCRIPTS / "step_cost.py"),
+                          "-n", "2", "determinism"], env=src_env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = [re.fullmatch(r"(\w+) +([0-9.]+) ms +([0-9,]+) dofs +([0-9,]+) "
+                         r"triangles", line) for line in
+            out.stdout.splitlines()]
+    assert all(rows), out.stdout
+    assert [row[1] for row in rows] == ["element_gradients",
+                                        "reaction_weight", "estimate",
+                                        "energies", "update_crack_set"]
+    assert all(float(row[2]) > 0.0 for row in rows)
+    assert len({(row[3], row[4]) for row in rows}) == 1
