@@ -7,8 +7,7 @@ once (outputs go to a temporary directory), then times, on the run's final
 state and indicator, ``io.make_snapshot`` (the fields) and
 ``io.write_snapshot`` (the file), each the minimum of N repetitions
 (default 30) after one warm-up, in ms.  The last line gives the size of the
-file, how many of its values the writer formats with ``%`` instead of its
-vectorized kernel, and the mesh's dofs and triangles.
+file and the mesh's dofs and triangles.
 """
 
 from __future__ import annotations
@@ -58,13 +57,10 @@ def main(argv=None):
             snap, Path(tmp) / "snapshot"))
         size = path.stat().st_size
     mesh = snap.mesh
-    fallbacks = sum(fio._fallbacks(values) for values in (
-        mesh.vertices, mesh.triangles, *snap.point_fields.values(),
-        *snap.cell_fields.values()))
     print(f"{'make_snapshot':<16}{1e3 * make_s:9.3f} ms")
     print(f"{'write_snapshot':<16}{1e3 * write_s:9.3f} ms")
-    print(f"{size:,} bytes, {fallbacks:,} values formatted by %, "
-          f"{mesh.n_vertices:,} dofs, {mesh.n_triangles:,} triangles")
+    print(f"{size:,} bytes, {mesh.n_vertices:,} dofs, "
+          f"{mesh.n_triangles:,} triangles")
 
 
 if __name__ == "__main__":

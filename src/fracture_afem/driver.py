@@ -591,7 +591,8 @@ def run(cfg, on_step=None):
     written, so a bad value assigned after construction raises
     ``ValueError`` here.  Appends each step's energy row to
     ``energies.csv`` in the output directory as soon as the step finishes
-    (an old file is replaced), and writes snapshots per cadence; returns
+    (an old file is replaced), and writes snapshots per cadence (the
+    ``snapshot_*.vtk`` files of an earlier run are removed first); returns
     one :class:`StepRecord` per step.
     ``on_step(state, est, report, record)`` is invoked after every completed
     step but the first.
@@ -609,6 +610,8 @@ def run(cfg, on_step=None):
     out_dir = fio.prepare_output(cfg.output.directory)
     trace = out_dir / "energies.csv"
     trace.unlink(missing_ok=True)
+    for stale in out_dir.glob("snapshot_[0-9]*.vtk"):
+        stale.unlink()
     fio.write_energy_trace([report], trace)
     if cfg.output.snapshot_every > 0:
         fio.write_snapshot(fio.make_snapshot(state, est, cfg, 1, k), out_dir)

@@ -569,6 +569,22 @@ def test_aborted_run_leaves_finished_rows_on_disk(tmp_path, monkeypatch):
     assert full[:len(aborted)] == aborted
 
 
+def test_rerun_removes_the_snapshots_of_an_earlier_run(tmp_path):
+    # a shorter rerun into the same directory leaves only its own
+    # snapshots; files that are not snapshots stay
+    out = tmp_path / "out"
+    run(quiet_cfg(tmp_path, n0=8, n_steps=12, t_final=5.0, snapshot_every=4))
+    (out / "snapshot_notes.vtk").write_text("kept")
+    cfg = quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=5.0, snapshot_every=4)
+    run(cfg)
+    assert sorted(f.name for f in out.glob("*.vtk")) == [
+        "snapshot_000001.vtk", "snapshot_000004.vtk", "snapshot_000008.vtk",
+        "snapshot_notes.vtk"]
+    cfg.output.snapshot_every = 0
+    run(cfg)
+    assert [f.name for f in out.glob("*.vtk")] == ["snapshot_notes.vtk"]
+
+
 def test_failure_in_energies_names_its_step(tmp_path, monkeypatch):
     cfg = quiet_cfg(tmp_path, n0=8, n_steps=8, t_final=4.0)
     energies = driver.energies

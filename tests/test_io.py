@@ -1,5 +1,6 @@
 """Config parsing, writers, and the command line."""
 
+import struct
 import subprocess
 import sys
 import tempfile
@@ -20,40 +21,117 @@ from fracture_afem.fem import FeFunction
 from fracture_afem.mesh import build_initial_mesh
 
 
+def golden_block(fmt, *values):
+    """A binary block spelled by ``struct``: big-endian ``fmt`` per value,
+    then the newline that ends it."""
+    return struct.pack(f">{len(values)}{fmt}", *values) + b"\n"
+
+
 GOLDEN_SNAPSHOT = (
-    "# vtk DataFile Version 3.0\n"
-    "fracture state step 7 time 5.000000000e-01\n"
-    "ASCII\n"
-    "DATASET UNSTRUCTURED_GRID\n"
-    "POINTS 4 double\n"
-    "0.000000000e+00 0.000000000e+00 0.000000000e+00\n"
-    "1.000000000e+00 0.000000000e+00 0.000000000e+00\n"
-    "0.000000000e+00 1.000000000e+00 0.000000000e+00\n"
-    "1.000000000e+00 1.000000000e+00 0.000000000e+00\n"
-    "CELLS 2 8\n"
-    "3 1 3 0\n"
-    "3 2 0 3\n"
-    "CELL_TYPES 2\n"
-    "5\n"
-    "5\n"
-    "POINT_DATA 4\n"
-    "SCALARS u double 1\n"
-    "LOOKUP_TABLE default\n"
-    + "0.000000000e+00\n" * 4 +
-    "SCALARS du double 1\n"
-    "LOOKUP_TABLE default\n"
-    + "0.000000000e+00\n" * 4 +
-    "SCALARS v double 1\n"
-    "LOOKUP_TABLE default\n"
-    + "1.000000000e+00\n" * 4 +
-    "SCALARS stress_proxy double 1\n"
-    "LOOKUP_TABLE default\n"
-    + "0.000000000e+00\n" * 4 +
-    "CELL_DATA 2\n"
-    "SCALARS estimator double 1\n"
-    "LOOKUP_TABLE default\n"
-    + "0.000000000e+00\n" * 2
+    b"# vtk DataFile Version 3.0\n"
+    b"fracture state step 7 time 5.000000000e-01\n"
+    b"BINARY\n"
+    b"DATASET UNSTRUCTURED_GRID\n"
+    b"POINTS 4 double\n"
+    + golden_block("d", 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0) +
+    b"CELLS 2 8\n"
+    + golden_block("i", 3, 1, 3, 0, 3, 2, 0, 3) +
+    b"CELL_TYPES 2\n"
+    + golden_block("i", 5, 5) +
+    b"POINT_DATA 4\n"
+    b"SCALARS u double 1\n"
+    b"LOOKUP_TABLE default\n"
+    + golden_block("d", 0, 0, 0, 0) +
+    b"SCALARS du double 1\n"
+    b"LOOKUP_TABLE default\n"
+    + golden_block("d", 0, 0, 0, 0) +
+    b"SCALARS v double 1\n"
+    b"LOOKUP_TABLE default\n"
+    + golden_block("d", 1, 1, 1, 1) +
+    b"SCALARS stress_proxy double 1\n"
+    b"LOOKUP_TABLE default\n"
+    + golden_block("d", 0, 0, 0, 0) +
+    b"CELL_DATA 2\n"
+    b"SCALARS estimator double 1\n"
+    b"LOOKUP_TABLE default\n"
+    + golden_block("d", 0, 0)
 )
+
+
+def read_snapshot(path):
+    """Parse a binary legacy-VTK snapshot: its header lines, then each
+    array as read from the file (big-endian), keyed ``points``, ``cells``,
+    ``cell_types`` and ``POINT/<name>``, ``CELL/<name>``."""
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        words = data[pos:end].decode().split()
+        pos = end + 1
+        return words
+
+    def block(dtype, count):
+        nonlocal pos
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+        pos += values.nbytes
+        assert data[pos:pos + 1] == b"\n", "a block ends with a newline"
+        pos += 1
+        return values
+
+    header = [" ".join(line()) for _ in range(4)]
+    arrays = {}
+    kind = None
+    while pos < len(data):
+        words = line()
+        if words[0] == "POINTS":
+            assert words[2] == "double"
+            arrays["points"] = block(">f8", 3 * int(words[1])).reshape(-1, 3)
+        elif words[0] == "CELLS":
+            arrays["cells"] = block(">i4", int(words[2])).reshape(-1, 4)
+            assert len(arrays["cells"]) == int(words[1])
+        elif words[0] == "CELL_TYPES":
+            arrays["cell_types"] = block(">i4", int(words[1]))
+        elif words[0] in ("POINT_DATA", "CELL_DATA"):
+            kind, size = words[0].split("_")[0], int(words[1])
+        else:
+            assert words[0] == "SCALARS" and words[2:] == ["double", "1"]
+            assert line() == ["LOOKUP_TABLE", "default"]
+            arrays[f"{kind}/{words[1]}"] = block(">f8", size)
+    return header, arrays
+
+
+def bits(values):
+    """The 64 bits of each float64 of ``values``, in its own byte order,
+    as integers: ``-0.0``, NaN, the infinities and subnormals compare
+    exactly."""
+    values = np.asarray(values)
+    return values.view(values.dtype.str.replace("f8", "u8"))
+
+
+def assert_reads_back(path, snap):
+    """The file at ``path`` holds every array of ``snap`` bit for bit."""
+    header, arrays = read_snapshot(path)
+    mesh = snap.mesh
+    assert header == ["# vtk DataFile Version 3.0",
+                      f"fracture state step {snap.step} time {snap.time:.9e}",
+                      "BINARY", "DATASET UNSTRUCTURED_GRID"]
+    expected = {f"POINT/{name}": values
+                for name, values in snap.point_fields.items()}
+    expected.update({f"CELL/{name}": values
+                     for name, values in snap.cell_fields.items()})
+    assert set(arrays) == {"points", "cells", "cell_types", *expected}
+    points = arrays["points"]
+    assert np.array_equal(bits(points[:, :2]), bits(mesh.vertices))
+    assert not bits(points[:, 2]).any()         # z = +0.0
+    assert np.array_equal(arrays["cells"][:, 0], np.full(mesh.n_triangles, 3))
+    assert np.array_equal(arrays["cells"][:, 1:],
+                          np.reshape(mesh.triangles, (-1, 3)))
+    assert np.array_equal(arrays["cell_types"],
+                          np.full(mesh.n_triangles, 5))
+    for key, values in expected.items():
+        assert np.array_equal(bits(arrays[key]), bits(values)), key
 
 
 def tiny_snapshot():
@@ -363,15 +441,19 @@ def test_write_config_restores_inner_blanks_and_symbols(tmp_path):
 
 def test_snapshot_matches_golden_bytes(tmp_path):
     path = fio.write_snapshot(tiny_snapshot(), tmp_path)
-    assert path.read_text() == GOLDEN_SNAPSHOT
+    assert path.read_bytes() == GOLDEN_SNAPSHOT
 
 
 def test_snapshot_counts_match_mesh(tmp_path):
     snap = tiny_snapshot()
-    text = fio.write_snapshot(snap, tmp_path).read_text()
-    assert f"POINTS {snap.mesh.n_vertices} double" in text
-    assert f"CELLS {snap.mesh.n_triangles} {4 * snap.mesh.n_triangles}" in text
-    assert text.count("SCALARS") == len(snap.point_fields) \
+    data = fio.write_snapshot(snap, tmp_path).read_bytes()
+    nv, nt = snap.mesh.n_vertices, snap.mesh.n_triangles
+    assert f"\nPOINTS {nv} double\n".encode() in data
+    assert f"\nCELLS {nt} {4 * nt}\n".encode() in data
+    assert f"\nCELL_TYPES {nt}\n".encode() in data
+    assert f"\nPOINT_DATA {nv}\n".encode() in data
+    assert f"\nCELL_DATA {nt}\n".encode() in data
+    assert data.count(b"\nSCALARS ") == len(snap.point_fields) \
         + len(snap.cell_fields)
 
 
@@ -380,27 +462,6 @@ def test_snapshot_rewrite_identical(tmp_path):
     a = fio.write_snapshot(snap, tmp_path / "a").read_bytes()
     b = fio.write_snapshot(snap, tmp_path / "b").read_bytes()
     assert a == b
-
-
-def per_line_snapshot(snap):
-    """The snapshot text written one line and one f-string at a time."""
-    mesh = snap.mesh
-    lines = ["# vtk DataFile Version 3.0",
-             f"fracture state step {snap.step} time {snap.time:.9e}",
-             "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    lines += [f"{x:.9e} {y:.9e} {0.0:.9e}" for x, y in mesh.vertices]
-    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-    lines.append(f"CELL_TYPES {mesh.n_triangles}")
-    lines += ["5"] * mesh.n_triangles
-    for kind, size, fields in (("POINT", mesh.n_vertices, snap.point_fields),
-                               ("CELL", mesh.n_triangles, snap.cell_fields)):
-        lines.append(f"{kind}_DATA {size}")
-        for name, values in fields.items():
-            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            lines += [f"{x:.9e}" for x in values]
-    return "\n".join(lines) + "\n"
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
@@ -419,17 +480,15 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
 EDGE_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES),
                         st.floats(allow_nan=False, allow_infinity=False))
 
-# the digit-count edges of the kernel's ids, the edges of its two words,
-# its 10^8 limit, and ids that % formats: 2^32 and a negative id
-EDGE_IDS = st.one_of(st.sampled_from([0, 9, 10, 9999, 10000, 10001,
-                                      99999999, 10 ** 8, 2 ** 32 - 1,
-                                      2 ** 32, -1]),
-                     st.integers(0, 10 ** 6), st.integers(0, 2 ** 63 - 1))
+# ids are written as int32: its edges, and the byte edges between
+EDGE_IDS = st.one_of(st.sampled_from([0, 1, 255, 256, 65535, 65536,
+                                      2 ** 24, 2 ** 31 - 1]),
+                     st.integers(0, 2 ** 31 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_whole_array_writer_equals_per_line_reference(tmp_path_factory, data):
+def test_snapshot_reads_back_bit_for_bit(tmp_path_factory, data):
     nv = data.draw(st.integers(0, 12))
     nt = data.draw(st.integers(0, 12))
 
@@ -448,56 +507,42 @@ def test_whole_array_writer_equals_per_line_reference(tmp_path_factory, data):
                         time=float(floats(1)[0]), mesh=mesh,
                         point_fields={"u": floats(nv), "v": floats(nv)},
                         cell_fields={"estimator": floats(nt)})
-    # blocks of 3 rows, so that a field of up to 12 rows spans several
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fio, "ROW_BLOCK", 3)
-        path = fio.write_snapshot(snap, tmp_path_factory.mktemp("snap"))
-    assert path.read_text() == per_line_snapshot(snap)
+    assert_reads_back(fio.write_snapshot(snap, tmp_path_factory.mktemp("s")),
+                      snap)
 
 
-def test_determinism_snapshots_take_the_kernel_for_every_value(
-        tmp_path, monkeypatch):
-    snaps = []
+def test_snapshot_reads_back_every_edge_value(tmp_path):
+    # each edge value in each column of the points and in every field
+    values = np.array(EDGE_VALUES)
+    n = len(values)
+    mesh = SimpleNamespace(vertices=np.column_stack([values,
+                                                     np.roll(values, 1)]),
+                           triangles=np.array([[0, 1, 2], [2 ** 31 - 1,
+                                                           2 ** 24, 255]]),
+                           n_vertices=n, n_triangles=2)
+    snap = fio.Snapshot(step=3, time=0.25, mesh=mesh,
+                        point_fields={"u": values, "v": values[::-1]},
+                        cell_fields={"estimator": values[:2]})
+    assert_reads_back(fio.write_snapshot(snap, tmp_path), snap)
+
+
+def test_determinism_snapshots_read_back_exactly(tmp_path, monkeypatch):
+    steps = []
     write = fio.write_snapshot
 
-    def keep(snap, directory):
-        snaps.append(snap)
-        return write(snap, directory)
+    def write_and_read(snap, directory):
+        # read back before the run moves on and its state changes
+        path = write(snap, directory)
+        assert_reads_back(path, snap)
+        steps.append(snap.step)
+        return path
 
-    monkeypatch.setattr(fio, "write_snapshot", keep)
+    monkeypatch.setattr(fio, "write_snapshot", write_and_read)
     cfg = RunConfig.with_defaults(n0=8, n_steps=12, t_final=5.0)
     cfg.output.directory = str(tmp_path)
     cfg.output.snapshot_every = 4
     run(cfg)
-    assert [snap.step for snap in snaps] == [1, 4, 8, 12]
-    for snap in snaps:
-        arrays = [snap.mesh.vertices, snap.mesh.triangles,
-                  *snap.point_fields.values(), *snap.cell_fields.values()]
-        assert [fio._fallbacks(a) for a in arrays] == [0] * len(arrays)
-
-
-def test_kernel_formats_each_edge_value_as_percent():
-    # every edge value in every column of a row, so that each takes the
-    # last column's newline as well as a blank
-    values = np.array(EDGE_VALUES)
-    rows = np.column_stack([np.roll(values, k) for k in range(3)])
-    assert fio._float_rows(rows).decode() == "".join(
-        "%.9e %.9e %.9e\n" % tuple(row) for row in rows.tolist())
-    ids = np.array([[0, 9, 10], [2 ** 32 - 1, 2 ** 32, 99]])
-    assert fio._cell_rows(ids) == b"3 0 9 10\n3 4294967295 4294967296 99\n"
-    # a block with an id outside [0, 10^8) is formatted by % as a whole
-    assert fio._fallbacks(ids) == 6
-    kernel = [[0, 9, 10], [9999, 10000, 10001], [99999999, 0, 12345678]]
-    for block in (kernel, [[10 ** 8, 9999, 10000]], [[-1, 0, 10001]],
-                  kernel + [[5, -7, 99999999]]):
-        assert fio._cell_rows(np.array(block)) == b"".join(
-            b"3 %d %d %d\n" % tuple(row) for row in block)
-    assert fio._fallbacks(np.array(kernel)) == 0
-    # % formats the two ties, the two values next to a tie, NaN, the
-    # infinities and the magnitudes outside the kernel's range: the
-    # subnormals, 1e-300, 1e300 and the largest double
-    assert fio._fallbacks(values) == 13
-    assert fio._fallbacks([9.9999999995, 0.08604156276499998]) == 2
+    assert steps == [1, 4, 8, 12]
 
 
 def test_stress_proxy_of_uniform_gradient():

@@ -161,12 +161,11 @@ def test_snapshot_cost_times_both_calls_on_the_final_state(src_env):
     assert all(rows), out.stdout
     assert [row[1] for row in rows] == ["make_snapshot", "write_snapshot"]
     assert all(float(row[2]) > 0.0 for row in rows)
-    # the kernel formats every value of the final snapshot
-    tail = re.fullmatch(r"([0-9,]+) bytes, ([0-9,]+) values formatted by %, "
-                        r"([0-9,]+) dofs, ([0-9,]+) triangles", lines[2])
+    tail = re.fullmatch(r"([0-9,]+) bytes, ([0-9,]+) dofs, ([0-9,]+) "
+                        r"triangles", lines[2])
     assert tail, out.stdout
     assert int(tail[1].replace(",", "")) > 0
-    assert tail[2] == "0" and len(lines) == 3
+    assert len(lines) == 3
 
 
 def test_step_cost_times_each_kernel_on_one_mesh(src_env):
