@@ -16,8 +16,7 @@ The bytes depend on the BLAS thread count: CG's dot products split across
 threads sum in another order.  So before numpy loads, the script sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
 where the caller left them unset, and keeps a value the caller set.  The
-scripts that import it (``setup_cost.py``, ``snapshot_cost.py``,
-``step_cost.py``) inherit this.
+scripts that import it (``cost.py``, ``paper_probe.py``) inherit this.
 """
 
 from __future__ import annotations

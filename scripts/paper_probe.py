@@ -31,17 +31,27 @@ one wave solve and one damage solve, or takes the intact shortcut), and
 the V-cycles built per step (``StepRecord.cycle_builds``, damage and wave,
 both solves of an adapted step).  The run's output files go to a temporary
 directory.
+
+CG's iteration counts depend on the BLAS thread count, so the script
+imports ``output_digest`` before numpy: it sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where the caller left them
+unset, keeps a value the caller set, and puts ``src/`` on the path.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import tempfile
 import time
+from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from fracture_afem.driver import RunConfig, StepRecord, run
+import output_digest  # noqa: E402,F401  (paths, BLAS threads)
+import numpy as np  # noqa: E402
+
+from fracture_afem.driver import RunConfig, StepRecord, run  # noqa: E402
 
 PUBLISHED_STEPS = 1600
 PUBLISHED_T_FINAL = 5.0

@@ -46,8 +46,8 @@ def test_output_digest_prints_one_digest_per_file(src_env):
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# imports output_digest and prints the BLAS variables as numpy saw them when
-# it was first imported
+# imports the module named by its second argument and prints the BLAS
+# variables as numpy saw them when it was first imported
 READ_BLAS_THREADS = f"""
 import os, sys
 seen = []
@@ -57,19 +57,22 @@ class Spy:
             seen.append([os.environ.get(k, "-") for k in {BLAS_THREADS}])
 sys.meta_path.insert(0, Spy())
 sys.path.insert(0, sys.argv[1])
-import output_digest
+__import__(sys.argv[2])
 print(*seen[0])
 """
 
 
-def test_output_digest_pins_blas_threads_the_caller_left_unset(src_env):
-    # the digests depend on the BLAS thread count, so before numpy loads the
-    # script sets each variable the caller left unset to 1, and keeps the
-    # value of one the caller set
+@pytest.mark.parametrize("module", ["output_digest", "cost", "paper_probe"])
+def test_output_digest_pins_blas_threads_the_caller_left_unset(src_env,
+                                                               module):
+    # the digests and CG counts depend on the BLAS thread count, so before
+    # numpy loads, output_digest and the scripts that import it set each
+    # variable the caller left unset to 1, and keep the value of one the
+    # caller set
     env = {k: v for k, v in src_env.items() if k not in BLAS_THREADS}
     for caller, want in (({}, "1 1 1"), ({"OMP_NUM_THREADS": "2"}, "1 2 1")):
         out = subprocess.run([sys.executable, "-c", READ_BLAS_THREADS,
-                              str(SCRIPTS)], env={**env, **caller},
+                              str(SCRIPTS), module], env={**env, **caller},
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == want
@@ -132,53 +135,33 @@ def test_trace_moves_refuses_a_trace_it_cannot_read(tmp_path, text, message):
         assert "Traceback" not in out.stderr
 
 
-def test_setup_cost_prints_one_row_per_builder(src_env):
-    out = subprocess.run([sys.executable, str(SCRIPTS / "setup_cost.py"),
+def test_cost_times_every_call_on_the_final_state(src_env):
+    out = subprocess.run([sys.executable, str(SCRIPTS / "cost.py"),
                           "-n", "2", "determinism"], env=src_env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    *lines, size = out.stdout.splitlines()
     rows = [re.fullmatch(r"(.+?) +([0-9.]+) ms +([0-9,]+) dofs +([0-9,]+) "
-                         r"triangles", line) for line in
-            out.stdout.splitlines()]
+                         r"triangles", line) for line in lines]
     assert all(rows), out.stdout
-    names = [row[1] for row in rows]
-    assert names == ["Mesh", "element_data", "unit_mass", "geometry",
-                     "prolongation", "set-up", "V-cycle build", "adapt"]
+    assert [row[1] for row in rows] == [
+        "Mesh", "element_data", "unit_mass", "geometry", "prolongation",
+        "set-up", "V-cycle build", "adapt", "element_gradients",
+        "reaction_weight", "estimate", "energies", "update_crack_set",
+        "make_snapshot", "write_snapshot"]
     ms = [float(row[2]) for row in rows]
     assert all(t > 0.0 for t in ms)
     assert abs(ms[5] - sum(ms[:5])) <= 0.01
     # every row times the same final mesh
     assert len({(row[3], row[4]) for row in rows}) == 1
-
-
-def test_snapshot_cost_times_both_calls_on_the_final_state(src_env):
-    out = subprocess.run([sys.executable, str(SCRIPTS / "snapshot_cost.py"),
-                          "-n", "2", "determinism"], env=src_env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    rows = [re.fullmatch(r"(\w+) +([0-9.]+) ms", line) for line in lines[:2]]
-    assert all(rows), out.stdout
-    assert [row[1] for row in rows] == ["make_snapshot", "write_snapshot"]
-    assert all(float(row[2]) > 0.0 for row in rows)
-    tail = re.fullmatch(r"([0-9,]+) bytes, ([0-9,]+) dofs, ([0-9,]+) "
-                        r"triangles", lines[2])
+    tail = re.fullmatch(r"([0-9,]+) bytes", size)
     assert tail, out.stdout
     assert int(tail[1].replace(",", "")) > 0
-    assert len(lines) == 3
+    assert len(lines) == 15
 
-
-def test_step_cost_times_each_kernel_on_one_mesh(src_env):
-    out = subprocess.run([sys.executable, str(SCRIPTS / "step_cost.py"),
-                          "-n", "2", "determinism"], env=src_env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    rows = [re.fullmatch(r"(\w+) +([0-9.]+) ms +([0-9,]+) dofs +([0-9,]+) "
-                         r"triangles", line) for line in
-            out.stdout.splitlines()]
-    assert all(rows), out.stdout
-    assert [row[1] for row in rows] == ["element_gradients",
-                                        "reaction_weight", "estimate",
-                                        "energies", "update_crack_set"]
-    assert all(float(row[2]) > 0.0 for row in rows)
-    assert len({(row[3], row[4]) for row in rows}) == 1
+    # N = 0 repetitions time nothing: a usage error, not a traceback
+    out = subprocess.run([sys.executable, str(SCRIPTS / "cost.py"),
+                          "-n", "0", "determinism"], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "usage:" in out.stderr and "Traceback" not in out.stderr
