@@ -9,7 +9,7 @@ from fracture_afem.driver import RunConfig, run
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def src_env():
     """The environment of a child Python that imports the package from
     this checkout's ``src/``."""

@@ -135,29 +135,57 @@ def test_trace_moves_refuses_a_trace_it_cannot_read(tmp_path, text, message):
         assert "Traceback" not in out.stderr
 
 
-def test_cost_times_every_call_on_the_final_state(src_env):
+ROW = re.compile(r"(.+?) +([0-9.]+) ms +([0-9,]+) dofs +([0-9,]+) triangles")
+
+
+@pytest.fixture(scope="module")
+def cost_rows(src_env):
+    """The rows and the last line of one ``cost.py -n 2 determinism`` run."""
     out = subprocess.run([sys.executable, str(SCRIPTS / "cost.py"),
                           "-n", "2", "determinism"], env=src_env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     *lines, size = out.stdout.splitlines()
-    rows = [re.fullmatch(r"(.+?) +([0-9.]+) ms +([0-9,]+) dofs +([0-9,]+) "
-                         r"triangles", line) for line in lines]
+    rows = [ROW.fullmatch(line) for line in lines]
     assert all(rows), out.stdout
+    return rows, size
+
+
+def test_setup_cost_prints_one_row_per_builder(cost_rows):
+    rows = cost_rows[0][:8]
     assert [row[1] for row in rows] == [
         "Mesh", "element_data", "unit_mass", "geometry", "prolongation",
-        "set-up", "V-cycle build", "adapt", "element_gradients",
-        "reaction_weight", "estimate", "energies", "update_crack_set",
-        "make_snapshot", "write_snapshot"]
+        "set-up", "V-cycle build", "adapt"]
     ms = [float(row[2]) for row in rows]
     assert all(t > 0.0 for t in ms)
     assert abs(ms[5] - sum(ms[:5])) <= 0.01
     # every row times the same final mesh
     assert len({(row[3], row[4]) for row in rows}) == 1
+
+
+def test_step_cost_times_each_kernel_on_one_mesh(cost_rows):
+    rows = cost_rows[0][8:13]
+    assert [row[1] for row in rows] == ["element_gradients",
+                                        "reaction_weight", "estimate",
+                                        "energies", "update_crack_set"]
+    assert all(float(row[2]) > 0.0 for row in rows)
+    assert len({(row[3], row[4]) for row in rows}) == 1
+
+
+def test_snapshot_cost_times_both_calls_on_the_final_state(cost_rows):
+    rows, size = cost_rows[0][13:], cost_rows[1]
+    assert [row[1] for row in rows] == ["make_snapshot", "write_snapshot"]
+    assert all(float(row[2]) > 0.0 for row in rows)
     tail = re.fullmatch(r"([0-9,]+) bytes", size)
-    assert tail, out.stdout
+    assert tail, size
     assert int(tail[1].replace(",", "")) > 0
-    assert len(lines) == 15
+
+
+def test_cost_times_every_call_on_the_final_state(src_env, cost_rows):
+    # the three groups above are all the rows, and all time one mesh
+    rows = cost_rows[0]
+    assert len(rows) == 15
+    assert len({(row[3], row[4]) for row in rows}) == 1
 
     # N = 0 repetitions time nothing: a usage error, not a traceback
     out = subprocess.run([sys.executable, str(SCRIPTS / "cost.py"),
