@@ -16,10 +16,12 @@ once (outputs go to a temporary directory), then times, in this order:
   initial grid, so no per-mesh cache is hit, while the grid hierarchy is,
   as in a run; what the timed builder reads is built before the clock
   starts;
-- the kernels every time step evaluates, on warm per-mesh caches:
-  ``element_gradients`` (of ``u``), ``reaction_weight``, ``estimate``,
-  ``energies`` (with the indicator) and ``update_crack_set`` (with the
-  run's crack threshold and crack set);
+- the kernels every time step evaluates, on warm per-mesh caches: the
+  V-cycle apply (the cycle of the V-cycle build row, built once on the
+  final mesh, applied to one residual), ``element_gradients`` (of ``u``),
+  ``reaction_weight``, ``estimate``, ``energies`` (with the indicator) and
+  ``update_crack_set`` (with the run's crack threshold and crack set);
+  each is called without a step's memo, so it forms what it reads;
 - the snapshot of the final state: ``make_snapshot``, ``write_snapshot``.
 
 Each row is the minimum of N repetitions (default 30) after one warm-up, in
@@ -38,6 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from output_digest import RUNS, build  # noqa: E402  (paths, BLAS threads)
+import numpy as np  # noqa: E402
 from fracture_afem import io as fio  # noqa: E402
 from fracture_afem.driver import (energies,  # noqa: E402
                                   mark_for_adaptation, run)
@@ -48,6 +51,7 @@ from fracture_afem.mesh import Mesh, adapt, geometry  # noqa: E402
 from fracture_afem.multigrid import mesh_prolongation, vcycle  # noqa: E402
 from fracture_afem.phasefield import (reaction_weight,  # noqa: E402
                                       update_crack_set)
+
 
 def best_of(repeats, call, prepare=lambda: None):
     """The minimum over ``repeats`` calls ``call(prepare())``, after one
@@ -100,7 +104,10 @@ def builders(mesh, marks):
 def kernels(state, cfg, est, snap, directory):
     """The per-step kernels and snapshot calls on ``state``: name, call."""
     u, v, mesh, params = state.u_curr, state.v, state.mesh, cfg.material
+    cycle = vcycle(assemble_stiffness(mesh, 1.0) + unit_mass(mesh), mesh)
+    residual = np.random.default_rng(0).standard_normal(mesh.n_vertices)
     return (
+        ("V-cycle apply", lambda _: cycle(residual)),
         ("element_gradients", lambda _: element_gradients(u, mesh)),
         ("reaction_weight", lambda _: reaction_weight(u, params, mesh)),
         ("estimate", lambda _: estimate(u, v, mesh, params)),

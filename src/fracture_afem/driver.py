@@ -19,8 +19,8 @@ from .dynamics import (DynamicState, LoadingParams, MaterialParams,
                        boundary_ramp, degradation, init_state,
                        step_displacement)
 from .estimator import dorfler_mark, estimate, fraction_mark
-from .fem import (DirichletSet, FeFunction, element_gradients, element_means,
-                  transfer, unit_mass)
+from .fem import (DirichletSet, FeFunction, StepMemo, element_gradients,
+                  element_means, transfer, unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .fem import assemble_stiffness  # noqa: F401  (a perfbench/tracer.py site)
 from .mesh import (AdaptSummary, BoundaryLabel, InitialGrid, adapt,
@@ -301,24 +301,27 @@ class EnergyReport:
     n_cells: int
 
 
-def energies(state, params, est=None, time=0.0, step=0):
+def energies(state, params, est=None, time=0.0, step=0, memo=None):
     """Kinetic, strain and surface energy of a snapshot (exact P1 quadrature).
 
     The strain energy ``0.5 mu u^T A u`` of the degraded stiffness ``A`` is
     summed element by element, ``0.5 mu sum_tau c_tau |tau| |grad u_tau|^2``
     with ``c_tau`` the element mean of the degradation, so no matrix is
-    assembled.
+    assembled.  ``memo`` is the :class:`~.fem.StepMemo` of the step that
+    made ``state``, or ``None``: the gradients of ``u`` and ``v`` that the
+    step's solve and :func:`~.estimator.estimate` formed are read from it.
     """
     mesh = state.mesh
+    memo = StepMemo() if memo is None else memo
     area = mesh.signed_areas()
     M = unit_mass(mesh)
     du = state.du.values
     kinetic = 0.5 * params.varrho * (du @ (M @ du))
     c = element_means(degradation(state.v, params).values, mesh.triangles)
-    gx, gy = element_gradients(state.u_curr, mesh)
+    gx, gy = memo.get(state.u_curr, mesh, "gradients", element_gradients)
     strain = 0.5 * params.mu * (c * area * (gx ** 2 + gy ** 2)).sum()
 
-    gx, gy = element_gradients(state.v, mesh)
+    gx, gy = memo.get(state.v, mesh, "gradients", element_gradients)
     vbar = element_means(state.v.values, mesh.triangles)
     h_of_v = (area.sum() - (area * vbar).sum()) / params.epsilon \
         + params.epsilon * (area * (gx ** 2 + gy ** 2)).sum()
@@ -393,9 +396,12 @@ class StepRecord:
                                     # of its solve on the old mesh
 
 
-def staggered_step(state, t_n, cfg):
+def staggered_step(state, t_n, cfg, memo=None):
     """One full staggered solve at time ``t_n`` from the state at the
     previous index.  Returns the new state and its :class:`StepRecord`.
+    ``memo``, the step's :class:`~.fem.StepMemo`, keeps the reaction weight
+    of each damage solve's displacement; the new state's ``u_curr`` is the
+    last one.
 
     The new state carries the last damage solve's unclamped iterate and its
     V-cycle (see :class:`~fracture_afem.dynamics.DynamicState`).  A wave
@@ -436,7 +442,8 @@ def staggered_step(state, t_n, cfg):
         rec.cycle_builds += _new_cycle(wave and wave.cycle, wave_cycle)
         v_raw, vrep = solve_phasefield(
             u_new, cfg.material, state.crack, mesh, x0=v_start,
-            tol=tol.solver_tol, max_iter=tol.solver_max_iter, cycle=cycle)
+            tol=tol.solver_tol, max_iter=tol.solver_max_iter, cycle=cycle,
+            memo=memo)
         rec.cycle_builds += _new_cycle(cycle, vrep["cycle"])
         u_start, v_start, cycle = u_new.values, v_raw.values, vrep["cycle"]
         v_new = clamp_and_threshold(v_raw, tol.xi_v)
@@ -507,7 +514,7 @@ def mark_for_adaptation(est, cfg):
                          cfg.marking.coarsen_fraction)
 
 
-def adapt_step(prev_state, post_state, est, cfg):
+def adapt_step(prev_state, post_state, est, cfg, memo=None):
     """One adaptation pass: mark, adapt and transfer.
 
     Returns the previous state on the new mesh, ready for the re-solve, or
@@ -517,7 +524,8 @@ def adapt_step(prev_state, post_state, est, cfg):
     as it was.  The returned state carries the first solve's answer
     ``post_state`` moved to the new mesh, where the re-solve starts: its
     ``u`` and ``v`` as ``start``, its unclamped damage as ``v_raw``.  Once
-    something is marked, the damage V-cycles of both states are dropped,
+    something is marked, the damage V-cycles of both states and the values
+    kept in ``memo``, the step's :class:`~.fem.StepMemo`, are dropped,
     before the new mesh is built.
     """
     if est.r_h <= cfg.tolerances.xi_rf:
@@ -527,9 +535,12 @@ def adapt_step(prev_state, post_state, est, cfg):
         return None
     mesh = prev_state.mesh
     # no solve on the new mesh can refit the damage V-cycles the states
-    # carry; they go before the new mesh is built, to keep peak memory down,
-    # so after an adaptation that changes nothing the next step builds one
+    # carry, or read the gradients the memo keeps; they go before the new
+    # mesh is built, to keep peak memory down, so after an adaptation that
+    # changes nothing the next step builds a cycle and forms them again
     prev_state.cycle = post_state.cycle = None
+    if memo is not None:
+        memo.clear()
     new_mesh = adapt(mesh, refine, coarsen)
     done = new_mesh.adapt_summary
     if done.refined == 0 and done.coarsened_pairs == 0:
@@ -603,8 +614,9 @@ def run(cfg, on_step=None):
     cfg.validate()
     k = cfg.time.k
     state = _initial_state(cfg)
-    est = estimate(state.u_curr, state.v, state.mesh, cfg.material)
-    report = energies(state, cfg.material, est, time=k, step=1)
+    memo = StepMemo()
+    est = estimate(state.u_curr, state.v, state.mesh, cfg.material, memo)
+    report = energies(state, cfg.material, est, time=k, step=1, memo=memo)
     records = [_finish_record(StepRecord(), state, report)]
 
     out_dir = fio.prepare_output(cfg.output.directory)
@@ -614,34 +626,40 @@ def run(cfg, on_step=None):
         stale.unlink()
     fio.write_energy_trace([report], trace)
     if cfg.output.snapshot_every > 0:
-        fio.write_snapshot(fio.make_snapshot(state, est, cfg, 1, k), out_dir)
+        fio.write_snapshot(fio.make_snapshot(state, est, cfg, 1, k,
+                                             memo=memo), out_dir)
 
     first_pin = None
     prev_energy = report.total
     for n in range(2, cfg.time.n_steps + 1):
         t_n = n * k
         prev = state
+        # the step's gradients and reaction weights, each formed once; the
+        # memo goes with the step
+        memo = StepMemo()
         phase = "staggered solve"
         try:
             # While the intact shortcut is active the bound v <= 1 is
             # active everywhere, no discrete critical point exists, and the
             # unconstrained residual the indicator measures carries no
             # information; adaptation waits for the reaction to activate.
-            state, rec = staggered_step(prev, t_n, cfg)
+            state, rec = staggered_step(prev, t_n, cfg, memo)
             phase = "estimation"
-            est = estimate(state.u_curr, state.v, state.mesh, cfg.material)
+            est = estimate(state.u_curr, state.v, state.mesh, cfg.material,
+                           memo)
             phase = "adaptation"
             adapted = None if rec.shortcut \
-                else adapt_step(prev, state, est, cfg)
+                else adapt_step(prev, state, est, cfg, memo)
             if adapted is not None:
                 # the first solve's state holds the old mesh, its caches
-                # and its wave system; free them before the re-solve
+                # and its wave system; free them before the re-solve.  The
+                # moved state's energies are read once, without the memo
                 prev, state, est = adapted, None, None
                 prev_energy = energies(prev, cfg.material, time=t_n - k,
                                        step=n - 1).total
                 phase = "re-solve after adaptation"
                 first = rec
-                state, rec = staggered_step(prev, t_n, cfg)
+                state, rec = staggered_step(prev, t_n, cfg, memo)
                 # the moved state, with the start it carried, is spent
                 prev = adapted = None
                 rec.adapt = state.mesh.adapt_summary
@@ -649,9 +667,10 @@ def run(cfg, on_step=None):
                 rec.warnings[:0] = [f"before adaptation: {w}"
                                     for w in first.warnings]
                 est = estimate(state.u_curr, state.v, state.mesh,
-                               cfg.material)
+                               cfg.material, memo)
             phase = "energies"
-            report = energies(state, cfg.material, est, time=t_n, step=n)
+            report = energies(state, cfg.material, est, time=t_n, step=n,
+                              memo=memo)
             _finish_record(rec, state, report)
             # discrete dissipation ledger: E_n <= E_{n-1} + boundary work
             rec.ledger_slack = report.total - prev_energy - rec.boundary_work
@@ -669,8 +688,8 @@ def run(cfg, on_step=None):
             fio.write_energy_trace([report], trace)
             if cfg.output.snapshot_every > 0 \
                     and n % cfg.output.snapshot_every == 0:
-                fio.write_snapshot(fio.make_snapshot(state, est, cfg, n, t_n),
-                                   out_dir)
+                fio.write_snapshot(fio.make_snapshot(
+                    state, est, cfg, n, t_n, memo=memo), out_dir)
         except Exception as exc:
             raise RuntimeError(
                 f"run aborted at step {n} during {phase} ({exc})") from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import element_data, element_gradients
+from .fem import StepMemo, element_data, element_gradients
 from .mesh import geometry
 from .phasefield import phasefield_system, reaction_weight
 
@@ -44,13 +44,16 @@ class EstimatorField:
             raise ValueError("indicator values must be finite and nonnegative")
 
 
-def estimate(u, v, mesh, params):
-    """Evaluate the residual indicator for the pair (u, v)."""
+def estimate(u, v, mesh, params, memo=None):
+    """Evaluate the residual indicator for the pair (u, v).  ``memo``, the
+    :class:`~.fem.StepMemo` of a time step, shares the reaction weight of
+    ``u`` and the gradients of ``v`` with the step's other evaluations."""
     u.check_bound(mesh)
     v.check_bound(mesh)
+    memo = StepMemo() if memo is None else memo
     geo = geometry(mesh)
-    gx, gy = element_gradients(v, mesh)
-    a_tau = reaction_weight(u, params, mesh)
+    gx, gy = memo.get(v, mesh, "gradients", element_gradients)
+    a_tau = reaction_weight(u, params, mesh, memo)
     nu = params.nu_pf
 
     # element residual: integrand quadratic in v, exact by edge midpoints;
@@ -73,7 +76,10 @@ def estimate(u, v, mesh, params):
     wb = rho2 * he[mesh.boundary_edge_mask] ** 2 \
         * (gx[tb] * nx + gy[tb] * ny) ** 2
     # one bincount adds the element term, then the interior halves, then
-    # the boundary edges, in that order for every triangle
+    # the boundary edges, in that order for every triangle; its index and
+    # weights are the largest arrays here, so the temporaries go first (the
+    # final mesh's indicator is near the peak memory of a run)
+    del v0, v1, v2, s0, s1, s2, gmag
     r2 = np.bincount(
         np.concatenate([np.arange(mesh.n_triangles), ti, tj, tb]),
         weights=np.concatenate([elem, half, half, wb]),

@@ -8,6 +8,7 @@ integral of a linear coefficient is its mean times the area).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "transfer",
     "element_gradients",
     "element_means",
+    "StepMemo",
 ]
 
 
@@ -391,3 +393,48 @@ def element_gradients(u, mesh):
     for c in range(2):
         out[c] = g[c, 0] * u0 + g[c, 1] * u1 + g[c, 2] * u2
     return out
+
+
+class StepMemo:
+    """Per-element values of the fields of one time step, each formed once.
+
+    A time step makes one and hands it to every evaluation of its fields
+    (:func:`~.phasefield.reaction_weight`, :func:`~.estimator.estimate`,
+    :func:`~.driver.energies`, :func:`~.io.make_snapshot`), so the element
+    gradients of a field are formed at its first evaluation and read by the
+    others; the step drops it when it ends.  An evaluation handed none
+    makes its own, which keeps nothing beyond the call.
+
+    :meth:`get` holds each field and its mesh by weak references, with a
+    copy of the field's values: a kept value is returned while the field
+    is alive on the same mesh and its values equal the copy, and is formed
+    anew once they have been changed in place.  An entry whose field or
+    mesh is gone is dropped at the next call, so the memo keeps no field
+    alive.  Kept arrays are shared and read-only.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def clear(self):
+        """Drop every kept value."""
+        self._entries.clear()
+
+    def get(self, u, mesh, key, build):
+        """``build(u, mesh)``, kept under ``key`` for the field object ``u``
+        on ``mesh``; the key names what ``build`` forms, with every input
+        other than ``u`` and ``mesh``."""
+        entries = self._entries
+        for gone in [k for k, (f, m, _, _) in entries.items()
+                     if f() is None or m() is None]:
+            del entries[gone]
+        # the ids of live objects are unique, so a kept entry is theirs
+        entry = entries.get((id(u), id(mesh)))
+        if entry is None or not np.array_equal(entry[2], u.values):
+            entry = entries[id(u), id(mesh)] = (
+                weakref.ref(u), weakref.ref(mesh), u.values.copy(), {})
+        kept = entry[3]
+        if key not in kept:
+            value = kept[key] = build(u, mesh)
+            value.flags.writeable = False
+        return kept[key]

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .driver import RunConfig, run as run_driver
 from .dynamics import degradation
-from .fem import element_gradients
+from .fem import StepMemo, element_gradients
 
 __all__ = [
     "ConfigError",
@@ -158,16 +158,18 @@ class Snapshot:
     cell_fields: dict       # name -> (n_triangles,) arrays
 
 
-def make_snapshot(state, est, cfg, step, time):
+def make_snapshot(state, est, cfg, step, time, memo=None):
     """Collect the visualization fields of one snapshot.
 
     The stress proxy is the regularized elastic energy density
     ``((1 - kappa) v^2 + kappa) |grad u|^2`` with the element gradient
-    magnitudes averaged onto vertices (area weighted).
+    magnitudes averaged onto vertices (area weighted).  ``memo`` is the
+    :class:`~.fem.StepMemo` of the step that made ``state``, or ``None``.
     """
     mesh = state.mesh
     area = mesh.signed_areas()
-    gx, gy = element_gradients(state.u_curr, mesh)
+    memo = StepMemo() if memo is None else memo
+    gx, gy = memo.get(state.u_curr, mesh, "gradients", element_gradients)
     gu2 = gx ** 2 + gy ** 2
     corners = mesh.triangles.ravel()
     num = np.bincount(corners, weights=np.repeat(gu2 * area, 3),

@@ -10,8 +10,12 @@ The levels are the current mesh, then the entry grid ``n0 2^j``, then
 ``n0 2^(j-1)``, ..., ``n0``, ``n0/2``, ... down to the first grid with at
 most ``COARSE_DOFS`` dofs, or to the last one whose grid lines still carry
 the slit.  Every mesh carries its initial grid, so every cycle has these
-levels; on an unrefined mesh the first prolongation is the identity, and
-that level stays as a second smoothing sweep.  The entry grid follows the
+levels.  An unrefined mesh is its entry grid ``n0`` (every triangle at
+level 0, the grid mesh's vertices in its order, which :func:`vcycle`
+checks exactly), so its prolongation from that grid would be the
+identity: its cycle enters below itself, at the grid's own prolongation
+``n0 -> n0/2``, and if ``n0`` is already the coarsest grid the dense
+inverse is the whole cycle.  The entry grid follows the
 mesh: for a median cell level ``L`` (two bisections halve ``h``) it is
 ``j = max(0, L // 2 - 1)``, the finest grid whose cells are at least one
 halving of ``h`` coarser than the median cell, as in the one-halving-per-level hierarchies of Chen, Nochetto & Xu.
@@ -224,26 +228,49 @@ def vcycle(A, mesh, pinned=(), reuse=None):
     """The V-cycle preconditioner of ``A`` on ``mesh``.
 
     ``A`` is a damage or a wave system with the rows and columns of the
-    ``pinned`` dofs (crack or loaded-boundary dofs) eliminated; the
-    prolongation rows of those dofs are zeroed, so the cycle leaves them at
-    zero.  ``reuse`` is a cycle an earlier solve got from here, or
-    ``None``: if it was built on this ``mesh`` object with the same pins,
-    it is refit to ``A`` and returned, and otherwise a new cycle is built.
+    ``pinned`` dofs (crack or loaded-boundary dofs) eliminated; the rows
+    of those dofs in the first prolongation are zeroed (in a cycle that is
+    a dense inverse alone, their rows and columns are those of the
+    identity), so the cycle leaves them at zero.  ``reuse`` is a cycle an
+    earlier solve got from here, or ``None``: if it was built on this
+    ``mesh`` object with the same pins, it is refit to ``A`` and returned,
+    and otherwise a new cycle is built.
     """
     pinned = np.sort(np.asarray(pinned, dtype=np.int64))
     if reuse is not None and reuse.mesh is mesh \
             and np.array_equal(reuse.pinned, pinned):
         return reuse.refit(A)
-    # an unrefined mesh keeps its P = I level: a second sweep, fewer CG steps
-    P, R = mesh_prolongation(mesh)
-    if pinned.size:
+    # an unrefined mesh is its entry grid, where P = I: the cycle enters
+    # below it, at the grid's own prolongation n0 -> n0/2, or is the dense
+    # inverse alone if that grid is the coarsest
+    levels = grid_prolongations(mesh.grid, entry_level(mesh))
+    if not _is_grid(mesh):
+        levels = [mesh_prolongation(mesh)] + levels
+    if pinned.size and levels:
+        P, R = levels[0]
         free = np.ones(mesh.n_vertices)
         free[pinned] = 0.0
         P = sp.csr_matrix((P.data * np.repeat(free, np.diff(P.indptr)),
                            P.indices, P.indptr), shape=P.shape)
         R = sp.csr_matrix((R.data * free[R.indices], R.indices, R.indptr),
                           shape=R.shape)
-    cycle = VCycle(A, [(P, R)]
-                   + grid_prolongations(mesh.grid, entry_level(mesh)))
+        levels = [(P, R)] + levels[1:]
+    cycle = VCycle(A, levels)
+    if pinned.size and not levels and cycle.coarse_inv is not None:
+        # the pinned rows and columns of A are unit rows, so those of its
+        # inverse are too; set exactly, they leave a pin at 0 where the
+        # residual is 0
+        inv = cycle.coarse_inv
+        inv[pinned] = inv[:, pinned] = 0.0
+        inv[pinned, pinned] = 1.0
     cycle.mesh, cycle.pinned = mesh, pinned
     return cycle
+
+
+def _is_grid(mesh):
+    """Whether ``mesh`` is the mesh of its grid ``n0``, so that its
+    prolongation from its entry grid is the identity: every triangle at
+    level 0, and the vertices of the grid mesh, in its order.  Decided
+    exactly, without a tolerance."""
+    return not mesh.levels.any() and np.array_equal(
+        mesh.vertices, _hierarchy(mesh.grid, 0)[0][0].vertices)

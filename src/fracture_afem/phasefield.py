@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (FeFunction, DirichletSet, assemble_stiffness, weighted_mass,
-                  apply_dirichlet, element_gradients, transfer_pinned,
-                  unit_mass)
+from .fem import (FeFunction, DirichletSet, StepMemo, assemble_stiffness,
+                  weighted_mass, apply_dirichlet, element_gradients,
+                  transfer_pinned, unit_mass)
 from .fem import assemble_mass  # noqa: F401  (a perfbench/tracer.py site)
 from .linsolve import solve_spd
 from .mesh import derived
@@ -71,11 +71,18 @@ class CrackSet:
         return CrackSet(np.where(pinned)[0], dst_mesh.generation)
 
 
-def reaction_weight(u, params, mesh):
+def reaction_weight(u, params, mesh, memo=None):
     """Element reaction weight mu (1 - kappa) |grad u|^2 of the damage
-    equation."""
-    gx, gy = element_gradients(u, mesh)
-    return params.mu * (1.0 - params.kappa) * (gx ** 2 + gy ** 2)
+    equation.  ``memo``, the :class:`~.fem.StepMemo` of a time step, keeps
+    it and the gradients of ``u`` for the step's other evaluations of
+    ``u``."""
+    memo = StepMemo() if memo is None else memo
+    c = params.mu * (1.0 - params.kappa)
+
+    def build(u, mesh):
+        gx, gy = memo.get(u, mesh, "gradients", element_gradients)
+        return c * (gx ** 2 + gy ** 2)
+    return memo.get(u, mesh, ("reaction", c), build)
 
 
 def _constants(mesh):
@@ -100,7 +107,7 @@ def phasefield_system(u, params, mesh):
 
 
 def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
-                     max_iter=None, cycle=None):
+                     max_iter=None, cycle=None, memo=None):
     """Solve the damage critical-point system with crack dofs pinned to 0.
 
     The conjugate gradients are preconditioned by one multigrid V-cycle
@@ -113,12 +120,14 @@ def solve_phasefield(u, params, crack, mesh, x0=None, tol=1e-12,
     stationarity residual relative to the right-hand side norm, whether the
     intact shortcut fired (report and residual are ``None`` then), and the
     V-cycle to pass to the next solve (``cycle`` itself after a shortcut).
+    The reaction weight of ``u`` is kept in ``memo``, the step's
+    :class:`~.fem.StepMemo`, if one is given.
     """
     u.check_bound(mesh)
     if crack.generation != mesh.generation:
         raise ValueError("crack set bound to a different generation")
 
-    reaction = reaction_weight(u, params, mesh)
+    reaction = reaction_weight(u, params, mesh, memo)
     if crack.ids.size == 0 and reaction.max(initial=0.0) \
             <= SHORTCUT_FACTOR * params.nu_pf:
         v = FeFunction.constant(mesh, 1.0)
@@ -160,12 +169,15 @@ def clamp_and_threshold(v, xi_v):
 def update_crack_set(v, mesh, xi_cr, old):
     """Pin both endpoints of every edge whose endpoint values are both at or
     below ``xi_cr`` (P1: the edge-wise condition reduces to the endpoints).
-    The union with the old set makes growth monotone."""
+    The union with the old set makes growth monotone; with no vertex at or
+    below ``xi_cr`` nothing is added, and ``old`` itself is returned."""
     v.check_bound(mesh)
     if old.generation != mesh.generation:
         raise ValueError("crack set bound to a different generation")
-    e = mesh.edges
     low = v.values <= xi_cr
+    if not low.any():
+        return old
+    e = mesh.edges
     hit = low[e[:, 0]] & low[e[:, 1]]
     ids = np.union1d(old.ids, np.unique(e[hit]))
     return CrackSet(ids, mesh.generation)

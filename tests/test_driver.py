@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 import fracture_afem.driver as driver
 import fracture_afem.dynamics as dynamics
+import fracture_afem.estimator as estimator
+import fracture_afem.fem as fem
+import fracture_afem.io as fio
 import fracture_afem.multigrid as multigrid
 import fracture_afem.phasefield as phasefield
 from fracture_afem.driver import (RunConfig, adapt_step, build_dirichlet,
@@ -19,10 +22,11 @@ from fracture_afem.driver import (RunConfig, adapt_step, build_dirichlet,
 from fracture_afem.dynamics import (DynamicState, MaterialParams, degradation,
                                     init_state, step_displacement)
 from fracture_afem.estimator import EstimatorField, estimate
-from fracture_afem.fem import FeFunction, assemble_stiffness, transfer
+from fracture_afem.fem import (FeFunction, StepMemo, assemble_stiffness,
+                               element_gradients, transfer)
 from fracture_afem.mesh import BoundaryLabel, adapt
 from fracture_afem.phasefield import (CrackSet, clamp_and_threshold,
-                                      solve_phasefield)
+                                      reaction_weight, solve_phasefield)
 
 from test_fem import adapted_meshes
 
@@ -663,10 +667,10 @@ def test_first_solve_state_is_released_before_the_resolve(tmp_path,
     released = []
     solve = driver.staggered_step
 
-    def watched(state, t_n, cfg):
+    def watched(state, t_n, cfg, *memo):
         if last.get("t") == t_n:
             released.append(last["mesh"]() is None)
-        out = solve(state, t_n, cfg)
+        out = solve(state, t_n, cfg, *memo)
         last.update(t=t_n, mesh=weakref.ref(state.mesh))
         return out
 
@@ -720,3 +724,74 @@ def test_load_holds_after_ramp_window(tmp_path):
     assert np.array_equal(late.values, end.values)
     with pytest.raises(ValueError, match="loading window"):
         quiet_cfg(tmp_path, n0=4, n_steps=2, t_final=0.5, t_g=1.0).validate()
+
+
+# ----------------------------------------------------------------------
+# one gradient pass per field
+# ----------------------------------------------------------------------
+
+def gradient_passes(tmp_path, monkeypatch, **kw):
+    """Run ``quiet_cfg(**kw)`` with a counting ``element_gradients`` in
+    every module that calls it; step -> (calls, record) from step 3 on
+    (the calls of step 2 hold those of step 1)."""
+    calls, steps = [0], {}
+    original = fem.element_gradients
+
+    def counting(u, mesh):
+        calls[0] += 1
+        return original(u, mesh)
+    for module in (driver, estimator, phasefield, fio):
+        monkeypatch.setattr(module, "element_gradients", counting)
+
+    def on_step(state, est, report, rec):
+        steps[report.step] = (calls[0], rec)
+        calls[0] = 0
+    run(quiet_cfg(tmp_path, **kw), on_step=on_step)
+    del steps[2]
+    return steps
+
+
+def test_a_step_forms_the_gradients_of_each_field_once(tmp_path,
+                                                        monkeypatch):
+    # an intact step forms those of its u (the damage solve's reaction
+    # weight) and of its v (the indicator); the energies and the snapshot
+    # read them: 2, where each evaluation forming its own made 6.  A step
+    # that adapts, with one inner iteration per solve, forms those of the
+    # first solve's u and v, of the moved state's (its energy) and of the
+    # re-solve's: 6, against 11
+    steps = gradient_passes(tmp_path, monkeypatch, n0=8, n_steps=12,
+                            t_final=1.5, snapshot_every=1)
+    intact = [calls for calls, rec in steps.values() if rec.shortcut]
+    adapted = [calls for calls, rec in steps.values()
+               if rec.adapt is not None and rec.inner_iterations == 1
+               and rec.first_solve.inner_iterations == 1]
+    assert intact and adapted
+    assert intact == [2] * len(intact)
+    assert adapted == [6] * len(adapted)
+
+
+def test_shared_gradients_equal_per_call_ones_bit_for_bit(tmp_path):
+    cfg = quiet_cfg(tmp_path, n0=16, n_steps=10, t_final=1.0)
+    st = strained_state(cfg)
+    memo = StepMemo()
+    new, rec = staggered_step(st, 3 * cfg.time.k, cfg, memo)
+    assert not rec.shortcut
+    u, v, mesh, params = new.u_curr, new.v, new.mesh, cfg.material
+    est = estimate(u, v, mesh, params, memo)
+    report = energies(new, params, est, memo=memo)
+
+    def kept(f, key):
+        def refuse(*_):
+            raise AssertionError(f"{key} formed again")
+        return memo.get(f, mesh, key, refuse)
+    # the estimate read the reaction weight the last damage solve formed
+    assert reaction_weight(u, params, mesh, memo) is kept(
+        u, ("reaction", params.mu * (1.0 - params.kappa)))
+    assert np.array_equal(reaction_weight(u, params, mesh),
+                          kept(u, ("reaction",
+                                   params.mu * (1.0 - params.kappa))))
+    for f in (u, v):
+        assert np.array_equal(kept(f, "gradients"),
+                              element_gradients(f, mesh))
+    assert np.array_equal(est.r2, estimate(u, v, mesh, params).r2)
+    assert report == energies(new, params, est)

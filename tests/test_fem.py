@@ -579,3 +579,43 @@ def test_gradients_match_directional_difference_oracle():
     u = FeFunction(rng.standard_normal(mesh.n_vertices), mesh.generation)
     g = element_gradients(u, mesh)
     assert np.allclose(g.T, gradient_oracle(mesh, u.values), atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the memo of a time step
+# ----------------------------------------------------------------------
+
+def test_step_memo_forms_a_field_anew_after_an_in_place_change():
+    mesh = build_initial_mesh((3.0, 3.0), (0.0, 1.5, 1.5), 4)
+    x, y = mesh.vertices.T
+    u = FeFunction(x * y, mesh.generation)
+    memo = fem.StepMemo()
+    formed = []
+
+    def build(f, m):
+        formed.append(f.values.copy())
+        return fem.element_gradients(f, m)
+    g = memo.get(u, mesh, "gradients", build)
+    assert memo.get(u, mesh, "gradients", build) is g and len(formed) == 1
+    with pytest.raises(ValueError):
+        g[0, 0] = 1.0                   # kept arrays are shared, read-only
+    u.values[3] += 1.0
+    fresh = memo.get(u, mesh, "gradients", build)
+    assert len(formed) == 2
+    assert np.array_equal(fresh, fem.element_gradients(u, mesh))
+    assert not np.array_equal(fresh, g)
+    u.values = 2.0 * u.values
+    assert np.array_equal(memo.get(u, mesh, "gradients", build),
+                          fem.element_gradients(u, mesh))
+    assert len(formed) == 3
+    # an equal field is another object: its own entry; a gone field's
+    # entry is dropped at the next call
+    twin = FeFunction(u.values.copy(), mesh.generation)
+    memo.get(twin, mesh, "gradients", build)
+    assert len(formed) == 4
+    del u
+    memo.get(twin, mesh, "gradients", build)
+    assert len(memo._entries) == 1 and len(formed) == 4
+    memo.clear()
+    memo.get(twin, mesh, "gradients", build)
+    assert len(formed) == 5

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture_afem import multigrid as mg
-from fracture_afem.dynamics import MaterialParams
-from fracture_afem.fem import DirichletSet, FeFunction, apply_dirichlet
+from fracture_afem.driver import build_dirichlet
+from fracture_afem.dynamics import LoadingParams, MaterialParams
+from fracture_afem.fem import (DirichletSet, FeFunction, apply_dirichlet,
+                               assemble_stiffness, unit_mass)
 from fracture_afem.linsolve import solve_spd
 from fracture_afem.mesh import adapt, build_initial_mesh
 from fracture_afem.phasefield import phasefield_system
@@ -391,6 +393,73 @@ def test_vcycle_cuts_iterations_on_adapted_slit_mesh():
     assert rep_mg.converged and rep_j.converged
     assert 5 * rep_mg.iterations < rep_j.iterations
     assert np.allclose(x_mg, x_j, rtol=0.0, atol=1e-10 * np.abs(x_j).max())
+
+
+def wave_system(mesh, k=0.05):
+    """A wave system of ``mesh`` (stiffness well above mass, as where the
+    wave solve takes the V-cycle) with its loaded-boundary dofs
+    eliminated, and those dofs."""
+    ds = build_dirichlet(mesh, 1.0, LoadingParams())
+    S = unit_mass(mesh) / k ** 2 + (1.0 + 0.5 / k) * assemble_stiffness(
+        mesh, 1.0)
+    Sc, bc = apply_dirichlet(S, unit_mass(mesh) @ np.ones(mesh.n_vertices),
+                             ds)
+    return Sc, bc, ds.dofs
+
+
+def level_sizes(cycle):
+    return [op.shape[0] for op in cycle.ops]
+
+
+def test_unrefined_mesh_enters_below_itself():
+    # the mesh is its n0 grid, where P = I: the cycle starts at the grid
+    # prolongation n0 -> n0/2, with the pins zeroed on it
+    mesh = build_initial_mesh(DOMAIN3, EDGE_SLIT, 16)
+    Sc, bc, pins = wave_system(mesh)
+    assert pins.size
+    B = mg.vcycle(Sc, mesh, pins)
+    assert level_sizes(B) == [297, 85] and mesh.n_vertices == 297
+    assert "mg" not in mesh._cache         # no identity P was built
+    P, _ = mg.grid_prolongations(mesh.grid)[0]
+    free = np.setdiff1d(np.arange(mesh.n_vertices), pins)
+    assert (B.P[0][free] != P[free]).nnz == 0
+    assert B.P[0][pins].count_nonzero() == 0
+    assert (B.R[0] != B.P[0].T).nnz == 0
+    assert_symmetric_positive(mesh, pins, B)
+    x, rep = solve_spd(Sc, bc, tol=1e-12, precond=B)
+    assert rep.converged
+
+
+def test_unrefined_coarsest_grid_is_inverted_whole():
+    # the n0 = 8 grid is the coarsest: the dense inverse is the whole
+    # cycle, so CG ends after one iteration, and it keeps the pins exact
+    mesh = build_initial_mesh(DOMAIN3, EDGE_SLIT, 8)
+    assert [m.grid.n0 for m in grid_meshes(mesh.grid)] == [8]
+    Sc, bc, pins = wave_system(mesh)
+    B = mg.vcycle(Sc, mesh, pins)
+    assert level_sizes(B) == [mesh.n_vertices] and B.P == []
+    assert B.coarse_inv is not None
+    assert_symmetric_positive(mesh, pins, B)
+    x, rep = solve_spd(Sc, bc, tol=1e-12, precond=B)
+    assert rep.converged and rep.iterations == 1
+    assert np.array_equal(x[pins], bc[pins])
+
+
+def test_adapted_mesh_keeps_its_levels():
+    # a refined mesh, and one whose median level is 0 but whose cells are
+    # not all at level 0, enter through their own prolongation
+    for mesh in (adapted_slit_mesh(),
+                 adapt(build_initial_mesh(DOMAIN3, EDGE_SLIT, 16), [0])):
+        pins = block_pins(mesh)
+        Ac, _ = pinned_system(mesh, pins)
+        B = mg.vcycle(Ac, mesh, pins)
+        assert level_sizes(B) == [mesh.n_vertices] + [
+            m.n_vertices for m in grid_meshes(mesh.grid,
+                                              mg.entry_level(mesh))]
+        P, _ = mg.mesh_prolongation(mesh)
+        free = np.setdiff1d(np.arange(mesh.n_vertices), pins)
+        assert (B.P[0][free] != P[free]).nnz == 0
+        assert B.P[0][pins].count_nonzero() == 0
 
 
 def test_large_coarsest_grid_is_smoothed_not_inverted():

@@ -164,8 +164,8 @@ def test_setup_cost_prints_one_row_per_builder(cost_rows):
 
 
 def test_step_cost_times_each_kernel_on_one_mesh(cost_rows):
-    rows = cost_rows[0][8:13]
-    assert [row[1] for row in rows] == ["element_gradients",
+    rows = cost_rows[0][8:14]
+    assert [row[1] for row in rows] == ["V-cycle apply", "element_gradients",
                                         "reaction_weight", "estimate",
                                         "energies", "update_crack_set"]
     assert all(float(row[2]) > 0.0 for row in rows)
@@ -173,7 +173,7 @@ def test_step_cost_times_each_kernel_on_one_mesh(cost_rows):
 
 
 def test_snapshot_cost_times_both_calls_on_the_final_state(cost_rows):
-    rows, size = cost_rows[0][13:], cost_rows[1]
+    rows, size = cost_rows[0][14:], cost_rows[1]
     assert [row[1] for row in rows] == ["make_snapshot", "write_snapshot"]
     assert all(float(row[2]) > 0.0 for row in rows)
     tail = re.fullmatch(r"([0-9,]+) bytes", size)
@@ -184,7 +184,7 @@ def test_snapshot_cost_times_both_calls_on_the_final_state(cost_rows):
 def test_cost_times_every_call_on_the_final_state(src_env, cost_rows):
     # the three groups above are all the rows, and all time one mesh
     rows = cost_rows[0]
-    assert len(rows) == 15
+    assert len(rows) == 16
     assert len({(row[3], row[4]) for row in rows}) == 1
 
     # N = 0 repetitions time nothing: a usage error, not a traceback
